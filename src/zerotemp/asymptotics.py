@@ -3,20 +3,25 @@
 Cross-checks the pressure route (1/beta * log(P(beta A) - h), from spectral
 data) against the max-plus route (eigenvalue of the Aubry inter-component
 cost matrix), and extracts calibrated-subaction estimates from eigenfunction
-logarithms.
+logarithms.  ``Analysis`` holds what these estimates share for one
+potential, so that each piece is computed once however many estimates read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import starmap
 
 import mpmath
 
 from .aubry import AubryDecomposition, decompose_aubry, mane_potential, word_graph
 from .maxplus import NEG_INF, mp_eigenvalue, mp_eigenvectors
-from .spectral import LocallyConstantPotential, PerronData, equilibrium_cylinder_mass, perron
+from .spectral import LocallyConstantPotential, PerronData, PerronError, _working_dps
+from .spectral import equilibrium_cylinder_mass, perron
 
 __all__ = [
+    "Analysis",
     "GammaEstimate",
     "SubactionEstimate",
     "estimate_gamma",
@@ -59,30 +64,104 @@ def _entropy_mp(decomp: AubryDecomposition, dps: int):
         return mpmath.log(rho)
 
 
+class Analysis:
+    """What the estimates for one potential share, each part computed once:
+    the word graph, the Aubry decomposition, the max-plus eigendata of its
+    maximal cost matrix and the max-plus subaction; Perron pairs by beta
+    (solved with ``tol``); and h at the highest precision asked for so far.
+    """
+
+    def __init__(self, pot: LocallyConstantPotential, tol: float = 1e-14):
+        self.pot = pot
+        self.tol = tol
+        self._perron: dict[float, PerronData] = {}
+        self._h = (0, None)  # (dps, h at that precision)
+
+    def prefetch(self, betas, grid_map=starmap) -> None:
+        """Solve the Perron pair at each beta not solved yet; ``grid_map``
+        works as ``itertools.starmap`` and may fan the solves out to a pool."""
+        todo = [b for b in betas if b not in self._perron]
+        self._perron.update(zip(todo, grid_map(perron, [(self.pot, b, self.tol) for b in todo])))
+
+    def perron(self, beta: float) -> PerronData:
+        self.prefetch((beta,))
+        return self._perron[beta]
+
+    def entropy(self, beta: float):
+        """h (an mpf) at the Perron working precision at beta, which
+        resolves P - h at beta and below."""
+        dps = _working_dps(self.perron(beta).log_matrix)
+        if dps > self._h[0]:
+            self._h = (dps, _entropy_mp(self.decomposition, dps))
+        return self._h[1]
+
+    @cached_property
+    def graph(self):
+        return word_graph(self.pot)
+
+    @cached_property
+    def decomposition(self) -> AubryDecomposition:
+        return decompose_aubry(self.graph)
+
+    @cached_property
+    def gamma_maxplus(self) -> float:
+        return float(mp_eigenvalue(self.decomposition.maximal_cost()))
+
+    @cached_property
+    def eigenvectors(self):
+        return mp_eigenvectors(self.decomposition.maximal_cost())
+
+    @cached_property
+    def subaction_maxplus(self) -> tuple[float, ...]:
+        """V_rec(x) = max_j [V(Sigma_j) + S_j(x)], with the first max-plus
+        eigenvector as the offsets V(Sigma_j), vanishing at the all-zeros word."""
+        g = self.graph
+        comps = [self.decomposition.components[j] for j in self.decomposition.maximal_set]
+        lead = [float(x) for x in self.eigenvectors.eigenvectors[0]]
+        v_rec = [
+            max(
+                (o + (0.0 if x in c else mane_potential(g, c[0], x)) for o, c in zip(lead, comps)),
+                default=NEG_INF,
+            )
+            for x in range(g.n)
+        ]
+        zero_word = tuple([0] * self.pot.word_length)
+        if zero_word not in g.nodes:
+            raise PerronError(f"state {zero_word} is not admissible, so V cannot vanish at it")
+        anchor = v_rec[g.nodes.index(zero_word)]
+        return tuple(x if x == NEG_INF else x - anchor for x in v_rec)
+
+
+def _analysis_for(pot, analysis, tol: float = 1e-14) -> Analysis:
+    if analysis is not None and analysis.pot != pot:
+        raise ValueError("the analysis was made for another potential")
+    return analysis if analysis is not None else Analysis(pot, tol)
+
+
 def estimate_gamma(
     pot: LocallyConstantPotential,
     beta_grid=DEFAULT_BETA_GRID,
     tol: float = 1e-14,
+    analysis: Analysis | None = None,
 ) -> GammaEstimate:
     """gamma_hat(beta) = (1/beta) log(P(beta A) - h) along the grid, plus the
     max-plus eigenvalue of the cost matrix restricted to maximal-entropy
-    components (the predicted limit)."""
+    components (the predicted limit).
+
+    h is computed at the precision the largest beta needs.  A given
+    ``analysis`` of ``pot`` supplies the shared parts (its own tol applies).
+    """
     grid = tuple(float(b) for b in beta_grid)
-    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-        raise ValueError("beta grid must be strictly increasing")
-    decomp = decompose_aubry(word_graph(pot))
-    h_mp = _entropy_mp(decomp, dps=600)
-    gamma_hat = []
-    for beta in grid:
-        p = perron(pot, beta, tol)
-        gamma_hat.append(p.pressure_excess_log(h_mp) / beta)
-    gamma_mp = mp_eigenvalue(decomp.maximal_cost())
+    if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+        raise ValueError("beta grid must be non-empty and strictly increasing")
+    an = _analysis_for(pot, analysis, tol)
+    h_mp = an.entropy(grid[-1])
     return GammaEstimate(
         beta_grid=grid,
-        gamma_hat=tuple(gamma_hat),
-        gamma_maxplus=float(gamma_mp),
+        gamma_hat=tuple(an.perron(b).pressure_excess_log(h_mp) / b for b in grid),
+        gamma_maxplus=an.gamma_maxplus,
         h=float(h_mp),
-        decomposition=decomp,
+        decomposition=an.decomposition,
     )
 
 
@@ -98,59 +177,39 @@ class SubactionEstimate:
     perron_data: PerronData
 
 
-def estimate_subaction(pot: LocallyConstantPotential, beta: float) -> SubactionEstimate:
+def estimate_subaction(
+    pot: LocallyConstantPotential, beta: float, analysis: Analysis | None = None
+) -> SubactionEstimate:
     """Finite-beta subaction V_hat = (1/beta) log H, and its max-plus
     reconstruction V_rec(x) = max_j [V(Sigma_j) + S_j(x)].
 
     Both are normalized to vanish at the all-zeros word.  When the max-plus
     eigenspace has dimension > 1 all basis offsets are reported and the
-    first is used for the reconstruction.
+    first is used for the reconstruction.  A given ``analysis`` of ``pot``
+    supplies the shared parts.
     """
-    p = perron(pot, beta)
-    g = word_graph(pot)
-    decomp = decompose_aubry(g)
-    nodes = g.nodes
+    an = _analysis_for(pot, analysis)
+    p = an.perron(beta)
     v_hat = tuple(lh / beta for lh in p.log_H)
-
-    eig = mp_eigenvectors(decomp.maximal_cost())
-    offsets = tuple(tuple(float(x) for x in vec) for vec in eig.eigenvectors)
-    lead = offsets[0]
-    v_rec = []
-    for x in range(len(nodes)):
-        best = NEG_INF
-        for jj, j in enumerate(decomp.maximal_set):
-            comp = decomp.components[j]
-            s_j = 0.0 if x in comp else mane_potential(g, comp[0], x)
-            if s_j == NEG_INF:
-                continue
-            best = max(best, lead[jj] + s_j)
-        v_rec.append(best)
-    zero_word = tuple([0] * pot.word_length)
-    anchor = v_rec[nodes.index(zero_word)]
-    v_rec = tuple(x if x == NEG_INF else x - anchor for x in v_rec)
-
-    residual = 0.0
-    incoming: dict[int, list[tuple[int, float]]] = {v: [] for v in range(len(nodes))}
-    for (u, v, w) in g.edges:
-        incoming[v].append((u, w))
-    for v in range(len(nodes)):
-        if not incoming[v]:
-            continue
-        m = max(w + v_hat[u] - v_hat[v] for (u, w) in incoming[v])
-        residual = max(residual, abs(m))
+    # residual of the calibration max_u [A(u v) + V(u)] = V(v) at each node
+    best_in: dict[int, float] = {}
+    for (u, v, w) in an.graph.edges:
+        best_in[v] = max(best_in.get(v, NEG_INF), w + v_hat[u] - v_hat[v])
     return SubactionEstimate(
         beta=beta,
-        nodes=nodes,
+        nodes=an.graph.nodes,
         v_hat=v_hat,
-        v_rec=v_rec,
-        calibration_residual=residual,
-        eigenspace_dim=eig.eigenspace_dim,
-        component_offsets=offsets,
+        v_rec=an.subaction_maxplus,
+        calibration_residual=max((abs(m) for m in best_in.values()), default=0.0),
+        eigenspace_dim=an.eigenvectors.eigenspace_dim,
+        component_offsets=tuple(tuple(float(x) for x in vec) for vec in an.eigenvectors.eigenvectors),
         perron_data=p,
     )
 
 
-def limit_measure_estimate(pot: LocallyConstantPotential, beta: float, words) -> dict:
+def limit_measure_estimate(
+    pot: LocallyConstantPotential, beta: float, words, analysis: Analysis | None = None
+) -> dict:
     """Equilibrium cylinder masses at the given beta for each word."""
-    p = perron(pot, beta)
+    p = _analysis_for(pot, analysis).perron(beta)
     return {tuple(w): equilibrium_cylinder_mass(p, w) for w in words}

@@ -161,12 +161,6 @@ class AubryDecomposition:
     def h(self) -> float:
         return max(self.entropies)
 
-    def component_of(self, node: int) -> int | None:
-        for i, comp in enumerate(self.components):
-            if node in comp:
-                return i
-        return None
-
     def maximal_cost(self) -> MaxPlusMatrix:
         return self.cost.restrict(self.maximal_set)
 

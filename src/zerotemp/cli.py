@@ -6,8 +6,13 @@ Numeric fields may be given as decimal strings.  Runs are fully
 deterministic: identical config bytes produce identical CSV bytes, and every
 CSV carries a comment line with the sha256 digest of the config it came from.
 
+The reports of one config share its solves: the Perron pair at each beta,
+the Aubry decomposition, h and the Walters pressure at each beta are each
+computed once per config and kept until the run ends.
+
 Exit codes: 0 success, 2 malformed config or arguments, 3 numerical failure.
-Set ZEROTEMP_THREADS to fan the beta grid out over a process pool.
+Set ZEROTEMP_THREADS to solve the per-beta Perron pairs and Walters pressures
+on a process pool before the reports read them.
 """
 
 from __future__ import annotations
@@ -19,14 +24,13 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from multiprocessing import Pool
 
-import mpmath
-
-from .asymptotics import _entropy_mp, estimate_subaction, limit_measure_estimate
-from .aubry import EmptyAubrySetError, PositiveCycleError, decompose_aubry, word_graph
-from .maxplus import NoEigenvalueError, mp_eigenvalue
-from .spectral import LocallyConstantPotential, PerronError, perron
+from .asymptotics import Analysis, estimate_gamma, estimate_subaction, limit_measure_estimate
+from .aubry import EmptyAubrySetError, PositiveCycleError
+from .maxplus import NoEigenvalueError
+from .spectral import LocallyConstantPotential, PerronError
 from .symbolic import Sft, enumerate_words
 from .verify import SUITE_NAMES, format_result, run_suite
 from .walters import (
@@ -157,13 +161,6 @@ def _parse_potential(cfg: dict):
     )
 
 
-_REPORTS_BY_KIND = {
-    "locally-constant": ("gamma", "subaction", "measure"),
-    "walters": ("pressure", "regime", "measure", "stability"),
-    "appendix": ("appendix",),
-}
-
-
 def _parse_config(cfg: dict):
     kind, pot = _parse_potential(cfg)
     grid_cfg = cfg.get("beta_grid")
@@ -177,7 +174,7 @@ def _parse_config(cfg: dict):
     reports = cfg.get("reports")
     if not isinstance(reports, list) or not reports:
         raise ConfigError("reports must be a non-empty list")
-    allowed = _REPORTS_BY_KIND[kind]
+    allowed = tuple(r for (k, r) in _REPORTS if k == kind)
     for r in reports:
         if r not in allowed:
             raise ConfigError(
@@ -201,111 +198,104 @@ def _parse_config(cfg: dict):
         pert = {"delta": _num(pert_cfg.get("delta"), "delta"), "sign": sign}
     if "stability" in reports and pert is None:
         raise ConfigError("the stability report needs a 'perturbation' block")
-    return kind, pot, grid, tuple(reports), pert
+    return _Run(kind, pot, grid, pert), tuple(reports)
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("ZEROTEMP_THREADS", "")
-    if not raw:
-        return 1
     try:
-        n = int(raw)
+        return max(int(os.environ.get("ZEROTEMP_THREADS", "1")), 1)
     except ValueError:
         return 1
-    return max(n, 1)
 
 
 def _grid_map(fn, args_list):
-    """Evaluate independent grid points, optionally on a process pool.
+    """``[fn(*args) for args in args_list]``, optionally on a process pool.
 
     Results come back in submission order either way.
     """
     workers = _thread_count()
     if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
+        return [fn(*a) for a in args_list]
     with Pool(min(workers, len(args_list))) as pool:
-        return pool.map(fn, args_list)
+        return pool.starmap(fn, args_list)
 
 
-def _lc_gamma_point(args):
-    pot, beta, h_str = args
-    p = perron(pot, beta)
-    with mpmath.workdps(600):
-        excess_log = p.pressure_excess_log(mpmath.mpf(h_str))
-    return beta, p.log_lambda, excess_log / beta
+class _Run:
+    """One config, and what its reports share.  Each shared part is solved
+    on first use and kept until the run ends; per-beta solves go through
+    _grid_map."""
+
+    def __init__(self, kind, pot, grid, pert):
+        self.kind, self.pot, self.grid, self.pert = kind, pot, grid, pert
+
+    @cached_property
+    def analysis(self) -> Analysis:
+        an = Analysis(self.pot)
+        an.prefetch(self.grid, _grid_map)
+        return an
+
+    @cached_property
+    def pressures(self) -> list[float]:
+        return _grid_map(walters_pressure, [(self.pot, b) for b in self.grid])
 
 
-def _walters_pressure_point(args):
-    w, beta = args
-    p = walters_pressure(w, beta)
-    return beta, p, math.log(p) / beta
-
-
-def _report_lc_gamma(pot, grid):
-    decomp = decompose_aubry(word_graph(pot))
-    h_mp = _entropy_mp(decomp, dps=600)
-    with mpmath.workdps(600):
-        h_str = mpmath.nstr(h_mp, 500)
-    rows = _grid_map(_lc_gamma_point, [(pot, b, h_str) for b in grid])
-    gamma_mp = float(mp_eigenvalue(decomp.maximal_cost()))
-    csv_rows = [(b, p, g, gamma_mp, float(h_mp)) for (b, p, g) in rows]
+def _report_lc_gamma(run):
+    ge = estimate_gamma(run.pot, run.grid, analysis=run.analysis)
+    csv_rows = [
+        (b, run.analysis.perron(b).log_lambda, g, ge.gamma_maxplus, ge.h)
+        for b, g in zip(run.grid, ge.gamma_hat)
+    ]
     header = ["beta", "pressure", "gamma_hat", "gamma_maxplus", "h"]
     summary = (
-        f"gamma: gamma_hat({grid[-1]:g}) = {rows[-1][2]:.6f}, "
-        f"max-plus prediction {gamma_mp:.6f}, h = {float(h_mp):.6f}"
+        f"gamma: gamma_hat({run.grid[-1]:g}) = {ge.gamma_hat[-1]:.6f}, "
+        f"max-plus prediction {ge.gamma_maxplus:.6f}, h = {ge.h:.6f}"
     )
     return header, csv_rows, summary
 
 
-def _report_lc_subaction(pot, grid):
+def _report_lc_subaction(run):
     header = ["beta", "node", "v_hat", "v_rec", "calibration_residual"]
     csv_rows = []
-    last = None
-    for beta in grid:
-        se = estimate_subaction(pot, beta)
+    for beta in run.grid:
+        se = estimate_subaction(run.pot, beta, analysis=run.analysis)
         for i, node in enumerate(se.nodes):
             csv_rows.append(
                 (beta, _word_str(node), se.v_hat[i], se.v_rec[i], se.calibration_residual)
             )
-        last = se
     summary = (
-        f"subaction: residual({grid[-1]:g}) = {last.calibration_residual:.3e}, "
-        f"eigenspace dimension {last.eigenspace_dim}"
+        f"subaction: residual({run.grid[-1]:g}) = {se.calibration_residual:.3e}, "
+        f"eigenspace dimension {se.eigenspace_dim}"
     )
     return header, csv_rows, summary
 
 
-def _report_lc_measure(pot, grid):
-    k = pot.word_length
-    words = enumerate_words(pot.sft, 1)
-    if k > 1:
-        words = words + enumerate_words(pot.sft, k)
+def _report_lc_measure(run):
+    pot = run.pot
+    ones = enumerate_words(pot.sft, 1)
+    words = ones + enumerate_words(pot.sft, pot.word_length) if pot.word_length > 1 else ones
     header = ["beta", "word", "mass"]
     csv_rows = []
-    for beta in grid:
-        masses = limit_measure_estimate(pot, beta, words)
+    for beta in run.grid:
+        masses = limit_measure_estimate(pot, beta, words, analysis=run.analysis)
         for w in words:
             csv_rows.append((beta, _word_str(w), masses[tuple(w)]))
-    tail = ", ".join(
-        f"[{_word_str(w)}]={masses[tuple(w)]:.6f}" for w in enumerate_words(pot.sft, 1)
-    )
-    summary = f"measure: at beta {grid[-1]:g}: {tail}"
+    tail = ", ".join(f"[{_word_str(w)}]={masses[tuple(w)]:.6f}" for w in ones)
+    summary = f"measure: at beta {run.grid[-1]:g}: {tail}"
     return header, csv_rows, summary
 
 
-def _report_walters_pressure(w, grid):
-    rows = _grid_map(_walters_pressure_point, [(w, b) for b in grid])
-    gamma = walters_gamma(w)
+def _report_walters_pressure(run):
+    gamma = walters_gamma(run.pot)
     header = ["beta", "pressure", "rate", "gamma"]
-    csv_rows = [(b, p, r, gamma) for (b, p, r) in rows]
+    csv_rows = [(b, p, math.log(p) / b, gamma) for b, p in zip(run.grid, run.pressures)]
     summary = (
-        f"pressure: rate({grid[-1]:g}) = {rows[-1][2]:.6f}, gamma = {gamma:.6f}"
+        f"pressure: rate({run.grid[-1]:g}) = {csv_rows[-1][2]:.6f}, gamma = {gamma:.6f}"
     )
     return header, csv_rows, summary
 
 
-def _report_walters_regime(w, grid):
-    rep = classify_regime(w)
+def _report_walters_regime(run):
+    rep = classify_regime(run.pot)
     header = ["gamma", "regime", "mirrored", "limit_mass_0", "l_limit"]
     csv_rows = [
         (
@@ -322,19 +312,20 @@ def _report_walters_regime(w, grid):
     return header, csv_rows, summary
 
 
-def _report_walters_measure(w, grid):
+def _report_walters_measure(run):
     header = ["beta", "pressure", "ratio", "mu_0"]
     csv_rows = []
-    for beta in grid:
-        p = walters_pressure(w, beta)
-        ratio, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
+    for beta, p in zip(run.grid, run.pressures):
+        ratio, mu0 = walters_cylinder_ratio(run.pot, FirstCoordPerturbation.none(), beta, p)
         csv_rows.append((beta, p, ratio, mu0))
-    summary = f"measure: mu([0]) at beta {grid[-1]:g} = {csv_rows[-1][3]:.7f}"
+    summary = f"measure: mu([0]) at beta {run.grid[-1]:g} = {csv_rows[-1][3]:.7f}"
     return header, csv_rows, summary
 
 
-def _report_walters_stability(w, grid, pert):
-    rep = perturbation_stability_experiment(w, pert["delta"], grid, sign=pert["sign"])
+def _report_walters_stability(run):
+    rep = perturbation_stability_experiment(
+        run.pot, run.pert["delta"], run.grid, sign=run.pert["sign"], pressures=run.pressures
+    )
     header = [
         "beta",
         "pressure",
@@ -355,8 +346,8 @@ def _report_walters_stability(w, grid, pert):
     return header, csv_rows, summary
 
 
-def _report_appendix(params, grid):
-    gamma_p, eta = params
+def _report_appendix(run):
+    gamma_p, eta = run.pot
     header = [
         "beta",
         "lambda_tilde",
@@ -367,42 +358,38 @@ def _report_appendix(params, grid):
         "max_rel_err",
     ]
     csv_rows = []
-    for beta in grid:
+    for beta in run.grid:
         ex = appendix_example(gamma_p, eta, beta)
         csv_rows.append(
             (beta, ex.lambda_tilde, ex.h1_pert, ex.p0, ex.p_unpert, ex.mu0_unpert, ex.max_rel_err)
         )
     last = csv_rows[-1]
     summary = (
-        f"appendix: p0({grid[-1]:g}) = {last[3]:.3e}, "
+        f"appendix: p0({run.grid[-1]:g}) = {last[3]:.3e}, "
         f"closed-form agreement {last[6]:.3e}"
     )
     return header, csv_rows, summary
 
 
-def _compute_reports(kind, pot, grid, reports, pert):
+# (potential kind, report name) -> report; the order per kind is the order
+# the config schema lists them in
+_REPORTS = {
+    ("locally-constant", "gamma"): _report_lc_gamma,
+    ("locally-constant", "subaction"): _report_lc_subaction,
+    ("locally-constant", "measure"): _report_lc_measure,
+    ("walters", "pressure"): _report_walters_pressure,
+    ("walters", "regime"): _report_walters_regime,
+    ("walters", "measure"): _report_walters_measure,
+    ("walters", "stability"): _report_walters_stability,
+    ("appendix", "appendix"): _report_appendix,
+}
+
+
+def _compute_reports(run, reports):
     table = {}
     summaries = []
     for name in reports:
-        if kind == "locally-constant":
-            fn = {
-                "gamma": _report_lc_gamma,
-                "subaction": _report_lc_subaction,
-                "measure": _report_lc_measure,
-            }[name]
-            header, rows, summary = fn(pot, grid)
-        elif kind == "walters":
-            if name == "stability":
-                header, rows, summary = _report_walters_stability(pot, grid, pert)
-            else:
-                fn = {
-                    "pressure": _report_walters_pressure,
-                    "regime": _report_walters_regime,
-                    "measure": _report_walters_measure,
-                }[name]
-                header, rows, summary = fn(pot, grid)
-        else:
-            header, rows, summary = _report_appendix(pot, grid)
+        header, rows, summary = _REPORTS[run.kind, name](run)
         table[name] = (header, rows)
         summaries.append(summary)
     return table, summaries
@@ -417,18 +404,18 @@ def _render_csv(header, rows, digest: str) -> str:
     return buf.getvalue()
 
 
+def _load_run(config_path: str, wanted_kind: str | None = None):
+    """(run, report names, config digest); raises ConfigError."""
+    cfg, digest = _load_config(config_path)
+    run, reports = _parse_config(cfg)
+    if wanted_kind is not None and run.kind != wanted_kind:
+        raise ConfigError(f"this verb needs a {wanted_kind!r} potential, config has {run.kind!r}")
+    return run, reports, digest
+
+
 def _cmd_run(config_path: str, output_dir: str | None) -> int:
-    try:
-        cfg, digest = _load_config(config_path)
-        kind, pot, grid, reports, pert = _parse_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        table, summaries = _compute_reports(kind, pot, grid, reports, pert)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in reports {reports}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    run, reports, digest = _load_run(config_path)
+    table, summaries = _compute_reports(run, reports)
     # all computation done; only now touch the filesystem
     base = output_dir
     if base is None:
@@ -448,47 +435,19 @@ def _cmd_run(config_path: str, output_dir: str | None) -> int:
     return EXIT_OK
 
 
-def _cmd_single_report(config_path: str, wanted_kind: str, report: str) -> int:
-    try:
-        cfg, digest = _load_config(config_path)
-        kind, pot, grid, reports, pert = _parse_config(cfg)
-        if kind != wanted_kind:
-            raise ConfigError(
-                f"this verb needs a {wanted_kind!r} potential, config has {kind!r}"
-            )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        table, summaries = _compute_reports(kind, pot, grid, (report,), pert)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in report {report!r}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    header, rows = table[report]
-    sys.stdout.write(_render_csv(header, rows, digest))
-    return EXIT_OK
-
-
-def _cmd_walters(config_path: str) -> int:
-    try:
-        cfg, digest = _load_config(config_path)
-        kind, pot, grid, reports, pert = _parse_config(cfg)
-        if kind != "walters":
-            raise ConfigError(f"the walters verb needs a walters potential, got {kind!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    wanted = tuple(r for r in reports if r in ("pressure", "regime", "measure", "stability"))
-    try:
-        table, summaries = _compute_reports(kind, pot, grid, wanted, pert)
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in reports {wanted}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    for name in wanted:
+def _cmd_single_report(config_path: str, wanted_kind: str, report: str | None = None) -> int:
+    """Print the CSV of `report` to stdout; with no `report`, the CSV of
+    every report of the config followed by their summaries."""
+    run, reports, digest = _load_run(config_path, wanted_kind)
+    if report is not None:
+        reports = (report,)
+    table, summaries = _compute_reports(run, reports)
+    for name in reports:
         header, rows = table[name]
         sys.stdout.write(_render_csv(header, rows, digest))
-    for s in summaries:
-        print(s)
+    if report is None:
+        for s in summaries:
+            print(s)
     return EXIT_OK
 
 
@@ -520,11 +479,7 @@ def _cmd_appendix(gamma_p: float, eta: float, beta_max: float) -> int:
         grid.append(b)
         b *= 2.0
     grid.append(beta_max)
-    try:
-        header, rows, summary = _report_appendix((gamma_p, eta), tuple(grid))
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure in report 'appendix': {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    header, rows, summary = _report_appendix(_Run("appendix", (gamma_p, eta), tuple(grid), None))
     digest = hashlib.sha256(
         f"appendix gamma={gamma_p!r} eta={eta!r} beta_max={beta_max!r}".encode()
     ).hexdigest()
@@ -557,6 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure in {args.verb}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+def _dispatch(args) -> int:
     if args.verb == "run":
         return _cmd_run(args.config, args.output_dir)
     if args.verb == "verify":
@@ -564,7 +530,7 @@ def main(argv=None) -> int:
     if args.verb == "gamma":
         return _cmd_single_report(args.config, "locally-constant", "gamma")
     if args.verb == "walters":
-        return _cmd_walters(args.config)
+        return _cmd_single_report(args.config, "walters")
     try:
         gamma_p = float(args.gamma)
         eta = float(args.eta)

@@ -151,14 +151,17 @@ class PerronData:
         the cancellation P - h is accurate whenever the excess exceeds the
         stored resolution.
         """
-        excess = self.log_lambda_mp - h_mp
-        if excess <= mpmath.mpf(10) ** (-_excess_floor_digits(self)):
-            raise PerronError(
-                f"pressure excess P - h = {mpmath.nstr(excess, 6)} is not "
-                "resolvably positive (h misidentified or potential has "
-                "zero excess)"
-            )
-        return float(mpmath.log(excess))
+        # the subtraction is exact before rounding; 113 bits leave enough
+        # guard bits for the float log to be correctly rounded
+        with mpmath.workprec(113):
+            excess = self.log_lambda_mp - h_mp
+            if excess <= mpmath.mpf(10) ** (-_excess_floor_digits(self)):
+                raise PerronError(
+                    f"pressure excess P - h = {mpmath.nstr(excess, 6)} is not "
+                    "resolvably positive (h misidentified or potential has "
+                    "zero excess)"
+                )
+            return float(mpmath.log(excess))
 
 
 def _excess_floor_digits(p: PerronData) -> int:
@@ -184,6 +187,9 @@ def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> Pe
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    zero = tuple([0] * pot.word_length)
+    if zero not in pot.states:
+        raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
     logm = transfer_matrix(pot, beta)
     n = logm.shape[0]
     dps = _working_dps(logm)
@@ -196,7 +202,7 @@ def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> Pe
                     m[i, j] = mpmath.exp(mpmath.mpf(e))
         try:
             eigvals, left, right = mpmath.eig(m, left=True, right=True)
-        except Exception as exc:  # pragma: no cover - mpmath QR failure
+        except (RuntimeError, ZeroDivisionError) as exc:  # pragma: no cover - mpmath QR failure
             raise PerronError(f"eigen decomposition failed: {exc}; {ITERATION_NOTE}")
         # dominant eigenvalue: largest real part; must be real and simple-dominant
         idx = max(range(n), key=lambda i: mpmath.re(eigvals[i]))
@@ -223,7 +229,7 @@ def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> Pe
         if res > mpmath.mpf(tol) * scale * 10**6:
             raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
 
-        h0 = h_vec[pot.states.index(tuple([0] * pot.word_length))]
+        h0 = h_vec[pot.states.index(zero)]
         h_vec = [x / h0 for x in h_vec]
         nu_total = sum(nu_vec)
         nu_vec = [x / nu_total for x in nu_vec]

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymptotics import estimate_gamma, estimate_subaction
-from .aubry import decompose_aubry, word_graph
+from .asymptotics import Analysis, estimate_gamma, estimate_subaction
 from .maxplus import (
     NEG_INF,
     MaxPlusMatrix,
@@ -149,8 +148,7 @@ def suite_closed_forms() -> list[CheckResult]:
     return out
 
 
-def _lemma_cost_law_checks(name: str, pot) -> list[CheckResult]:
-    d = decompose_aubry(word_graph(pot))
+def _lemma_cost_law_checks(name: str, d) -> list[CheckResult]:
     cost = d.cost
     n = cost.n
     finite_nonpos = all(
@@ -179,8 +177,9 @@ def suite_theorem_a() -> list[CheckResult]:
         ("asymmetric example", lc2_potential()),
         ("three-symbol example", three_symbol_potential()),
     ]
-    for name, pot in examples:
-        ge = estimate_gamma(pot)
+    analyses = [Analysis(pot) for _, pot in examples]
+    for (name, pot), an in zip(examples, analyses):
+        ge = estimate_gamma(pot, analysis=an)
         gap = abs(ge.gamma_hat[-1] - ge.gamma_maxplus)
         out.append(
             CheckResult(f"{name} gamma gap at beta 256", gap <= 0.05, ge.gamma_hat[-1], ge.gamma_maxplus, 0.05)
@@ -191,17 +190,17 @@ def suite_theorem_a() -> list[CheckResult]:
         out.append(
             CheckResult(f"{name} pressure excess non-increasing", drop <= 1e-12, drop, 0.0, 1e-12)
         )
-        out.extend(_lemma_cost_law_checks(name, pot))
-    for name, pot in examples[:2]:
-        se = estimate_subaction(pot, 256.0)
+        out.extend(_lemma_cost_law_checks(name, an.decomposition))
+    for (name, pot), an in zip(examples[:2], analyses):
+        se = estimate_subaction(pot, 256.0, analysis=an)
         out.append(
             CheckResult(f"{name} calibration residual at beta 256", se.calibration_residual <= 0.02, se.calibration_residual, 0.0, 0.02)
         )
     # subaction constancy across a multi-node Aubry component
-    se3 = estimate_subaction(three_symbol_potential(), 256.0)
-    d3 = decompose_aubry(word_graph(three_symbol_potential()))
+    an3 = analyses[2]
+    se3 = estimate_subaction(an3.pot, 256.0, analysis=an3)
     spread = 0.0
-    for comp in d3.components:
+    for comp in an3.decomposition.components:
         vals = [se3.v_hat[v] for v in comp]
         spread = max(spread, max(vals) - min(vals))
     out.append(

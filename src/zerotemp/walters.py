@@ -90,17 +90,9 @@ class WaltersPotential:
             raise ValueError("a_n defined for n >= 2")
         return self.a * (1.0 - self.rho) * self.rho ** (n - 2)
 
-    def c_n(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("c_n defined for n >= 2")
-        return self.c * (1.0 - self.rho) * self.rho ** (n - 2)
-
     def partial_a(self, j: int) -> float:
         """a_2 + ... + a_{1+j}."""
         return self.a * (1.0 - self.rho**j)
-
-    def partial_c(self, j: int) -> float:
-        return self.c * (1.0 - self.rho**j)
 
     def cost_matrix(self) -> MaxPlusMatrix:
         return MaxPlusMatrix.from_rows(
@@ -339,20 +331,24 @@ class StabilityReport:
 
 def perturbation_stability_experiment(w: WaltersPotential, delta: float,
                                       beta_grid, sign: float = 1.0,
-                                      trunc: int | None = None) -> StabilityReport:
+                                      trunc: int | None = None,
+                                      pressures=None) -> StabilityReport:
     """Compare mu([0]) and the V(1^inf) estimate with and without the
     perturbation a_beta = sign * e^{beta delta} along a beta grid.
 
     The perturbed pressure reuses the unperturbed one: it lies in the
     sandwich [P - |a_beta|, P + |a_beta|], and for delta < gamma the width
-    is a vanishing fraction of P itself.
+    is a vanishing fraction of P itself.  ``pressures``, when given, are the
+    unperturbed pressures at the grid points, as walters_pressure returns
+    them with the same trunc.
     """
     grid = tuple(float(b) for b in beta_grid)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
+    if pressures is None:
+        pressures = [walters_pressure(w, beta, trunc) for beta in grid]
     rows = []
-    for beta in grid:
-        p = walters_pressure(w, beta, trunc)
+    for beta, p in zip(grid, pressures, strict=True):
         a_beta = sign * math.exp(beta * delta)
         _, mu_pert = walters_cylinder_ratio(
             w, FirstCoordPerturbation(a_beta), beta, p, trunc

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from zerotemp import (
+    LocallyConstantPotential,
     PerronError,
+    Sft,
     decompose_aubry,
     estimate_gamma,
     estimate_subaction,
@@ -16,6 +18,7 @@ from zerotemp.verify import (
     three_symbol_potential,
     zero_potential,
 )
+from zerotemp.asymptotics import Analysis
 from conftest import two_zero_blocks_potential
 
 
@@ -43,6 +46,38 @@ def test_gamma_with_positive_entropy_component():
     assert ge.h == pytest.approx(math.log(2), abs=1e-12)
     assert ge.gamma_maxplus == -2.0
     assert abs(ge.gamma_hat[-1] + 2.0) < 0.05
+
+
+def test_gamma_entropy_precision_follows_the_grid():
+    # P - h is about e^{-2 beta}, below 1e-600 from beta 700 on, so h needs
+    # the precision of the largest beta
+    ge = estimate_gamma(two_zero_blocks_potential(), beta_grid=(500, 600, 700, 800, 1000))
+    assert all(abs(g + 2.0) < 0.05 for g in ge.gamma_hat)
+
+
+def test_estimates_share_one_analysis():
+    pot = three_symbol_potential()
+    an = Analysis(pot)
+    ge = estimate_gamma(pot, beta_grid=(8.0, 16.0), analysis=an)
+    assert ge == estimate_gamma(pot, beta_grid=(8.0, 16.0))
+    se = estimate_subaction(pot, 16.0, analysis=an)
+    alone = estimate_subaction(pot, 16.0)
+    assert (se.v_hat, se.v_rec, se.calibration_residual, se.component_offsets) == (
+        alone.v_hat, alone.v_rec, alone.calibration_residual, alone.component_offsets
+    )
+    assert se.perron_data is an.perron(16.0)
+    words = [(0,), (1, 2)]
+    assert limit_measure_estimate(pot, 8.0, words, analysis=an) == limit_measure_estimate(pot, 8.0, words)
+    with pytest.raises(ValueError):
+        estimate_subaction(lc1_potential(), 16.0, analysis=an)
+
+
+def test_missing_zero_state_is_a_perron_error():
+    sft = Sft(2, ((False, True), (True, True)))
+    table = {"010": -1.0, "011": -1.0, "101": -1.0, "110": -1.0, "111": 0.0}
+    pot = LocallyConstantPotential.from_table(sft, table)
+    with pytest.raises(PerronError):
+        estimate_subaction(pot, 4.0)
 
 
 def test_pressure_excess_is_monotone():

@@ -1,7 +1,10 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+import zerotemp
 from zerotemp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 
 LC1_CONFIG = {
@@ -22,10 +25,49 @@ W4_CONFIG = {
 }
 
 
+TWO_ZERO_BLOCKS_CONFIG = {
+    "potential": {
+        "kind": "locally-constant",
+        "alphabet_size": 3,
+        "table": {
+            "00": 0, "11": 0, "12": 0, "21": 0, "22": 0,
+            "01": -1, "02": -1, "10": -1, "20": -1,
+        },
+    },
+    "beta_grid": [640],
+    "reports": ["gamma"],
+}
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace every zerotemp module binding of zerotemp.<module>.<name>
+    with a wrapper that records the arguments of each call."""
+    original = getattr(getattr(zerotemp, module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "zerotemp" or mod_name.startswith("zerotemp."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def run_csvs(tmp_path, cfg, name):
+    """Run the config and return {report: CSV text} of its outputs."""
+    out = tmp_path / name
+    assert main(["run", write_config(tmp_path, cfg, name + ".json"), "--output-dir", str(out)]) == EXIT_OK
+    return {r: (out / f"{r}.csv").read_text() for r in cfg["reports"]}
 
 
 def test_run_lc_config(tmp_path, capsys):
@@ -63,9 +105,70 @@ def test_thread_fanout_matches_sequential(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, LC1_CONFIG)
     out1, out2 = tmp_path / "seq", tmp_path / "par"
     assert main(["run", cfg, "--output-dir", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("ZEROTEMP_THREADS", "3")
+    monkeypatch.setenv("ZEROTEMP_THREADS", "2")
     assert main(["run", cfg, "--output-dir", str(out2)]) == EXIT_OK
-    assert (out1 / "gamma.csv").read_bytes() == (out2 / "gamma.csv").read_bytes()
+    for report in LC1_CONFIG["reports"]:
+        assert (out1 / f"{report}.csv").read_bytes() == (out2 / f"{report}.csv").read_bytes()
+
+
+def test_reports_share_one_analysis(tmp_path, monkeypatch):
+    perron_calls = count_calls(monkeypatch, "spectral", "perron")
+    decompose_calls = count_calls(monkeypatch, "aubry", "decompose_aubry")
+    run_csvs(tmp_path, dict(LC1_CONFIG, beta_grid=["4", "8"]), "lc")
+    assert sorted(args[1] for args in perron_calls) == [4.0, 8.0]
+    assert len(decompose_calls) == 1
+
+
+def test_walters_reports_share_one_pressure_per_beta(tmp_path, monkeypatch):
+    pressure_calls = count_calls(monkeypatch, "walters", "walters_pressure")
+    run_csvs(tmp_path, W4_CONFIG, "w")
+    assert sorted(args[1] for args in pressure_calls) == [50.0, 100.0, 150.0]
+
+
+@pytest.mark.parametrize("cfg", [LC1_CONFIG, W4_CONFIG], ids=["lc", "walters"])
+def test_combined_run_matches_single_report_runs(tmp_path, cfg):
+    combined = run_csvs(tmp_path, cfg, "all")
+    for report in cfg["reports"]:
+        single_cfg = dict(cfg, reports=[report])
+        alone = run_csvs(tmp_path, single_cfg, report)[report]
+        # same CSV below the digest line, which names each run's own config
+        digest = hashlib.sha256(json.dumps(single_cfg).encode()).hexdigest()
+        assert alone.splitlines(True)[0] == f"# config-sha256={digest}\n"
+        assert alone.splitlines(True)[1:] == combined[report].splitlines(True)[1:]
+
+
+def test_single_report_verbs_print_the_run_csvs(tmp_path, capsys):
+    lc = run_csvs(tmp_path, LC1_CONFIG, "lc")
+    capsys.readouterr()
+    assert main(["gamma", str(tmp_path / "lc.json")]) == EXIT_OK
+    assert capsys.readouterr().out == lc["gamma"]
+    w = run_csvs(tmp_path, W4_CONFIG, "w")
+    summary = (tmp_path / "w" / "summary.txt").read_text().split("\n", 1)[1]
+    capsys.readouterr()
+    assert main(["walters", str(tmp_path / "w.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(w[r] for r in W4_CONFIG["reports"]) + summary
+
+
+def test_gamma_verb_resolves_small_pressure_excess(tmp_path, capsys):
+    # P - h is about e^{-1280} here, so h needs more than 556 digits
+    assert main(["gamma", write_config(tmp_path, TWO_ZERO_BLOCKS_CONFIG)]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert abs(float(row[2]) + 2.0) < 0.05
+
+
+def test_missing_zero_state_exits_3(tmp_path, capsys):
+    cfg = {
+        "potential": {
+            "kind": "locally-constant",
+            "alphabet_size": 2,
+            "transitions": [[0, 1], [1, 1]],
+            "table": {"010": -1, "011": -1, "101": -1, "110": -1, "111": 0},
+        },
+        "beta_grid": [32, 64],
+        "reports": ["gamma", "subaction", "measure"],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
