@@ -16,7 +16,7 @@ from itertools import starmap
 import mpmath
 
 from .aubry import AubryDecomposition, decompose_aubry, mane_potential, word_graph
-from .maxplus import NEG_INF, mp_eigenvalue, mp_eigenvectors
+from .maxplus import NEG_INF, mp_eigenvectors
 from .spectral import LocallyConstantPotential, PerronData, PerronError, _working_dps
 from .spectral import equilibrium_cylinder_mass, perron
 
@@ -105,7 +105,7 @@ class Analysis:
 
     @cached_property
     def gamma_maxplus(self) -> float:
-        return float(mp_eigenvalue(self.decomposition.maximal_cost()))
+        return float(self.eigenvectors.eigenvalue)
 
     @cached_property
     def eigenvectors(self):

@@ -6,20 +6,25 @@ then the maximum total weight of a directed path u -> v, the Aubry set is the
 union of zero-weight cycles, and the cost a_ij of travelling into component
 Sigma_i from component Sigma_j drives the max-plus eigenproblem of the
 pressure's zero-temperature speed.
+
+This module is a thin layer over ``maxplus``: the Mane table is the max-plus
+closure of the word graph's weight matrix, kept on the graph, and the Aubry
+components are the components of its critical graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .maxplus import (
     NEG_INF,
     MaxPlusMatrix,
-    _strongly_connected_components,
+    _closure,
+    critical_graph,
     mp_eigenvalue,
 )
 from .spectral import LocallyConstantPotential
@@ -64,6 +69,18 @@ class WordGraph:
             rows[u][v] = w
         return MaxPlusMatrix.from_rows(rows)
 
+    @cached_property
+    def best_paths(self) -> list[list[float]]:
+        """best_paths[u][v] = max weight over paths u -> v of length >= 1.
+
+        The max-plus closure of the weight matrix, kept with the graph.
+        Raises PositiveCycleError when a diagonal entry is positive.
+        """
+        best = _closure(self.weight_matrix())
+        if any(best[v][v] > ZERO_CYCLE_TOL for v in range(self.n)):
+            raise PositiveCycleError("positive cycle: potential has m(A) != 0")
+        return best
+
 
 def word_graph(pot: LocallyConstantPotential) -> WordGraph:
     from .symbolic import is_admissible
@@ -86,39 +103,9 @@ def max_cycle_mean(g: WordGraph) -> float:
     return mp_eigenvalue(g.weight_matrix())
 
 
-@lru_cache(maxsize=None)
-def _best_paths(g: WordGraph) -> tuple[tuple[float, ...], ...]:
-    """best[u][v] = max weight over paths u -> v of length >= 1.
-
-    Longest-path relaxation over walk lengths 1..n; valid because the graph
-    has no positive cycles, so an optimal walk never needs more than n edges.
-    """
-    n = g.n
-    if max_cycle_mean(g) > ZERO_CYCLE_TOL:
-        raise PositiveCycleError("positive cycle: potential has m(A) != 0")
-    best = [[NEG_INF] * n for _ in range(n)]
-    for (u, v, w) in g.edges:
-        if w > best[u][v]:
-            best[u][v] = w
-    cur = [row[:] for row in best]
-    for _ in range(n - 1):
-        nxt = [[NEG_INF] * n for _ in range(n)]
-        for (u, v, w) in g.edges:
-            for s in range(n):
-                c = cur[s][u]
-                if c != NEG_INF and c + w > nxt[s][v]:
-                    nxt[s][v] = c + w
-        for s in range(n):
-            for t in range(n):
-                if nxt[s][t] > best[s][t]:
-                    best[s][t] = nxt[s][t]
-        cur = nxt
-    return tuple(tuple(row) for row in best)
-
-
 def mane_potential(g: WordGraph, u: int, v: int) -> float:
     """Maximum path weight from node u to node v (length >= 1); -inf if unreachable."""
-    return _best_paths(g)[u][v]
+    return g.best_paths[u][v]
 
 
 def symmetrized_mane_check(g: WordGraph, u: int, v: int) -> bool:
@@ -167,36 +154,19 @@ class AubryDecomposition:
 
 def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     """Critical subgraph, its components, entropies and the cost matrix."""
-    best = _best_paths(g)  # raises on positive cycles
-    n = g.n
-
-    def edge_critical(u: int, v: int, w: float) -> bool:
-        through = w + best[v][u] if best[v][u] != NEG_INF else NEG_INF
-        if u == v:
-            through = max(through, w)
-        return through >= -ZERO_CYCLE_TOL
-
-    crit_edges = [(u, v, w) for (u, v, w) in g.edges if edge_critical(u, v, w)]
-    crit_adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v, _) in crit_edges:
-        crit_adj[u].append(v)
-    crit_nodes = {u for (u, v, _) in crit_edges} | {v for (_, v, _) in crit_edges}
-    if not crit_nodes:
+    best = g.best_paths  # raises on positive cycles
+    crit_edges, comps = critical_graph(
+        g.weight_matrix(), best, lambda x: x >= -ZERO_CYCLE_TOL
+    )
+    if not comps:
         raise EmptyAubrySetError("no zero-weight cycle: potential not normalized")
-    comps = [
-        tuple(sorted(c))
-        for c in _strongly_connected_components(crit_adj)
-        if (len(c) > 1 and set(c) <= crit_nodes)
-        or (len(c) == 1 and c[0] in crit_adj[c[0]])
-    ]
-    comps.sort(key=lambda c: c[0])
     node_comp = {}
     for i, comp in enumerate(comps):
         for v in comp:
             node_comp[v] = i
 
     entropies = []
-    crit_pairs = {(u, v) for (u, v, _) in crit_edges}
+    crit_pairs = set(crit_edges)
     for comp in comps:
         pos = {v: t for t, v in enumerate(comp)}
         adj = np.zeros((len(comp), len(comp)), dtype=np.int64)
@@ -237,5 +207,5 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
         maximal_set=maximal,
         cost=MaxPlusMatrix.from_rows(cost),
         flagged_edges=tuple(flagged),
-        critical_pairs=tuple(sorted(crit_pairs)),
+        critical_pairs=tuple(crit_edges),
     )

@@ -3,7 +3,8 @@
 The semiring operations are (max, +).  The eigenproblem M (x) v = lam (x) v
 is solved through the maximum cycle mean (Karp's dynamic program, run per
 strongly connected component) and the tropical Kleene closure of M - lam,
-whose columns at critical nodes span the eigenspace.
+whose columns at critical nodes span the eigenspace.  The same closure and
+critical graph give the Mane table and the Aubry components (``aubry``).
 
 Entries may be floats or exact rationals (``fractions.Fraction`` / int);
 -inf is represented by ``float('-inf')`` in either mode, so exact mode stays
@@ -221,6 +222,36 @@ def _closure(b: MaxPlusMatrix) -> list[list[object]]:
     return d
 
 
+def critical_graph(b: MaxPlusMatrix, d, is_zero):
+    """Edges of B on a zero-weight cycle, and the components they form.
+
+    ``d`` is the closure of B and ``is_zero`` the caller's test for a zero
+    cycle weight.  Edge (i, j) is critical when B_ij + d[j][i] is zero, or
+    it is a self-loop of weight zero.  Returns the critical edges in
+    row-major order and the strongly connected components of the critical
+    graph, each a sorted tuple, ordered by least node.
+    """
+    n = b.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            w = b.entries[i][j]
+            if w == NEG_INF:
+                continue
+            ret = d[j][i]
+            if (ret != NEG_INF and is_zero(w + ret)) or (i == j and is_zero(w)):
+                adj[i].append(j)
+                edges.append((i, j))
+    comps = [
+        tuple(sorted(c))
+        for c in _strongly_connected_components(adj)
+        if len(c) > 1 or c[0] in adj[c[0]]
+    ]
+    comps.sort(key=lambda c: c[0])
+    return edges, comps
+
+
 def _is_zero(x, exact: bool) -> bool:
     if exact:
         return x == 0
@@ -240,40 +271,9 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
     b = m.shifted(-lam)
     d = _closure(b)
     n = m.n
-    critical = [
-        v
-        for v in range(n)
-        if _is_zero(d[v][v], exact)
-        or (b.entries[v][v] != NEG_INF and _is_zero(b.entries[v][v], exact))
-    ]
-    if not critical:
+    _, comps = critical_graph(b, d, lambda x: _is_zero(x, exact))
+    if not comps:
         raise NoEigenvalueError("no critical cycle found")
-
-    # critical edges: lie on some zero-weight cycle of B
-    crit_adj: list[list[int]] = [[] for _ in range(n)]
-    crit_set = set(critical)
-    for i in critical:
-        for j in critical:
-            w = b.entries[i][j]
-            if w == NEG_INF:
-                continue
-            ret = d[j][i]
-            on_zero_cycle = (ret != NEG_INF and _is_zero(w + ret, exact)) or (
-                i == j and _is_zero(w, exact)
-            )
-            if on_zero_cycle:
-                crit_adj[i].append(j)
-    comps = [
-        sorted(c)
-        for c in _strongly_connected_components(crit_adj)
-        if c and set(c) <= crit_set and (len(c) > 1 or c[0] in crit_adj[c[0]])
-    ]
-    # isolated critical nodes (critical self-loop only) are their own component
-    covered = {v for c in comps for v in c}
-    for v in critical:
-        if v not in covered:
-            comps.append([v])
-    comps.sort(key=lambda c: c[0])
 
     vectors: list[tuple] = []
     for comp in comps:
@@ -301,7 +301,7 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
     return MaxPlusEigenData(
         eigenvalue=lam,
         eigenvectors=tuple(vectors),
-        critical_nodes=tuple(sorted(critical)),
+        critical_nodes=tuple(sorted(v for c in comps for v in c)),
         eigenspace_dim=len(comps),
     )
 

@@ -27,7 +27,6 @@ __all__ = [
     "PerronError",
     "transfer_matrix",
     "perron",
-    "pressure_bounds_under_perturbation",
     "equilibrium_cylinder_mass",
 ]
 
@@ -249,13 +248,6 @@ def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> Pe
             mass_k=mass_k,
             log_matrix=logm,
         )
-
-
-def pressure_bounds_under_perturbation(p_unperturbed: float, b_sup: float):
-    """Interval [P - |B|_inf, P + |B|_inf] containing the perturbed pressure."""
-    if b_sup < 0:
-        raise ValueError("sup norm must be nonnegative")
-    return (p_unperturbed - b_sup, p_unperturbed + b_sup)
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

@@ -1,27 +1,21 @@
-"""Subshifts of finite type, finite words and marked (eventually periodic) points.
+"""Subshifts of finite type and their admissible words.
 
 A subshift is described by a 0/1 transition matrix over a finite alphabet
 ``{0, ..., n-1}`` together with the metric base ``theta``: two one-sided
 sequences are at distance ``theta**i`` where ``i`` is the index of the first
-disagreement.  Points are never stored as infinite sequences; only eventually
-periodic encodings (``MarkedPoint``) are supported, which keeps equality and
-distances exact.
+disagreement.  The other modules see a subshift only through its admissible
+words, enumerated in the lexicographic order that indexes their states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "Sft",
-    "Word",
-    "MarkedPoint",
     "full_shift",
     "golden_mean_shift",
-    "word_distance",
     "enumerate_words",
 ]
 
@@ -56,23 +50,6 @@ class Sft:
         """True iff symbol j may follow symbol i."""
         return self.transitions[i][j]
 
-    def transition_matrix(self) -> np.ndarray:
-        return np.array(self.transitions, dtype=np.int64)
-
-    def is_aperiodic(self) -> bool:
-        """Check primitivity: some power of the 0/1 matrix is entrywise positive.
-
-        Powers are checked up to alphabet_size**2, which suffices for
-        primitive matrices (Wielandt bound).
-        """
-        m = self.transition_matrix()
-        p = m.copy()
-        for _ in range(self.alphabet_size ** 2):
-            if (p > 0).all():
-                return True
-            p = np.minimum(p @ m, 1)
-        return False
-
 
 def full_shift(d: int, theta: float) -> Sft:
     """The full shift on d+1 symbols, all transitions allowed."""
@@ -88,97 +65,10 @@ def golden_mean_shift(theta: float = 0.5) -> Sft:
     return Sft(2, ((True, True), (True, False)), theta)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite admissible word of an Sft."""
-
-    sft: Sft
-    symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        s = self.symbols
-        if len(s) == 0:
-            raise ValueError("empty word")
-        for x in s:
-            if not (0 <= x < self.sft.alphabet_size):
-                raise ValueError(f"symbol {x} outside alphabet")
-        for u, v in zip(s, s[1:]):
-            if not self.sft.allows(u, v):
-                raise ValueError(f"forbidden transition {u}->{v} in word {s}")
-
-    def __len__(self):
-        return len(self.symbols)
-
-
 def is_admissible(sft: Sft, symbols: tuple[int, ...]) -> bool:
     if any(not (0 <= x < sft.alphabet_size) for x in symbols):
         return False
     return all(sft.allows(u, v) for u, v in zip(symbols, symbols[1:]))
-
-
-@dataclass(frozen=True)
-class MarkedPoint:
-    """An eventually periodic point ``head . tail^inf`` of an Sft.
-
-    kind is one of "fixed-point" (empty head), "preperiodic" or
-    "cylinder-representative"; the encoding is always a finite head followed
-    by an infinitely repeated single symbol.
-    """
-
-    sft: Sft
-    head: tuple[int, ...]
-    tail: int
-    kind: str = field(default="preperiodic")
-
-    def __post_init__(self):
-        seq = self.head + (self.tail,)
-        if not is_admissible(self.sft, seq):
-            raise ValueError(f"point {self.head}.{self.tail}^inf is not in the shift")
-        if not self.sft.allows(self.tail, self.tail):
-            raise ValueError(f"tail symbol {self.tail} has no self-transition")
-
-    @classmethod
-    def fixed_point(cls, sft: Sft, i: int) -> "MarkedPoint":
-        return cls(sft, (), i, kind="fixed-point")
-
-    @classmethod
-    def from_word_and_tail(cls, sft: Sft, head, tail: int) -> "MarkedPoint":
-        return cls(sft, tuple(head), tail)
-
-    def symbol_at(self, n: int) -> int:
-        return self.head[n] if n < len(self.head) else self.tail
-
-    def canonical(self) -> tuple[tuple[int, ...], int]:
-        """Head with trailing tail symbols stripped; unique per point."""
-        h = self.head
-        while h and h[-1] == self.tail:
-            h = h[:-1]
-        return h, self.tail
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.symbol_at(i) for i in range(n))
-
-
-def word_distance(x: MarkedPoint, y: MarkedPoint, depth: int | None = None) -> float:
-    """theta^(first disagreement index); 0 iff the encodings denote the same point.
-
-    Exact for marked points: once both heads are exhausted the comparison
-    reduces to the tails, so scanning ``max(len(head))+1`` symbols decides.
-    """
-    if x.sft.theta != y.sft.theta:
-        raise ValueError("points live in shifts with different metric bases")
-    hx, tx = x.canonical()
-    hy, ty = y.canonical()
-    if hx == hy and tx == ty:
-        return 0.0
-    limit = max(len(hx), len(hy)) + 1
-    if depth is not None:
-        limit = max(limit, depth)
-    for i in range(limit):
-        if x.symbol_at(i) != y.symbol_at(i):
-            return x.sft.theta ** i
-    # canonical forms differ, so a disagreement within the scan is guaranteed
-    raise AssertionError("unreachable: distinct points agree through scan limit")
 
 
 @lru_cache(maxsize=None)

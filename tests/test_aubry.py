@@ -1,12 +1,18 @@
+import gc
 import math
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerotemp import (
     EmptyAubrySetError,
     LocallyConstantPotential,
     PositiveCycleError,
+    Sft,
     decompose_aubry,
+    enumerate_words,
     full_shift,
     mane_potential,
     max_cycle_mean,
@@ -145,3 +151,96 @@ def test_lemma_cost_laws_on_decompositions():
                 assert cost[i, j] != NEG_INF and cost[i, j] <= 0
                 for l in range(n):
                     assert cost[l, i] + cost[i, j] <= cost[l, j] + 1e-12
+
+
+def test_best_paths_are_freed_with_the_graph():
+    # values no other test uses, so no equal graph was seen before
+    pot = LocallyConstantPotential.from_table(
+        full_shift(1, 0.5), {"00": 0.0, "01": -0.7, "10": -1.3, "11": 0.0}
+    )
+    g = word_graph(pot)
+    decompose_aubry(g)
+    mane_potential(g, 0, 1)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+# dyadic weights, so every path sum is exact whatever the summation order
+WEIGHTS = (0.0, 0.0, -0.25, -0.5, -1.0, -1.5, -3.0)
+
+
+@st.composite
+def small_potentials(draw):
+    """A table of WEIGHTS on a random SFT whose word graph has <= 8 states.
+
+    (2, 3) is listed three times: most random shifts cut its 8 states to
+    5 or fewer, so the weight keeps the larger graphs common."""
+    a, depth = draw(st.sampled_from([(2, 3), (2, 3), (2, 3), (4, 1), (2, 2), (3, 1), (2, 1)]))
+    row = st.lists(st.sampled_from([True, True, False]), min_size=a, max_size=a).filter(any)
+    rows = draw(st.lists(row, min_size=a, max_size=a).filter(lambda m: all(map(any, zip(*m)))))
+    sft = Sft(a, tuple(map(tuple, rows)))
+    words = enumerate_words(sft, depth + 1)
+    values = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(words), max_size=len(words)))
+    return LocallyConstantPotential(sft, depth, dict(zip(words, values)))
+
+
+def simple_walks(g):
+    """Every simple path u -> v (u != v) and simple cycle u -> u, as
+    (u, v, [edge indices])."""
+    out = []
+
+    def extend(start, node, path, seen):
+        for e, (x, v, _) in enumerate(g.edges):
+            if x != node:
+                continue
+            if v == start:
+                out.append((start, start, path + [e]))
+            elif v not in seen:
+                out.append((start, v, path + [e]))
+                extend(start, v, path + [e], seen | {v})
+
+    for s in range(g.n):
+        extend(s, s, [], {s})
+    return out
+
+
+ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE
+@given(small_potentials())
+def test_mane_potential_matches_path_enumeration(pot):
+    g = word_graph(pot)
+    brute = [[NEG_INF] * g.n for _ in range(g.n)]
+    for u, v, path in simple_walks(g):
+        brute[u][v] = max(brute[u][v], sum(g.edges[e][2] for e in path))
+    assert [[mane_potential(g, u, v) for v in range(g.n)] for u in range(g.n)] == brute
+
+    aubry = {u for u in range(g.n) if brute[u][u] == 0.0}
+    if not aubry:
+        with pytest.raises(EmptyAubrySetError):
+            decompose_aubry(g)
+        return
+    comps = decompose_aubry(g).components
+    assert {v for c in comps for v in c} == aubry
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    for u in aubry:
+        for v in aubry:
+            assert (comp_of[u] == comp_of[v]) == (brute[u][v] + brute[v][u] == 0.0)
+
+
+@ORACLE
+@given(small_potentials(), st.data())
+def test_planted_positive_cycle_is_rejected(pot, data):
+    g = word_graph(pot)
+    cycles = [path for u, v, path in simple_walks(g) if u == v]
+    path = data.draw(st.sampled_from(cycles))
+    # raise the first edge of the cycle until the cycle weighs +0.5
+    u, v, _ = g.edges[path[0]]
+    word = g.nodes[u] + g.nodes[v][-1:]
+    rest = sum(g.edges[e][2] for e in path[1:])
+    planted = LocallyConstantPotential(pot.sft, pot.depth, {**pot.values, word: 0.5 - rest})
+    with pytest.raises(PositiveCycleError):
+        decompose_aubry(word_graph(planted))

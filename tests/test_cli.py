@@ -114,9 +114,11 @@ def test_thread_fanout_matches_sequential(tmp_path, monkeypatch):
 def test_reports_share_one_analysis(tmp_path, monkeypatch):
     perron_calls = count_calls(monkeypatch, "spectral", "perron")
     decompose_calls = count_calls(monkeypatch, "aubry", "decompose_aubry")
+    eigenvalue_calls = count_calls(monkeypatch, "maxplus", "mp_eigenvalue")
     run_csvs(tmp_path, dict(LC1_CONFIG, beta_grid=["4", "8"]), "lc")
     assert sorted(args[1] for args in perron_calls) == [4.0, 8.0]
     assert len(decompose_calls) == 1
+    assert len(eigenvalue_calls) == 1
 
 
 def test_walters_reports_share_one_pressure_per_beta(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from zerotemp import (
     full_shift,
     golden_mean_shift,
     perron,
-    pressure_bounds_under_perturbation,
     transfer_matrix,
 )
 from zerotemp.verify import lc1_potential, lc2_potential, zero_potential
@@ -135,14 +134,11 @@ def test_pressure_sandwich_under_perturbation():
     beta = 10.0
     eps = 1e-3
     base = perron(lc1_potential(), beta).log_lambda
-    lo, hi = pressure_bounds_under_perturbation(base, eps)
     sft = full_shift(1, 0.5)
     pert = LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": -1.0 + eps / beta, "10": -1.0, "11": 0.0}
     )
-    assert lo <= perron(pert, beta).log_lambda <= hi
-    with pytest.raises(ValueError):
-        pressure_bounds_under_perturbation(base, -1.0)
+    assert abs(perron(pert, beta).log_lambda - base) <= eps
 
 
 def test_normalization_check():

@@ -1,14 +1,6 @@
 import pytest
 
-from zerotemp import (
-    MarkedPoint,
-    Sft,
-    Word,
-    enumerate_words,
-    full_shift,
-    golden_mean_shift,
-    word_distance,
-)
+from zerotemp import Sft, enumerate_words, full_shift, golden_mean_shift
 from zerotemp.symbolic import is_admissible
 
 
@@ -48,25 +40,6 @@ def test_golden_mean_shift_forbids_11():
     assert set(words) == {(0, 0), (0, 1), (1, 0)}
 
 
-def test_aperiodicity():
-    assert full_shift(1, 0.5).is_aperiodic()
-    assert golden_mean_shift().is_aperiodic()
-    # pure swap 0<->1 is periodic
-    swap = Sft(2, ((False, True), (True, False)))
-    assert not swap.is_aperiodic()
-
-
-def test_word_validation():
-    sft = golden_mean_shift()
-    Word(sft, (0, 1, 0, 0, 1))
-    with pytest.raises(ValueError):
-        Word(sft, (0, 1, 1))
-    with pytest.raises(ValueError):
-        Word(sft, (0, 2))
-    with pytest.raises(ValueError):
-        Word(sft, ())
-
-
 def test_enumerate_words_lexicographic():
     sft = full_shift(1, 0.5)
     assert enumerate_words(sft, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -80,48 +53,3 @@ def test_is_admissible():
     assert is_admissible(sft, (0, 1, 0))
     assert not is_admissible(sft, (1, 1))
     assert not is_admissible(sft, (0, 5))
-
-
-def test_marked_point_construction():
-    sft = full_shift(1, 0.5)
-    x = MarkedPoint.fixed_point(sft, 0)
-    assert x.prefix(4) == (0, 0, 0, 0)
-    y = MarkedPoint.from_word_and_tail(sft, (0, 1), 0)
-    assert y.symbol_at(1) == 1
-    assert y.symbol_at(10) == 0
-
-
-def test_marked_point_needs_periodic_tail():
-    sft = golden_mean_shift()
-    with pytest.raises(ValueError):
-        MarkedPoint.fixed_point(sft, 1)  # 1 cannot follow 1
-    with pytest.raises(ValueError):
-        MarkedPoint(sft, (1, 1), 0)
-
-
-def test_canonical_strips_tail_repeats():
-    sft = full_shift(1, 0.5)
-    x = MarkedPoint(sft, (0, 1, 0, 0), 0)
-    assert x.canonical() == ((0, 1), 0)
-
-
-def test_word_distance_exact():
-    sft = full_shift(1, 0.5)
-    x = MarkedPoint(sft, (0, 1), 0)
-    same = MarkedPoint(sft, (0, 1, 0, 0), 0)
-    assert word_distance(x, same) == 0.0
-    y = MarkedPoint(sft, (0, 0), 0)
-    assert word_distance(x, y) == 0.5  # first disagreement at index 1
-    z = MarkedPoint.fixed_point(sft, 0)
-    # x and z agree on (0,), disagree at index 1
-    assert word_distance(x, z) == 0.5
-    # tails alone decide once heads are exhausted
-    p = MarkedPoint(sft, (0, 0, 0), 1)
-    assert word_distance(z, p) == 0.5**3
-
-
-def test_word_distance_mixed_theta_rejected():
-    a = MarkedPoint.fixed_point(full_shift(1, 0.5), 0)
-    b = MarkedPoint.fixed_point(full_shift(1, 0.3), 0)
-    with pytest.raises(ValueError):
-        word_distance(a, b)
