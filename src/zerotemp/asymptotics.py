@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 
-import mpmath
-
-from .aubry import AubryDecomposition, decompose_aubry, mane_potential, word_graph
-from .maxplus import NEG_INF, mp_eigenvectors
-from .spectral import LocallyConstantPotential, PerronData, PerronError, _working_dps
+from .aubry import (
+    AubryDecomposition,
+    EmptyAubrySetError,
+    PositiveCycleError,
+    decompose_aubry,
+    mane_potential,
+    word_graph,
+)
+from .maxplus import NEG_INF, NoEigenvalueError, mp_eigenvectors
+from .spectral import LocallyConstantPotential, PerronData, PerronError, adjacency_entropy
 from .spectral import equilibrium_cylinder_mass, perron
 
 __all__ = [
@@ -43,32 +48,16 @@ class GammaEstimate:
 
 
 def _entropy_mp(decomp: AubryDecomposition, dps: int):
-    """Maximal component entropy at working precision.
-
-    Entropy 0 components (periodic orbits) give an exact zero; otherwise the
-    Perron root of the 0/1 component adjacency is recomputed with mpmath.
-    """
-    h_float = decomp.h
-    if abs(h_float) <= 1e-13:
-        return mpmath.mpf(0)
-    i = decomp.entropies.index(max(decomp.entropies))
-    comp = decomp.components[i]
-    pos = {v: t for t, v in enumerate(comp)}
-    with mpmath.workdps(dps):
-        adj = mpmath.zeros(len(comp), len(comp))
-        for (u, v) in decomp.critical_pairs:
-            if u in pos and v in pos:
-                adj[pos[u], pos[v]] = 1
-        eigvals, _ = mpmath.eig(adj, left=False, right=True)
-        rho = max(mpmath.re(e) for e in eigvals)
-        return mpmath.log(rho)
+    """Largest component entropy h as an mpf at dps digits."""
+    return adjacency_entropy(decomp.adjacency(decomp.entropies.index(decomp.h)), dps)
 
 
 class Analysis:
     """What the estimates for one potential share, each part computed once:
     the word graph, the Aubry decomposition, the max-plus eigendata of its
     maximal cost matrix and the max-plus subaction; Perron pairs by beta
-    (solved with ``tol``); and h at the highest precision asked for so far.
+    (solved with ``tol`` above the floor e^h of the decomposition); and h at
+    the highest precision asked for so far.
     """
 
     def __init__(self, pot: LocallyConstantPotential, tol: float = 1e-14):
@@ -81,7 +70,8 @@ class Analysis:
         """Solve the Perron pair at each beta not solved yet; ``grid_map``
         works as ``itertools.starmap`` and may fan the solves out to a pool."""
         todo = [b for b in betas if b not in self._perron]
-        self._perron.update(zip(todo, grid_map(perron, [(self.pot, b, self.tol) for b in todo])))
+        args = [(self.pot, b, self.tol, self.floor) for b in todo]
+        self._perron.update(zip(todo, grid_map(perron, args)))
 
     def perron(self, beta: float) -> PerronData:
         self.prefetch((beta,))
@@ -90,7 +80,7 @@ class Analysis:
     def entropy(self, beta: float):
         """h (an mpf) at the Perron working precision at beta, which
         resolves P - h at beta and below."""
-        dps = _working_dps(self.perron(beta).log_matrix)
+        dps = self.perron(beta).dps
         if dps > self._h[0]:
             self._h = (dps, _entropy_mp(self.decomposition, dps))
         return self._h[1]
@@ -102,6 +92,21 @@ class Analysis:
     @cached_property
     def decomposition(self) -> AubryDecomposition:
         return decompose_aubry(self.graph)
+
+    @cached_property
+    def floor(self):
+        """(0, adjacency of a largest-entropy component, gamma) for
+        ``perron``; None when the potential is not normalized, and perron
+        finds its own."""
+        try:
+            d = self.decomposition
+        except (PositiveCycleError, EmptyAubrySetError):
+            return None
+        try:
+            gamma = self.gamma_maxplus
+        except NoEigenvalueError:
+            gamma = None
+        return 0.0, d.adjacency(d.entropies.index(d.h)), gamma
 
     @cached_property
     def gamma_maxplus(self) -> float:

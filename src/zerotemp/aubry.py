@@ -14,20 +14,18 @@ components are the components of its critical graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .maxplus import (
     NEG_INF,
     MaxPlusMatrix,
+    NoEigenvalueError,
     _closure,
     critical_graph,
     mp_eigenvalue,
 )
-from .spectral import LocallyConstantPotential
+from .spectral import LocallyConstantPotential, adjacency_entropy
 
 __all__ = [
     "WordGraph",
@@ -38,6 +36,7 @@ __all__ = [
     "max_cycle_mean",
     "mane_potential",
     "decompose_aubry",
+    "critical_floor",
     "symmetrized_mane_check",
 ]
 
@@ -117,14 +116,6 @@ def symmetrized_mane_check(g: WordGraph, u: int, v: int) -> bool:
     return abs(suv + svu) <= ZERO_CYCLE_TOL
 
 
-def _entropy_of_adjacency(adj: np.ndarray) -> float:
-    """log of the Perron root of a 0/1 adjacency matrix."""
-    if adj.shape == (1, 1):
-        return 0.0 if adj[0, 0] else -math.inf
-    rho = max(abs(np.linalg.eigvals(adj.astype(float))))
-    return float(np.log(rho))
-
-
 @dataclass(frozen=True)
 class AubryDecomposition:
     """Irreducible components of the Aubry set with entropies and costs.
@@ -148,8 +139,21 @@ class AubryDecomposition:
     def h(self) -> float:
         return max(self.entropies)
 
+    def adjacency(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """0/1 adjacency of the critical edges inside component i."""
+        return _adjacency(self.components[i], self.critical_pairs)
+
     def maximal_cost(self) -> MaxPlusMatrix:
         return self.cost.restrict(self.maximal_set)
+
+
+def _adjacency(comp, critical_pairs) -> tuple[tuple[int, ...], ...]:
+    pos = {v: t for t, v in enumerate(comp)}
+    adj = [[0] * len(comp) for _ in comp]
+    for (u, v) in critical_pairs:
+        if u in pos and v in pos:
+            adj[pos[u]][pos[v]] = 1
+    return tuple(map(tuple, adj))
 
 
 def decompose_aubry(g: WordGraph) -> AubryDecomposition:
@@ -165,15 +169,8 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
         for v in comp:
             node_comp[v] = i
 
-    entropies = []
     crit_pairs = set(crit_edges)
-    for comp in comps:
-        pos = {v: t for t, v in enumerate(comp)}
-        adj = np.zeros((len(comp), len(comp)), dtype=np.int64)
-        for (u, v) in crit_pairs:
-            if u in pos and v in pos:
-                adj[pos[u], pos[v]] = 1
-        entropies.append(_entropy_of_adjacency(adj))
+    entropies = [adjacency_entropy(_adjacency(comp, crit_edges)) for comp in comps]
     h = max(entropies)
     maximal = tuple(i for i, hi in enumerate(entropies) if hi >= h - ZERO_CYCLE_TOL)
 
@@ -209,3 +206,23 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
         flagged_edges=tuple(flagged),
         critical_pairs=tuple(crit_edges),
     )
+
+
+def critical_floor(pot: LocallyConstantPotential):
+    """(m, adj, gamma): the maximum cycle mean m of the word graph, the
+    critical adjacency of a component of largest entropy h of A - m, and
+    the max-plus eigenvalue gamma of the cost matrix of those components
+    (None if it has no cycle).  e^{beta m + h} is the floor under the
+    Perron root at beta, and beta*gamma the rate of the excess over it.
+    None when rounding of m leaves A - m with no Aubry decomposition."""
+    g = word_graph(pot)
+    m = max_cycle_mean(g)
+    try:
+        d = decompose_aubry(WordGraph(g.nodes, tuple((u, v, w - m) for u, v, w in g.edges)))
+    except (PositiveCycleError, EmptyAubrySetError):
+        return None
+    try:
+        gamma = mp_eigenvalue(d.maximal_cost())
+    except NoEigenvalueError:
+        gamma = None
+    return m, d.adjacency(d.entropies.index(d.h)), gamma

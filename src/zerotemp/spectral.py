@@ -4,10 +4,16 @@ The operator L_A(psi)(x) = sum_{sigma(z)=x} e^{A(z)} psi(z) acts on functions
 of k-word cylinders when A depends on k+1 coordinates.  All spectral data is
 produced in log-domain form.
 
-At large inverse temperature the two leading eigenvalues differ by a factor
-1 + O(e^{beta*gamma}), so fixed-precision iteration cannot separate them;
-perron() therefore solves the eigenproblem with mpmath at a working precision
-chosen from the magnitude of the matrix exponents, then converts to floats.
+At large inverse temperature the leading eigenvalues cluster within a
+factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
+maximum cycle mean, h the largest entropy of a critical component), so
+fixed-precision iteration cannot separate them.  perron() works with mpmath
+at a precision chosen from the magnitude of the matrix exponents and solves
+for the dominant pair only.  It brackets s = log(rho - floor), where the
+cluster is spread out, with the M-matrix test (mu > rho exactly when
+elimination of mu*I - M without pivoting has only positive pivots), narrows
+the bracket by regula falsi on det(mu*I - M), and takes H and nu by inverse
+iteration at its upper end.  The bracket is kept as the certificate.
 """
 
 from __future__ import annotations
@@ -27,10 +33,15 @@ __all__ = [
     "PerronError",
     "transfer_matrix",
     "perron",
+    "adjacency_entropy",
     "equilibrium_cylinder_mass",
 ]
 
 ITERATION_NOTE = "matrix may be reducible or periodic"
+
+# bounds on the probes of one bracket and on the inverse-iteration steps
+_MAX_PROBES = 400
+_MAX_STEPS = 100
 
 
 class PerronError(RuntimeError):
@@ -86,13 +97,19 @@ class LocallyConstantPotential:
     def states(self) -> list[tuple[int, ...]]:
         return enumerate_words(self.sft, self.word_length)
 
-    def is_normalized_for_optimization(self, tol: float = 1e-12) -> bool:
-        """All values <= 0 and maximal cycle mean of the word graph equal 0."""
-        from .aubry import max_cycle_mean, word_graph
+    def is_normalized_for_optimization(self) -> bool:
+        """All values <= 0, no cycle of the word graph weighs more than 0
+        and some cycle weighs 0, each to aubry.ZERO_CYCLE_TOL: the rule by
+        which the Aubry decomposition accepts a potential."""
+        from .aubry import ZERO_CYCLE_TOL, PositiveCycleError, word_graph
 
-        if any(v > tol for v in self.values.values()):
+        if any(v > ZERO_CYCLE_TOL for v in self.values.values()):
             return False
-        return abs(max_cycle_mean(word_graph(self))) <= tol
+        try:
+            best = word_graph(self).best_paths
+        except PositiveCycleError:
+            return False
+        return any(best[v][v] >= -ZERO_CYCLE_TOL for v in range(len(best)))
 
 
 def transfer_matrix(pot: LocallyConstantPotential, beta: float) -> np.ndarray:
@@ -127,7 +144,11 @@ class PerronData:
 
     H is the eigenfunction (right eigenvector, H(0^k) = 1) and nu the
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
-    equilibrium-measure masses of the k-word cylinders.
+    equilibrium-measure masses of the k-word cylinders.  ``bracket`` is the
+    certificate (lo, hi) of the Perron root, both at ``dps`` digits: the
+    M-matrix test fails at lo and passes at hi, so lo <= root < hi.  lambda
+    is hi, or the max-plus floor when the root lies within the resolution
+    of it (zero excess).
     """
 
     beta: float
@@ -138,6 +159,8 @@ class PerronData:
     log_nu: tuple[float, ...]
     mass_k: tuple[float, ...]
     log_matrix: np.ndarray
+    dps: int
+    bracket: tuple
 
     @property
     def words(self) -> list[tuple[int, ...]]:
@@ -154,7 +177,7 @@ class PerronData:
         # guard bits for the float log to be correctly rounded
         with mpmath.workprec(113):
             excess = self.log_lambda_mp - h_mp
-            if excess <= mpmath.mpf(10) ** (-_excess_floor_digits(self)):
+            if excess <= mpmath.mpf(10) ** (-_excess_floor_digits(self.log_matrix)):
                 raise PerronError(
                     f"pressure excess P - h = {mpmath.nstr(excess, 6)} is not "
                     "resolvably positive (h misidentified or potential has "
@@ -163,11 +186,11 @@ class PerronData:
             return float(mpmath.log(excess))
 
 
-def _excess_floor_digits(p: PerronData) -> int:
+def _excess_floor_digits(log_entries: np.ndarray) -> int:
     # the excess decays no faster than a simple path cost, <= n * span
-    finite = p.log_matrix[np.isfinite(p.log_matrix)]
+    finite = log_entries[np.isfinite(log_entries)]
     span = float(-finite.min()) if finite.size else 0.0
-    return int(p.log_matrix.shape[0] * span / math.log(10)) + 12
+    return int(log_entries.shape[0] * span / math.log(10)) + 12
 
 
 def _working_dps(log_entries: np.ndarray) -> int:
@@ -177,55 +200,323 @@ def _working_dps(log_entries: np.ndarray) -> int:
     return 45 + int((n + 0.5) * span / math.log(10)) + 2 * n
 
 
-def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> PerronData:
+def _lu(a) -> int:
+    """In-place LU of a without pivoting (L below the diagonal, U on and above).
+
+    Returns the number of leading pivots that are positive.  For a
+    nonnegative M, mu > rho(M) exactly when mu*I - M is a nonsingular
+    M-matrix, that is when all its leading principal minors, and so all n
+    pivots, are positive.  Elimination goes on past a negative pivot, so
+    that the product of the pivots is det(mu*I - M), and stops at a zero
+    one.  Zero entries are skipped, so the cost follows the fill-in.
+    """
+    n = len(a)
+    positive = None
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot <= 0 and positive is None:
+            positive = k
+        if not pivot:
+            break
+        cols = [j for j in range(k + 1, n) if row_k[j]]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            if row_i[k]:
+                f = row_i[k] = row_i[k] / pivot
+                for j in cols:
+                    row_i[j] -= f * row_k[j]
+    return n if positive is None else positive
+
+
+def _solve(lu, b, transpose=False) -> list:
+    """x with (LU) x = b, or (LU)^T x = b, from the factors of _lu."""
+    n = len(lu)
+    x = list(b)
+    if not transpose:
+        for i in range(n):
+            x[i] -= sum(lu[i][j] * x[j] for j in range(i) if lu[i][j])
+        for i in reversed(range(n)):
+            x[i] = (x[i] - sum(lu[i][j] * x[j] for j in range(i + 1, n) if lu[i][j])) / lu[i][i]
+    else:  # U^T z = b, then L^T x = z
+        for i in range(n):
+            x[i] = (x[i] - sum(lu[j][i] * x[j] for j in range(i) if lu[j][i])) / lu[i][i]
+        for i in reversed(range(n)):
+            x[i] -= sum(lu[j][i] * x[j] for j in range(i + 1, n) if lu[j][i])
+    return x
+
+
+def _shifted_lu(mat, mu):
+    """(passes, det, factors) of the M-matrix test of mu*I - mat.  det is
+    det(mu*I - mat) as the product of the pivots; None when elimination
+    stopped at a zero pivot before the last."""
+    n = len(mat)
+    a = [[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]
+    passes = _lu(a) == n
+    det = 1
+    for i in range(n):
+        if not a[i][i] and i < n - 1:
+            return passes, None, a
+        det *= a[i][i]
+    return passes, det, a
+
+
+def _adjacency_root(adj, dps: int | None = None):
+    """Perron root of an irreducible 0/1 adjacency matrix, as a float, or
+    as an mpf at dps digits.
+
+    With equal out-degrees r the root is r exactly (a cycle gives 1).
+    Otherwise Newton's method on det(x I - adj), with d/dx log det =
+    trace((x I - adj)^-1), runs in floats from the largest out-degree: from
+    above the root its steps stay above it, so x falls monotonically onto
+    it.  Given dps, Newton steps at that precision follow, each squaring
+    the error, until the steps stop halving.
+    """
+    degrees = {sum(row) for row in adj}
+    if len(degrees) == 1:
+        r = degrees.pop()
+        return float(r) if dps is None else mpmath.mpf(r)
+    n = len(adj)
+    shift, a = np.eye(n), np.array(adj, dtype=float)
+    x = float(max(degrees))
+    for _ in range(_MAX_STEPS + 8 * n):
+        try:
+            step = 1.0 / np.trace(np.linalg.inv(x * shift - a))
+        except np.linalg.LinAlgError:  # x is the root
+            break
+        if not step > 0 or x - step == x:  # rounding reached the root
+            break
+        x -= step
+    else:
+        raise PerronError(f"Newton iteration for an adjacency root did not settle; {ITERATION_NOTE}")
+    if dps is None:
+        return x
+    with mpmath.workdps(dps):
+        x, last = mpmath.mpf(x), mpmath.inf
+        for _ in range(_MAX_STEPS):
+            _, det, lu = _shifted_lu(adj, x)
+            if not det:  # x is the root at this precision
+                return x
+            step = 1 / sum(_solve(lu, [int(j == i) for j in range(n)])[i] for i in range(n))
+            x -= step
+            if abs(step) > abs(last) / 2:
+                return x
+            last = step
+    raise PerronError(f"Newton iteration for an adjacency root did not settle; {ITERATION_NOTE}")
+
+
+def adjacency_entropy(adj, dps: int | None = None):
+    """log of the Perron root of an irreducible 0/1 adjacency matrix: the
+    entropy of the subshift it presents.  A float, or an mpf at dps digits;
+    0 exactly for a cycle."""
+    root = _adjacency_root(adj, dps)
+    if dps is None:
+        return math.log(root)
+    with mpmath.workdps(dps):
+        return mpmath.log(root)
+
+
+def _exp_matrix(logm: np.ndarray) -> list:
+    """exp of each finite log entry at the working precision; 0 elsewhere."""
+    cache = {}
+    n = logm.shape[0]
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            e = float(logm[i, j])
+            if math.isfinite(e):
+                if e not in cache:
+                    cache[e] = mpmath.exp(mpmath.mpf(e))
+                mat[i][j] = cache[e]
+    return mat
+
+
+def _bracket_root(mat, floor, guess, digits: int, rel_width):
+    """Certified bracket of the Perron root of mat, narrowed around it.
+
+    ``floor`` is a lower estimate of the root (its max-plus floor, or None)
+    and ``guess`` an estimate of root - floor (or None).  The search works
+    on s = log(mu - floor), which spreads the cluster of eigenvalues just
+    above the floor: it brackets s by steps of ln 2 times 1, 2, 4, ... from
+    the guess (or down from an upper Collatz-Wielandt bound), bisects in s
+    while the ends are more than a factor 2 apart in mu - floor, then runs
+    regula falsi (Anderson-Bjorck) on det(mu*I - mat), the product of the
+    pivots, until hi - lo <= rel_width * (hi - floor).  (The last pivot
+    alone changes sign only between the root of the leading block and rho,
+    a window as narrow as the excess when the last state is off the Aubry
+    set.)
+
+    Returns (lo, hi, lambda, factors of hi*I - mat).  When the test passes
+    within floor * 10^-digits of the floor (the zero-excess case, such as
+    the zero potential, where the root equals the floor), lambda is the
+    floor itself.  A floor that turns out to lie above the root is replaced
+    by the lower Collatz-Wielandt bound.
+    """
+    n = len(mat)
+    rows = [sum(r) for r in mat]
+    cols = [sum(mat[i][j] for i in range(n)) for j in range(n)]
+    top = min(max(rows), max(cols))
+    low = max(min(rows), min(cols)) * (1 - mpmath.mpf(10) ** -digits)
+    if floor is None:
+        floor = low
+    x_min = floor * mpmath.mpf(10) ** -digits
+    x_max = max(2 * (top - floor), 2 * x_min)
+    found = _search(mat, floor, guess or x_max, x_min, x_max)
+    if found is None:  # the test passes at floor + x_min
+        lo = floor - x_min
+        if not _shifted_lu(mat, lo)[0]:
+            hi = floor + x_min
+            return lo, hi, floor, _shifted_lu(mat, hi)[2]
+        # the floor lies above the root; low lies below it by low * 10^-digits
+        floor, x_min = low, low * mpmath.mpf(10) ** -digits
+        found = _search(mat, floor, lo - floor, x_min, lo - floor)
+        if found is None:
+            raise PerronError(f"no root above the lower Collatz-Wielandt bound; {ITERATION_NOTE}")
+    lo, f_lo, hi, f_hi, lu_hi = found
+    side = 0
+    for _ in range(_MAX_PROBES):
+        x_lo, x_hi = lo - floor, hi - floor
+        width = rel_width * x_hi
+        if x_hi - x_lo <= width:
+            return lo, hi, hi, lu_hi
+        if 2 * x_lo < x_hi:  # bisect in s; x needs no more than 53 bits
+            with mpmath.workprec(53):
+                x = mpmath.sqrt(x_lo * x_hi)
+        elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
+            x = (x_lo + x_hi) / 2
+        else:
+            # keep half the target width from either end, so that a step
+            # that lands next to one end still closes the bracket
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            x = min(max(x, x_lo + width / 2), x_hi - width / 2)
+        mu = floor + x
+        if mu == lo or mu == hi:  # no point left between the ends
+            return lo, hi, hi, lu_hi
+        passes, f, lu = _shifted_lu(mat, mu)
+        # Anderson-Bjorck: when one end is replaced twice in a row, scale
+        # the value kept at the other end down, so that both ends move
+        if passes:
+            if side == 1 and f_lo is not None:
+                scale = 1 - f / f_hi
+                f_lo *= scale if scale > 0 else mpmath.mpf(0.5)
+            hi, f_hi, lu_hi = mu, f, lu
+            side = 1
+        else:
+            if side == -1 and f is not None and f_lo is not None:
+                scale = 1 - f / f_lo
+                f_hi *= scale if scale > 0 else mpmath.mpf(0.5)
+            lo, f_lo = mu, f
+            side = -1
+    raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
+
+
+def _search(mat, floor, x, x_min, x_max):
+    """Bracket the root in x = mu - floor from a first x in [x_min, x_max],
+    by factors 2, 4, 16, ...: down while the test passes, up while it fails
+    (up to x_max, where it passes).  Returns (lo, det at lo, hi, det at hi,
+    factors at hi), or None if the test still passes at floor + x_min."""
+    x = min(max(x, x_min), x_max)
+    passes, f, lu = _shifted_lu(mat, floor + x)
+    step = 1
+    if passes:
+        while x > x_min:
+            x_next = max(x / mpmath.mpf(2) ** step, x_min)
+            passes_next, f_next, lu_next = _shifted_lu(mat, floor + x_next)
+            if not passes_next:
+                return floor + x_next, f_next, floor + x, f, lu
+            x, f, lu = x_next, f_next, lu_next
+            step *= 2
+        return None
+    while x < x_max:
+        x_next = min(x * mpmath.mpf(2) ** step, x_max)
+        passes_next, f_next, lu_next = _shifted_lu(mat, floor + x_next)
+        if passes_next:
+            return floor + x, f, floor + x_next, f_next, lu_next
+        x, f = x_next, f_next
+        step *= 2
+    raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
+
+
+def _inverse_iteration(lu, settle):
+    """Right and left Perron vectors from the factors of mu*I - M, mu just
+    above the root, iterated until no component of either vector moves by
+    more than ``settle`` relative, twice in a row."""
+    n = len(lu)
+    right, left = [mpmath.mpf(1)] * n, [mpmath.mpf(1)] * n
+    settled = 0
+    for _ in range(_MAX_STEPS):
+        new_right = _solve(lu, right)
+        new_left = _solve(lu, left, transpose=True)
+        top_r, top_l = max(new_right), max(new_left)
+        new_right = [x / top_r for x in new_right]
+        new_left = [x / top_l for x in new_left]
+        moved = max(
+            (abs(x - y) / abs(x) for x, y in zip(new_right + new_left, right + left) if x),
+            default=0,
+        )
+        right, left = new_right, new_left
+        settled = settled + 1 if moved <= settle else 0
+        if settled == 2:
+            return right, left
+    raise PerronError(f"inverse iteration did not settle in {_MAX_STEPS} steps; {ITERATION_NOTE}")
+
+
+def perron(
+    pot: LocallyConstantPotential, beta: float, tol: float = 1e-14, floor=None
+) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure.
 
     Solved at adaptive precision so that log_lambda keeps full relative
-    accuracy even when the spectral gap closes like e^{beta*gamma}; tol
-    bounds the accepted eigen-residual relative to lambda.
+    accuracy even when the spectral gap closes like e^{beta*gamma}: lambda
+    is bracketed, and H and nu settle, to the digits of the excess of
+    lambda over its max-plus floor e^{beta*m + h} that the working
+    precision resolves.  tol bounds the accepted eigen-residual relative
+    to lambda.
+
+    ``floor`` is (m, adj, gamma): the maximum cycle mean of the word graph,
+    the 0/1 critical adjacency of a component of largest entropy h of
+    A - m, and the max-plus rate gamma of the excess (None if unknown), the
+    first guess for log(lambda - floor) = beta*(m + gamma) + h.  Without
+    it, perron derives all three from ``pot`` (aubry.critical_floor), or
+    starts from a Collatz-Wielandt bound if they cannot be derived.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
+    if floor is None:
+        from .aubry import critical_floor  # aubry builds on this module
+
+        floor = critical_floor(pot)
     logm = transfer_matrix(pot, beta)
     n = logm.shape[0]
     dps = _working_dps(logm)
+    # the zero-excess window, relative to the largest entry so that it
+    # stays inside the working precision
+    digits = _excess_floor_digits(logm - logm.max())
+    resolved = dps - digits  # digits of the excess, H and nu that dps resolves
     with mpmath.workdps(dps):
-        m = mpmath.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                e = logm[i, j]
-                if math.isfinite(e):
-                    m[i, j] = mpmath.exp(mpmath.mpf(e))
-        try:
-            eigvals, left, right = mpmath.eig(m, left=True, right=True)
-        except (RuntimeError, ZeroDivisionError) as exc:  # pragma: no cover - mpmath QR failure
-            raise PerronError(f"eigen decomposition failed: {exc}; {ITERATION_NOTE}")
-        # dominant eigenvalue: largest real part; must be real and simple-dominant
-        idx = max(range(n), key=lambda i: mpmath.re(eigvals[i]))
-        lam = eigvals[idx]
-        if abs(mpmath.im(lam)) > tol * abs(lam) or mpmath.re(lam) <= 0:
-            raise PerronError(f"dominant eigenvalue not real positive; {ITERATION_NOTE}")
-        lam = mpmath.re(lam)
-        h_vec = [mpmath.re(right[i, idx]) for i in range(n)]
-        nu_vec = [mpmath.re(left[idx, i]) for i in range(n)]
-        for vec in (h_vec, nu_vec):
-            if all(x <= 0 for x in vec):
-                for i in range(n):
-                    vec[i] = -vec[i]
-            if any(x <= 0 for x in vec):
-                raise PerronError(
-                    f"Perron vector not strictly positive; {ITERATION_NOTE}"
-                )
-        # residual check against the requested tolerance
+        mat = _exp_matrix(logm)
+        base = guess = None
+        if floor is not None:
+            cycle_mean, adj, gamma = floor
+            base = _adjacency_root(adj, dps)
+            if cycle_mean:
+                base *= mpmath.exp(mpmath.mpf(beta) * cycle_mean)
+            if gamma is not None:
+                with mpmath.workprec(53):
+                    guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
+        resolution = mpmath.mpf(10) ** -resolved
+        lo, hi, lam, lu = _bracket_root(mat, base, guess, digits, resolution)
+        h_vec, nu_vec = _inverse_iteration(lu, resolution)
+        if any(x <= 0 for x in h_vec + nu_vec):
+            raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
         res = max(
-            abs(sum(m[i, j] * h_vec[j] for j in range(n)) - lam * h_vec[i])
+            abs(sum(mat[i][j] * h_vec[j] for j in range(n) if mat[i][j]) - lam * h_vec[i])
             for i in range(n)
         )
-        scale = lam * max(h_vec)
-        if res > mpmath.mpf(tol) * scale * 10**6:
+        if res > mpmath.mpf(tol) * lam * max(h_vec) * 10**6:
             raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
 
         h0 = h_vec[pot.states.index(zero)]
@@ -236,18 +527,22 @@ def perron(pot: LocallyConstantPotential, beta: float, tol: float = 1e-14) -> Pe
         z = sum(mass_raw)
         mass_k = tuple(float(x / z) for x in mass_raw)
         log_lambda_mp = mpmath.log(lam)
-        log_H = tuple(float(mpmath.log(x)) for x in h_vec)
+    with mpmath.workdps(resolved + 12):  # 12 more for the integer part of log H
+        # + 0.0: a log of H(0^k) times 1 - 1e-400 underflows to 0, not -0
+        log_H = tuple(float(mpmath.log(x)) + 0.0 for x in h_vec)
         log_nu = tuple(float(mpmath.log(x)) for x in nu_vec)
-        return PerronData(
-            beta=beta,
-            pot=pot,
-            log_lambda=float(log_lambda_mp),
-            log_lambda_mp=log_lambda_mp,
-            log_H=log_H,
-            log_nu=log_nu,
-            mass_k=mass_k,
-            log_matrix=logm,
-        )
+    return PerronData(
+        beta=beta,
+        pot=pot,
+        log_lambda=float(log_lambda_mp),
+        log_lambda_mp=log_lambda_mp,
+        log_H=log_H,
+        log_nu=log_nu,
+        mass_k=mass_k,
+        log_matrix=logm,
+        dps=dps,
+        bracket=(lo, hi),
+    )
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

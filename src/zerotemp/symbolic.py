@@ -10,7 +10,7 @@ words, enumerated in the lexicographic order that indexes their states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 __all__ = [
     "Sft",
@@ -50,6 +50,11 @@ class Sft:
         """True iff symbol j may follow symbol i."""
         return self.transitions[i][j]
 
+    @cached_property
+    def _words(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Admissible words by length, filled by enumerate_words."""
+        return {}
+
 
 def full_shift(d: int, theta: float) -> Sft:
     """The full shift on d+1 symbols, all transitions allowed."""
@@ -71,19 +76,12 @@ def is_admissible(sft: Sft, symbols: tuple[int, ...]) -> bool:
     return all(sft.allows(u, v) for u, v in zip(symbols, symbols[1:]))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(sft: Sft, length: int) -> tuple[tuple[int, ...], ...]:
-    words: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == length:
-            words.append(prefix)
-            return
-        for s in range(sft.alphabet_size):
-            if not prefix or sft.allows(prefix[-1], s):
-                extend(prefix + (s,))
-
-    extend(())
+def _enumerate(sft: Sft, length: int) -> tuple[tuple[int, ...], ...]:
+    n = sft.alphabet_size
+    follow = [[s for s in range(n) if sft.allows(u, s)] for u in range(n)]
+    words = [(s,) for s in range(n)]
+    for _ in range(length - 1):
+        words = [w + (s,) for w in words for s in follow[w[-1]]]
     return tuple(words)
 
 
@@ -91,8 +89,12 @@ def enumerate_words(sft: Sft, length: int) -> list[tuple[int, ...]]:
     """All admissible words of the given length, lexicographically ordered.
 
     This ordering is the canonical state indexing used by the transfer-matrix
-    and word-graph modules.
+    and word-graph modules.  The words are kept on the Sft, so they are
+    freed with it.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return list(_enumerate_cached(sft, length))
+    words = sft._words.get(length)
+    if words is None:
+        words = sft._words[length] = _enumerate(sft, length)
+    return list(words)

@@ -49,7 +49,9 @@ TRUNC_CAP = 10**5
 
 
 class SeriesDivergenceError(ValueError):
-    """The cylinder-mass series diverges (perturbation at least as large as P)."""
+    """A series cannot be summed to its tolerance: the cylinder-mass series
+    diverges (perturbation at least as large as P), or its tail needs more
+    than TRUNC_CAP terms."""
 
 
 class BracketError(RuntimeError):
@@ -103,10 +105,17 @@ class WaltersPotential:
         )
 
     def default_trunc(self) -> int:
-        # rho^J / (1 - rho) < 1e-15 so the dropped tail of the partial sums
-        # is below relative rounding of a
+        """J with rho^J / (1 - rho) < 1e-15, so that the dropped tail of
+        the partial sums is below relative rounding of a.  Raises
+        SeriesDivergenceError when J would pass TRUNC_CAP: a shorter sum
+        would return a pressure off by up to rho^J, without an error."""
         j = math.ceil(math.log(1e-15 * (1.0 - self.rho)) / math.log(self.rho))
-        return min(max(int(j), 8), TRUNC_CAP)
+        if j > TRUNC_CAP:
+            raise SeriesDivergenceError(
+                f"rho = {self.rho} needs {j} series terms for a tail below 1e-15, "
+                f"more than the cap of {TRUNC_CAP}"
+            )
+        return max(int(j), 8)
 
 
 @dataclass(frozen=True)

@@ -252,3 +252,13 @@ def test_verify_verb(capsys):
     assert "[PASS]" in out
     assert main(["verify", "bogus"]) == EXIT_SCHEMA
     capsys.readouterr()
+
+
+def test_walters_truncation_cap_exits_3(tmp_path, capsys):
+    cfg = {
+        "potential": {"kind": "walters", "b": -1, "d": -1, "a": -1, "c": -1, "rho": 0.99999},
+        "beta_grid": [11],
+        "reports": ["pressure"],
+    }
+    assert main(["walters", write_config(tmp_path, cfg)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err

@@ -1,0 +1,161 @@
+"""perron() against the dense eigen-solver it replaced (perron_reference),
+on random potentials and on the near-degenerate examples."""
+
+import itertools
+import math
+
+import mpmath
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron
+from zerotemp.asymptotics import Analysis
+from zerotemp.maxplus import _strongly_connected_components
+from zerotemp.spectral import adjacency_entropy
+from zerotemp.verify import zero_potential
+
+from conftest import two_zero_blocks_potential
+from perron_reference import reference_perron
+
+# dyadic weights of span <= 1 keep the dense reference below a second at
+# beta 128; 0.0 twice so that zero cycles, and near-degenerate clusters of
+# eigenvalues, are common
+NORMALIZED = (0.0, 0.0, -0.25, -0.5, -0.75, -1.0)
+GENERIC = (-1.0, -0.5, 0.0, 0.25, 0.5)
+BETAS = st.sampled_from([1.0, 2.0, 8.0, 32.0, 128.0])
+ORACLE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def _is_irreducible(pot) -> bool:
+    index = {w: i for i, w in enumerate(pot.states)}
+    k = pot.word_length
+    adj = [[] for _ in pot.states]
+    for w in pot.states:
+        for s in range(pot.sft.alphabet_size):
+            if pot.sft.allows(w[-1], s):
+                adj[index[w]].append(index[(w + (s,))[-k:]])
+    return len(_strongly_connected_components(adj)) == 1
+
+
+@st.composite
+def potentials(draw, weights):
+    """A table of ``weights`` on a random SFT with 0 -> 0 allowed, whose
+    word graph is irreducible with at most 9 states; the fixed point 0^inf
+    weighs 0."""
+    a, depth = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    row = st.lists(st.sampled_from([True, True, False]), min_size=a, max_size=a).filter(any)
+    rows = draw(st.lists(row, min_size=a, max_size=a))
+    rows[0][0] = True
+    assume(all(map(any, zip(*rows))))
+    sft = Sft(a, tuple(map(tuple, rows)))
+    words = [w for w in itertools.product(range(a), repeat=depth + 1)
+             if all(sft.allows(u, v) for u, v in zip(w, w[1:]))]
+    values = draw(st.lists(st.sampled_from(weights), min_size=len(words), max_size=len(words)))
+    table = dict(zip(words, values))
+    table[(0,) * (depth + 1)] = 0.0
+    pot = LocallyConstantPotential(sft, depth, table)
+    assume(_is_irreducible(pot))
+    return pot
+
+
+def assert_matches_reference(p, ref):
+    assert p.log_H == pytest.approx(ref["log_H"], abs=1e-9)
+    assert p.mass_k == pytest.approx(ref["mass_k"], abs=1e-12)
+    assert p.log_lambda == pytest.approx(float(ref["log_lambda_mp"]), rel=1e-12, abs=1e-300)
+    lo, hi = p.bracket
+    assert lo < hi
+    with mpmath.workdps(2 * p.dps):
+        # the reference carries rounding of its own, a few units of its last digit
+        slack = ref["lambda"] * mpmath.mpf(10) ** (10 - p.dps)
+        assert lo - slack <= ref["lambda"] <= hi + slack
+
+
+def assert_excess_matches(p, h, ref):
+    """log(P - h) to 1e-12, i.e. P - h to 1e-12 relative, or both zero."""
+    try:
+        got = p.pressure_excess_log(h)
+    except PerronError:
+        got = None
+    with mpmath.workdps(p.dps):
+        excess = ref["log_lambda_mp"] - h
+        resolvable = excess > mpmath.mpf(10) ** (12 - p.dps)
+        expected = float(mpmath.log(excess)) if resolvable else None
+    if expected is None or got is None:
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+@ORACLE
+@given(potentials(NORMALIZED), BETAS)
+def test_normalized_potentials_match_the_dense_reference(pot, beta):
+    an = Analysis(pot)
+    p = an.perron(beta)
+    ref = reference_perron(pot, beta)
+    assert_matches_reference(p, ref)
+    assert_excess_matches(p, an.entropy(beta), ref)
+
+
+@ORACLE
+@given(potentials(GENERIC), BETAS)
+def test_generic_potentials_match_the_dense_reference(pot, beta):
+    assert_matches_reference(perron(pot, beta), reference_perron(pot, beta))
+
+
+@pytest.mark.parametrize("beta", [5.0, 20.0, 50.0])
+def test_near_degenerate_appendix_2x2(beta):
+    # the perturbed selection-flip matrix [[1, g], [g, 1 + e]] with g << e
+    g, e = beta * -2.0, math.log1p(math.exp(beta * -1.0))
+    pot = LocallyConstantPotential(full_shift(1, 0.5), 1, {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): e})
+    assert_matches_reference(perron(pot, 1.0), reference_perron(pot, 1.0))
+
+
+def test_two_zero_blocks_at_beta_512():
+    pot = two_zero_blocks_potential()
+    an = Analysis(pot)
+    p = an.perron(512.0)
+    ref = reference_perron(pot, 512.0)
+    assert_matches_reference(p, ref)
+    assert_excess_matches(p, an.entropy(512.0), ref)
+    assert p.pressure_excess_log(an.entropy(512.0)) / 512.0 == pytest.approx(-2.0, abs=0.01)
+
+
+def test_zero_potential_returns_the_floor():
+    p = perron(zero_potential(), 7.0)
+    ref = reference_perron(zero_potential(), 7.0)
+    assert_matches_reference(p, ref)
+    assert p.bracket[0] < 2 < p.bracket[1]
+    with mpmath.workdps(p.dps):
+        assert p.log_lambda_mp == mpmath.log(2)
+    with pytest.raises(PerronError):
+        p.pressure_excess_log(adjacency_entropy(((1, 1), (1, 1)), p.dps))
+
+
+def test_wrong_floor_and_guess_are_caught_by_the_test():
+    pot = two_zero_blocks_potential()
+    expected = perron(pot, 32.0)
+    # floor e^{log 3} above the root, and floor e^0 with a far guess
+    for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None), (0.0, ((1,),), -40.0)]:
+        p = perron(pot, 32.0, floor=floor)
+        assert p.log_H == expected.log_H
+        assert p.mass_k == expected.mass_k
+        assert p.log_lambda == expected.log_lambda
+
+
+def test_missing_zero_state_still_raises():
+    sft = Sft(2, ((False, True), (True, True)))
+    table = {"010": -1.0, "011": -1.0, "101": -1.0, "110": -1.0, "111": 0.0}
+    with pytest.raises(PerronError):
+        perron(LocallyConstantPotential.from_table(sft, table), 4.0)
+
+
+def test_adjacency_entropy():
+    golden = ((1, 1), (1, 0))
+    assert adjacency_entropy(golden) == pytest.approx(math.log((1 + math.sqrt(5)) / 2), rel=1e-15)
+    assert adjacency_entropy(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 0.0  # a cycle
+    with mpmath.workdps(60):
+        exact = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        assert abs(adjacency_entropy(golden, 50) - exact) < mpmath.mpf(10) ** -49
+    with mpmath.workdps(40):
+        assert adjacency_entropy(((1, 1), (1, 1)), 40) == mpmath.log(2)

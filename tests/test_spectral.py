@@ -6,6 +6,9 @@ import pytest
 from zerotemp import (
     LocallyConstantPotential,
     PerronError,
+    PositiveCycleError,
+    decompose_aubry,
+    word_graph,
     equilibrium_cylinder_mass,
     full_shift,
     golden_mean_shift,
@@ -152,3 +155,14 @@ def test_normalization_check():
         sft, {"00": -0.5, "01": -1.0, "10": -1.0, "11": -0.5}
     )
     assert not shifted.is_normalized_for_optimization()
+
+
+def test_normalization_uses_the_aubry_rule():
+    # the cycle 0 -> 1 -> 2 -> 0 weighs 2e-12 (mean 6.7e-13): positive beyond
+    # the zero-cycle tolerance, so neither check may accept it
+    table = {w: -1.0 for w in ("00", "02", "10", "11", "21", "22")}
+    table.update({"01": 1e-12, "12": 1e-12, "20": 0.0})
+    pot = LocallyConstantPotential.from_table(full_shift(2, 0.5), table)
+    assert not pot.is_normalized_for_optimization()
+    with pytest.raises(PositiveCycleError):
+        decompose_aubry(word_graph(pot))

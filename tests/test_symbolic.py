@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from zerotemp import Sft, enumerate_words, full_shift, golden_mean_shift
@@ -53,3 +56,12 @@ def test_is_admissible():
     assert is_admissible(sft, (0, 1, 0))
     assert not is_admissible(sft, (1, 1))
     assert not is_admissible(sft, (0, 5))
+
+
+def test_words_are_freed_with_the_sft():
+    sft = Sft(3, ((True, True, False), (True, False, True), (False, True, True)))
+    assert enumerate_words(sft, 3) == enumerate_words(sft, 3)
+    ref = weakref.ref(sft)
+    del sft
+    gc.collect()
+    assert ref() is None

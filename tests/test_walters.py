@@ -134,6 +134,17 @@ def test_series_divergence_detected():
         walters_cylinder_ratio(W4, big, 50.0, p)
 
 
+def test_truncation_cap_raises_instead_of_a_wrong_pressure():
+    # rho^J / (1 - rho) < 1e-15 needs J of about 3.9e6 terms at rho 0.99999;
+    # the 1e5-term cap left rho^J = 0.37 and a pressure off by 6e-4
+    w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0, rho=0.99999)
+    with pytest.raises(SeriesDivergenceError):
+        w.default_trunc()
+    with pytest.raises(SeriesDivergenceError):
+        walters_pressure(w, 11.0)
+    assert WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0, rho=0.999).default_trunc() < 10**5
+
+
 def test_series_small_terms_negligible():
     # head of the weighted series is tiny compared to the analytic tail
     beta = 150.0
