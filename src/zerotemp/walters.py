@@ -9,13 +9,22 @@ B(x) = a_beta on [0].
 
 Series are evaluated in log domain: at large inverse temperature the terms
 span hundreds of orders of magnitude and the sums themselves overflow floats,
-so only their logarithms are ever materialized.
+so only their logarithms are ever materialized.  Each tail series
+sum_j (j+1)^w e^{beta A_j - jz} is a numpy head of at most a few thousand
+terms, whose z-free exponents are computed once per (total, rho, beta),
+plus an exact tail: past the head e^{beta A_j} is expanded in powers of
+rho^j, and each power is a geometric series in closed form.  One
+evaluation gives the plain and the (j+1)-weighted sum, so the pressure
+equation comes with its derivative and is solved by safeguarded Newton on
+log P.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .maxplus import MaxPlusMatrix, mp_2x2_closed_form
 from .spectral import LocallyConstantPotential, perron
@@ -46,6 +55,8 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_MASS_0 = (10.0 + 2.0 * math.sqrt(5.0)) / 20.0
 
 TRUNC_CAP = 10**5
+# the series tails stop at terms below 2^-60 of the largest
+_TAIL_DIGITS = 60.0 * math.log(2.0)
 
 
 class SeriesDivergenceError(ValueError):
@@ -142,6 +153,14 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
+def _sigmoid(x: float) -> float:
+    """1 / (1 + e^{-x}), the derivative of _softplus."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
 def _logaddexp(x: float, y: float) -> float:
     if x == -math.inf:
         return y
@@ -151,75 +170,150 @@ def _logaddexp(x: float, y: float) -> float:
     return m + math.log1p(math.exp(min(x, y) - m))
 
 
+def _log_sum(exponents) -> float:
+    """log sum_i e^{exponents_i} for a nonempty array."""
+    top = float(exponents.max())
+    return top + math.log(float(np.exp(exponents - top).sum()))
+
+
+class _Series:
+    """S_w(z) = sum_{j>=1} (j+1)^w e^{beta A_j - j z}, w in {0, 1}, for one
+    tail total: A_j = total (1 - rho^j).
+
+    The head j < J is summed term by term; its z-free exponents beta A_j
+    are one array, computed once.  The tail j >= J is exact: with
+    c = -beta total > 0, e^{beta A_j} = e^{-c} sum_m (c rho^j)^m / m!, so
+    sum_{j>=J} = e^{-c} sum_m c^m/m! sum_{j>=J} (j+1)^w (rho^m e^{-z})^j,
+    every term positive and every inner sum geometric.  J is the smallest
+    J >= 8 with c rho^J <= 1 (capped by trunc), so the m-sum converges like
+    the exponential series; it stops at the first m past c rho^J whose
+    term is below 2^-60 of the largest, which bounds it for every z, since
+    the geometric factors only fall with m.
+    """
+
+    def __init__(self, total: float, rho: float, beta: float, trunc: int):
+        c = -beta * total
+        log_rho = math.log(rho)
+        head_len = 8
+        if c * rho**head_len > 1.0:
+            head_len = math.ceil(math.log(c) / -log_rho)
+        self._head_len = max(2, min(head_len, trunc))
+        j = np.arange(1.0, self._head_len)
+        self._j = j
+        self._weights = j + 1.0
+        self._head = beta * total * (1.0 - rho**j)
+        x = c * rho**self._head_len
+        log_x = math.log(c) + self._head_len * log_rho
+        coeffs = []
+        top = -math.inf
+        while True:
+            m = len(coeffs)
+            t = m * log_x - math.lgamma(m + 1)
+            top = max(top, t)
+            if m > x and t < top - _TAIL_DIGITS:
+                break
+            coeffs.append(t)
+        m = np.arange(float(len(coeffs)))
+        self._m_log_rho = m * log_rho
+        self._tail = np.array(coeffs) - c
+
+    def __call__(self, z: float) -> tuple[float, float]:
+        """(log S_0(z), log S_1(z))."""
+        if z <= 0.0:
+            raise SeriesDivergenceError(
+                f"series exponent z = {z} is not positive (perturbation >= pressure)"
+            )
+        head = self._head - z * self._j
+        top = float(head.max())
+        terms = np.exp(head - top)
+        log_head = top + math.log(float(terms.sum()))
+        log_head_w = top + math.log(float(terms @ self._weights))
+        # sum_{j>=J} y^j = y^J / (1-y); sum_{j>=J} (j+1) y^j = y^J (1 + J(1-y)) / (1-y)^2
+        log_y = self._m_log_rho - z
+        one_minus_y = -np.expm1(log_y)
+        log_q = np.log(one_minus_y)
+        tail = self._tail - self._head_len * z - log_q
+        tail_w = tail + np.log1p(self._head_len * one_minus_y) - log_q
+        return (
+            _logaddexp(log_head, _log_sum(tail)),
+            _logaddexp(log_head_w, _log_sum(tail_w)),
+        )
+
+
 def _log_series(total: float, rho: float, beta: float, z: float, trunc: int,
                 weighted: bool) -> float:
-    """log of sum_{j>=1} (j+1)^w exp(beta*total*(1-rho^j) - j z), w in {0,1}.
+    """log of sum_{j>=1} (j+1)^w exp(beta*total*(1-rho^j) - j z), w in {0,1},
+    with at most trunc head terms and the rest in closed form."""
+    return _Series(total, rho, beta, trunc)(z)[int(weighted)]
 
-    Head terms up to trunc are summed after alignment to the running maximum;
-    past trunc the exponent is constant in the rho^j part and the remaining
-    geometric tail (plain or (j+1)-weighted) is added in closed form.
+
+def _pressure_equation(w: WaltersPotential, beta: float, trunc: int):
+    """t -> (f(t), f'(t)) for the log of the renewal equation at P = e^t,
+    f(t) = beta(b+d) + softplus(log S_a(P)) + softplus(log S_c(P)) - 2P,
+    strictly decreasing.  f' comes from the same evaluation:
+    d log S/dz = -(S_w/S - 1), so
+    f'(t) = -P (sigma(log S_a)(S_w,a/S_a - 1) + sigma(log S_c)(S_w,c/S_c - 1) + 2).
     """
-    if z <= 0.0:
-        raise SeriesDivergenceError(
-            f"series exponent z = {z} is not positive (perturbation >= pressure)"
+    series_a = _Series(w.a, w.rho, beta, trunc)
+    series_c = _Series(w.c, w.rho, beta, trunc)
+    bd = beta * (w.b + w.d)
+
+    def f(t: float) -> tuple[float, float]:
+        p = math.exp(t)
+        la, la_w = series_a(p)
+        lc, lc_w = series_c(p)
+        # P (S_w/S - 1) = e^{t + log S_w - log S} - P, with S_w >= 2S
+        slope = (
+            _sigmoid(la) * (math.exp(t + la_w - la) - p)
+            + _sigmoid(lc) * (math.exp(t + lc_w - lc) - p)
         )
-    exponents = []
-    for j in range(1, trunc):
-        t = beta * total * (1.0 - rho**j) - j * z
-        if weighted:
-            t += math.log(j + 1)
-        exponents.append(t)
-    k = trunc
-    x = math.exp(-z)
-    one_minus_x = -math.expm1(-z)
-    tail = beta * total - k * z - math.log(one_minus_x)
-    if weighted:
-        # sum_{j>=k} (j+1) x^j = x^k (k+1-k x) / (1-x)^2
-        tail += math.log(k + 1 - k * x) - math.log(one_minus_x)
-    exponents.append(tail)
-    m = max(exponents)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in exponents))
+        return bd + _softplus(la) + _softplus(lc) - 2.0 * p, -slope - 2.0 * p
+
+    return f
 
 
 def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None,
                      tol: float = 1e-15) -> float:
     """Unique positive root P of
     e^{2P} = e^{beta(b+d)} (1 + sum_j e^{beta A_j - jP})(1 + sum_j e^{beta C_j - jP})
-    with A_j, C_j the tail partial sums; bisection on log P.
+    with A_j, C_j the tail partial sums.
+
+    Newton's method on t = log P (see _pressure_equation), from beta*gamma,
+    inside a bracket; a step that leaves the bracket is replaced by
+    bisection.  It stops at a step below tol or 4 ulp of t: rounding in f
+    leaves t no finer resolution.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if trunc is None:
         trunc = w.default_trunc()
-    gamma = walters_gamma(w)
-
-    def f(t: float) -> float:
-        p = math.exp(t)
-        la = _log_series(w.a, w.rho, beta, p, trunc, False)
-        lc = _log_series(w.c, w.rho, beta, p, trunc, False)
-        return beta * (w.b + w.d) + _softplus(la) + _softplus(lc) - 2.0 * p
-
-    lo = beta * gamma - 10.0
+    f = _pressure_equation(w, beta, trunc)
+    t = beta * walters_gamma(w)
+    lo = t - 10.0
     hi = math.log(math.log(2.0)) + 1.0
     tries = 0
-    while f(lo) <= 0.0:
+    while f(lo)[0] <= 0.0:
         lo -= 20.0
         tries += 1
         if tries > 50:
             raise BracketError("lower bracket for log P not found")
-    if f(hi) >= 0.0:
+    if f(hi)[0] >= 0.0:
         raise BracketError("upper bracket for log P not found")
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo < tol:
-            break
-        if f(mid) > 0.0:
-            lo = mid
+        value, slope = f(t)
+        if value > 0.0:
+            lo = t
         else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+            hi = t
+        step = -value / slope
+        if abs(step) <= max(tol, 4.0 * math.ulp(t)):
+            return math.exp(t + step)
+        t += step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if hi - lo <= max(tol, 4.0 * math.ulp(t)):
+                break
+    return math.exp(t)
 
 
 def walters_cylinder_ratio(w: WaltersPotential, pert: FirstCoordPerturbation,
@@ -232,25 +326,12 @@ def walters_cylinder_ratio(w: WaltersPotential, pert: FirstCoordPerturbation,
     """
     if trunc is None:
         trunc = w.default_trunc()
-    z0 = p - pert.a_beta
-    z1 = p
-    log_s0 = (
-        _softplus(_log_series(w.a, w.rho, beta, z0, trunc, True))
-        - _softplus(_log_series(w.a, w.rho, beta, z0, trunc, False))
-    )
-    log_s1 = (
-        _softplus(_log_series(w.c, w.rho, beta, z1, trunc, True))
-        - _softplus(_log_series(w.c, w.rho, beta, z1, trunc, False))
-    )
-    t = log_s0 - log_s1
+    l0, l0_w = _Series(w.a, w.rho, beta, trunc)(p - pert.a_beta)
+    l1, l1_w = _Series(w.c, w.rho, beta, trunc)(p)
+    t = (_softplus(l0_w) - _softplus(l0)) - (_softplus(l1_w) - _softplus(l1))
     ratio = math.exp(t) if t < 709.0 else math.inf
-    # mu0 = 1 / (1 + e^{-t}), computed on the stable side
-    if t >= 0:
-        mu0 = 1.0 / (1.0 + math.exp(-t))
-    else:
-        e = math.exp(t)
-        mu0 = e / (1.0 + e)
-    return ratio, mu0
+    # mu0 = S0 / (S0 + S1) = 1 / (1 + e^{-t})
+    return ratio, _sigmoid(t)
 
 
 def walters_asymptotic_ratio(w: WaltersPotential, p: float, beta: float) -> float:
@@ -411,6 +492,23 @@ def _rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / max(abs(expected), 1e-300)
 
 
+def _appendix_chains(gamma_p: float, eta: float, beta: float):
+    """The perturbed and unperturbed depth-1 tables (beta already applied),
+    each with its perron floor (m, adj, gamma) in closed form.
+
+    Perturbed: the loop at 1 weighs m = log(1 + e^{beta eta}) > 0, the
+    largest cycle mean; its Aubry set is that loop, and the best way back
+    to it in A - m is 1 -> 0 -> 1, of weight 2 beta gamma_p - 2m.
+    Unperturbed: m = 0, both loops are Aubry components of entropy 0, and
+    the max-plus rate of their cost matrix is the 2-cycle mean beta gamma_p.
+    """
+    g = beta * gamma_p
+    m = math.log1p(math.exp(beta * eta))
+    perturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): m}
+    unperturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): 0.0}
+    return (perturbed, (m, ((1,),), 2.0 * g - 2.0 * m)), (unperturbed, (0.0, ((1,),), g))
+
+
 def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample:
     """Evaluate the selection-flip example and cross-check against perron().
 
@@ -428,20 +526,13 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
     p_unpert = math.log1p(math.exp(beta * gamma_p))
 
     sft = full_shift(1, 0.5)
-    table_pert = {
-        (0, 0): 0.0,
-        (0, 1): beta * gamma_p,
-        (1, 0): beta * gamma_p,
-        (1, 1): math.log1p(math.exp(beta * eta)),
-    }
-    pd_pert = perron(LocallyConstantPotential(sft, 1, table_pert), beta=1.0)
-    table_unpert = {
-        (0, 0): 0.0,
-        (0, 1): beta * gamma_p,
-        (1, 0): beta * gamma_p,
-        (1, 1): 0.0,
-    }
-    pd_unpert = perron(LocallyConstantPotential(sft, 1, table_unpert), beta=1.0)
+    (table_pert, floor_pert), (table_unpert, floor_unpert) = _appendix_chains(
+        gamma_p, eta, beta
+    )
+    pd_pert = perron(LocallyConstantPotential(sft, 1, table_pert), 1.0, floor=floor_pert)
+    pd_unpert = perron(
+        LocallyConstantPotential(sft, 1, table_unpert), 1.0, floor=floor_unpert
+    )
 
     errs = [
         _rel_err(math.exp(pd_pert.log_lambda), lambda_tilde),

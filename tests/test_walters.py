@@ -1,15 +1,22 @@
+import collections
+import dataclasses
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerotemp import (
     GOLDEN_MASS_0,
     GOLDEN_RATIO,
     FirstCoordPerturbation,
+    LocallyConstantPotential,
     SeriesDivergenceError,
     WaltersPotential,
     appendix_example,
     classify_regime,
+    full_shift,
     mp_eigenvalue,
     perturbation_stability_experiment,
     subaction_offset_estimate,
@@ -18,8 +25,10 @@ from zerotemp import (
     walters_gamma,
     walters_pressure,
 )
+from zerotemp import aubry, walters
+from zerotemp.aubry import critical_floor
 from zerotemp.verify import regime_potentials
-from zerotemp.walters import _log_series
+from zerotemp.walters import _appendix_chains, _log_series, _pressure_equation
 
 
 W4 = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-3.0)
@@ -251,3 +260,165 @@ def test_appendix_selection_flip():
     assert appendix_example(-2.0, -1.0, 20.0).p0 <= 1e-8
     rate = math.log(appendix_example(-2.0, -1.0, 50.0).h1_pert) / 50.0
     assert rate == pytest.approx(1.0, abs=0.02)
+
+
+def test_appendix_floors_match_critical_floor():
+    # the closed-form floors that appendix_example hands to perron agree
+    # with the ones perron would derive (Karp, Aubry decomposition, Karp),
+    # up to Karp's rounding of m; the betas keep the perturbed loop weight
+    # m = log(1 + e^{beta eta}) above ZERO_CYCLE_TOL, below which the Aubry
+    # rule counts the loop at 0 as critical too
+    sft = full_shift(1, 0.5)
+    for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
+        for beta in (1.0, 2.0, 5.0, 10.0):
+            for table, (m, adj, gamma) in _appendix_chains(gamma_p, eta, beta):
+                m_ref, adj_ref, gamma_ref = critical_floor(
+                    LocallyConstantPotential(sft, 1, table)
+                )
+                assert m == pytest.approx(m_ref, rel=1e-12, abs=1e-15)
+                assert adj == adj_ref
+                assert gamma == pytest.approx(gamma_ref, rel=1e-12, abs=1e-14)
+
+
+def test_appendix_example_derives_no_floor(monkeypatch):
+    calls = []
+    monkeypatch.setattr(aubry, "critical_floor", lambda pot: calls.append(pot))
+    assert appendix_example(-2.0, -1.0, 20.0).max_rel_err <= 1e-10
+    assert calls == []
+
+
+# ------------------------------------------------------------ mpmath oracle
+#
+# An independent evaluation of the series at 40 digits: a head of a fixed
+# ORACLE_HEAD terms summed directly, and the rest by expanding
+# e^{c rho^j} = sum_m (c rho^j)^m / m!, c = -beta*total, each m a geometric
+# sum in closed form; no logarithms until the end.
+
+ORACLE_HEAD = 24
+ORACLE_DPS = 40
+DYADIC = st.sampled_from([-0.25, -0.5, -0.75, -1.0, -1.25, -1.5, -1.75, -2.0])
+ORACLE_RHOS = st.sampled_from([0.5, 0.9, 0.99, 0.999])
+ORACLE_BETAS = st.sampled_from([25.0, 50.0, 100.0, 150.0])
+
+
+def oracle_series(total, rho, beta, z):
+    """(S_0(z), S_1(z)) as mpf, S_w = sum_{j>=1} (j+1)^w e^{beta total (1 - rho^j) - j z}."""
+    total, rho, beta, z = map(mpmath.mpf, (total, rho, beta, z))
+    c = -beta * total
+    big_j = ORACLE_HEAD
+    plain = weighted = mpmath.mpf(0)
+    for j in range(1, big_j):
+        term = mpmath.exp(-c * (1 - rho**j) - j * z)
+        plain += term
+        weighted += (j + 1) * term
+    # sum_{j>=J} y^j = y^J / (1-y), sum_{j>=J} (j+1) y^j = y^J (1 + J(1-y)) / (1-y)^2,
+    # y = rho^m e^{-z}, 1 - y = (1 - rho^m) + rho^m (1 - e^{-z})
+    x = c * rho**big_j
+    q = -mpmath.expm1(-z)
+    coeff = mpmath.exp(-c - big_j * z)  # e^{-c} (c rho^J)^m / m! e^{-Jz}
+    rho_m = mpmath.mpf(1)
+    tail = tail_w = mpmath.mpf(0)
+    m = 0
+    while True:
+        one_minus_y = (1 - rho_m) + rho_m * q
+        term = coeff / one_minus_y
+        tail += term
+        tail_w += term * (1 + big_j * one_minus_y) / one_minus_y
+        if m > x and term < tail * mpmath.mpf(10) ** -(ORACLE_DPS + 5):
+            break
+        m += 1
+        coeff *= x / m
+        rho_m *= rho
+    return plain + tail, weighted + tail_w
+
+
+def oracle_pressure(w, beta):
+    """Root in t = log P of the renewal equation, by mpmath.findroot
+    (Anderson-Björck) on the bracket [beta*gamma - 10, beta*gamma + 10]."""
+
+    def f(t):
+        p = mpmath.exp(t)
+        s_a, _ = oracle_series(w.a, w.rho, beta, p)
+        s_c, _ = oracle_series(w.c, w.rho, beta, p)
+        return beta * (mpmath.mpf(w.b) + w.d) + mpmath.log1p(s_a) + mpmath.log1p(s_c) - 2 * p
+
+    t0 = beta * walters_gamma(w)
+    return mpmath.exp(mpmath.findroot(f, (t0 - 10, t0 + 10), solver="anderson"))
+
+
+def oracle_mu0(w, beta, p, a_beta):
+    s_a, s_a_w = oracle_series(w.a, w.rho, beta, mpmath.mpf(p) - a_beta)
+    s_c, s_c_w = oracle_series(w.c, w.rho, beta, p)
+    s0 = (1 + s_a_w) / (1 + s_a)
+    s1 = (1 + s_c_w) / (1 + s_c)
+    return s0 / (s0 + s1)
+
+
+def check_against_oracle(w, beta, trunc=None, sign=0.0):
+    with mpmath.workdps(ORACLE_DPS):
+        p = walters_pressure(w, beta, trunc)
+        assert p == pytest.approx(float(oracle_pressure(w, beta)), rel=1e-12, abs=0.0)
+        a_beta = sign * math.exp(beta * (walters_gamma(w) - 0.5))
+        _, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation(a_beta), beta, p, trunc)
+        assert mu0 == pytest.approx(float(oracle_mu0(w, beta, p, a_beta)), rel=1e-12, abs=0.0)
+        for total in (w.a, w.c):
+            for z in (2.0**-6, 0.25, 2.0):
+                s, s_w = oracle_series(total, w.rho, beta, z)
+                series_trunc = w.default_trunc() if trunc is None else trunc
+                for weighted, exact in ((False, s), (True, s_w)):
+                    got = _log_series(total, w.rho, beta, z, series_trunc, weighted)
+                    assert got == pytest.approx(float(mpmath.log(exact)), rel=0.0, abs=1e-13)
+
+
+@given(b=DYADIC, d=DYADIC, a=DYADIC, c=DYADIC, rho=ORACLE_RHOS, beta=ORACLE_BETAS,
+       sign=st.sampled_from([0.0, 1.0, -1.0]))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_pressure_and_masses_against_mpmath_oracle(b, d, a, c, rho, beta, sign):
+    check_against_oracle(WaltersPotential(b=b, d=d, a=a, c=c, rho=rho), beta, sign=sign)
+
+
+def test_short_head_is_exact():
+    # trunc caps the head only: at 8 head terms the tail carries the
+    # e^{c rho^j} factor exactly (c rho^8 of 23 to 69 here); summed as
+    # e^{beta*total} past the head, these pressures were 2.2e-3 and 1.3e-3 low
+    w = dataclasses.replace(W4, rho=0.99)
+    check_against_oracle(w, 25.0, trunc=8)
+    check_against_oracle(w, 25.0, trunc=8, sign=1.0)
+    check_against_oracle(WaltersPotential(b=-0.5, d=-0.75, a=-2.0, c=-1.0, rho=0.99), 25.0, trunc=8)
+
+
+# ------------------------------------------------------------ solve cost
+
+
+def test_pressure_solve_evaluates_each_series_at_most_12_times(monkeypatch):
+    # bracket probes included; bisection took about 55 steps of 2 series
+    calls = collections.Counter()
+    call = walters._Series.__call__
+
+    def counted(self, z):
+        calls[id(self)] += 1
+        return call(self, z)
+
+    monkeypatch.setattr(walters._Series, "__call__", counted)
+    for w in regime_potentials().values():
+        for scale in (0.5, 0.75, 1.0):
+            scaled = WaltersPotential(b=scale * w.b, d=scale * w.d, a=scale * w.a,
+                                      c=scale * w.c, rho=w.rho)
+            for rho in (0.5, 0.9, 0.99, 0.999):
+                for beta in (25.0, 50.0, 100.0, 150.0):
+                    calls.clear()
+                    walters_pressure(dataclasses.replace(scaled, rho=rho), beta)
+                    assert len(calls) == 2 and max(calls.values()) <= 12
+
+
+def test_newton_slope_matches_central_difference():
+    for w in regime_potentials().values():
+        for rho in (0.5, 0.99):
+            for beta in (25.0, 150.0):
+                w_rho = dataclasses.replace(w, rho=rho)
+                f = _pressure_equation(w_rho, beta, w_rho.default_trunc())
+                t_root = math.log(walters_pressure(w_rho, beta))
+                for t in (t_root - 2.0, t_root, t_root + 0.5):
+                    h = 1e-5
+                    numeric = (f(t + h)[0] - f(t - h)[0]) / (2.0 * h)
+                    assert f(t)[1] == pytest.approx(numeric, rel=1e-6)
