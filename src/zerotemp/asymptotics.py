@@ -18,7 +18,7 @@ from .aubry import (
     EmptyAubrySetError,
     PositiveCycleError,
     decompose_aubry,
-    mane_potential,
+    max_plus_subaction,
     word_graph,
 )
 from .maxplus import NEG_INF, NoEigenvalueError, mp_eigenvectors
@@ -95,18 +95,19 @@ class Analysis:
 
     @cached_property
     def floor(self):
-        """(0, adjacency of a largest-entropy component, gamma) for
-        ``perron``; None when the potential is not normalized, and perron
-        finds its own."""
+        """(0, adjacency of a largest-entropy component, gamma, max-plus
+        subaction) for ``perron``, gamma and the subaction None when the
+        cost matrix has no eigenvector; None when the potential is not
+        normalized, and perron finds its own."""
         try:
             d = self.decomposition
         except (PositiveCycleError, EmptyAubrySetError):
             return None
         try:
-            gamma = self.gamma_maxplus
+            gamma, v = self.gamma_maxplus, self.subaction_maxplus
         except NoEigenvalueError:
-            gamma = None
-        return 0.0, d.adjacency(d.entropies.index(d.h)), gamma
+            gamma = v = None
+        return 0.0, d.adjacency(d.entropies.index(d.h)), gamma, v
 
     @cached_property
     def gamma_maxplus(self) -> float:
@@ -121,20 +122,11 @@ class Analysis:
         """V_rec(x) = max_j [V(Sigma_j) + S_j(x)], with the first max-plus
         eigenvector as the offsets V(Sigma_j), vanishing at the all-zeros word."""
         g = self.graph
-        comps = [self.decomposition.components[j] for j in self.decomposition.maximal_set]
-        lead = [float(x) for x in self.eigenvectors.eigenvectors[0]]
-        v_rec = [
-            max(
-                (o + (0.0 if x in c else mane_potential(g, c[0], x)) for o, c in zip(lead, comps)),
-                default=NEG_INF,
-            )
-            for x in range(g.n)
-        ]
         zero_word = tuple([0] * self.pot.word_length)
         if zero_word not in g.nodes:
             raise PerronError(f"state {zero_word} is not admissible, so V cannot vanish at it")
-        anchor = v_rec[g.nodes.index(zero_word)]
-        return tuple(x if x == NEG_INF else x - anchor for x in v_rec)
+        lead = [float(x) for x in self.eigenvectors.eigenvectors[0]]
+        return max_plus_subaction(g, self.decomposition, lead, g.nodes.index(zero_word))
 
 
 def _analysis_for(pot, analysis, tol: float = 1e-14) -> Analysis:

@@ -24,6 +24,7 @@ from .maxplus import (
     _closure,
     critical_graph,
     mp_eigenvalue,
+    mp_eigenvectors,
 )
 from .spectral import LocallyConstantPotential, adjacency_entropy
 
@@ -36,6 +37,7 @@ __all__ = [
     "max_cycle_mean",
     "mane_potential",
     "decompose_aubry",
+    "max_plus_subaction",
     "critical_floor",
     "symmetrized_mane_check",
 ]
@@ -208,21 +210,47 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     )
 
 
+def max_plus_subaction(g: WordGraph, d: AubryDecomposition, offsets, anchor: int) -> tuple[float, ...]:
+    """V(x) = max_j [offsets_j + S(Sigma_j, x)] over the maximal components
+    Sigma_j of d (S = 0 on Sigma_j itself), shifted to vanish at node
+    ``anchor``: with the offsets a max-plus eigenvector of the maximal cost
+    matrix, a calibrated subaction, max_u [A(u v) + V(u)] = V(v)."""
+    comps = [d.components[j] for j in d.maximal_set]
+    v = [
+        max(
+            (o + (0.0 if x in c else mane_potential(g, c[0], x)) for o, c in zip(offsets, comps)),
+            default=NEG_INF,
+        )
+        for x in range(g.n)
+    ]
+    return tuple(x if x == NEG_INF else x - v[anchor] for x in v)
+
+
 def critical_floor(pot: LocallyConstantPotential):
-    """(m, adj, gamma): the maximum cycle mean m of the word graph, the
-    critical adjacency of a component of largest entropy h of A - m, and
-    the max-plus eigenvalue gamma of the cost matrix of those components
-    (None if it has no cycle).  e^{beta m + h} is the floor under the
-    Perron root at beta, and beta*gamma the rate of the excess over it.
-    None when rounding of m leaves A - m with no Aubry decomposition."""
+    """(m, adj, gamma, V): the maximum cycle mean m of the word graph, the
+    critical adjacency of a component of largest entropy h of A - m, the
+    max-plus eigenvalue gamma of the cost matrix of those components and
+    the max-plus subaction V of A - m, vanishing at the all-zeros word
+    (gamma and V None if that cost matrix has no eigenvector, V None
+    without an all-zeros word).  e^{beta m + h} is the floor under the
+    Perron root at beta, beta*gamma the rate of the excess over it, and
+    e^{beta V} the diagonal scaling of perron.  None when rounding of m
+    leaves A - m with no Aubry decomposition."""
     g = word_graph(pot)
     m = max_cycle_mean(g)
+    shifted = WordGraph(g.nodes, tuple((u, v, w - m) for u, v, w in g.edges))
     try:
-        d = decompose_aubry(WordGraph(g.nodes, tuple((u, v, w - m) for u, v, w in g.edges)))
+        d = decompose_aubry(shifted)
     except (PositiveCycleError, EmptyAubrySetError):
         return None
+    adj = d.adjacency(d.entropies.index(d.h))
     try:
-        gamma = mp_eigenvalue(d.maximal_cost())
+        eig = mp_eigenvectors(d.maximal_cost())
     except NoEigenvalueError:
-        gamma = None
-    return m, d.adjacency(d.entropies.index(d.h)), gamma
+        return m, adj, None, None
+    zero = tuple([0] * pot.word_length)
+    v = None
+    if zero in g.nodes:
+        offsets = [float(x) for x in eig.eigenvectors[0]]
+        v = max_plus_subaction(shifted, d, offsets, g.nodes.index(zero))
+    return m, adj, float(eig.eigenvalue), v

@@ -7,13 +7,19 @@ produced in log-domain form.
 At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
 maximum cycle mean, h the largest entropy of a critical component), so
-fixed-precision iteration cannot separate them.  perron() works with mpmath
-at a precision chosen from the magnitude of the matrix exponents and solves
-for the dominant pair only.  It brackets s = log(rho - floor), where the
+fixed-precision iteration cannot separate them.  perron() solves for the
+dominant pair only, with mpmath, on the tropically scaled matrix
+S = e^{-beta*m} D^-1 M D, D = diag(e^{beta*V}) for a max-plus subaction V
+of A - m: every entry of S is at most 1 and the critical ones equal 1, so
+the precision follows the excess, E = beta*|gamma|/ln10 + 15 digits, not
+the spread of the matrix.  It brackets s = log(rho - floor), where the
 cluster is spread out, with the M-matrix test (mu > rho exactly when
-elimination of mu*I - M without pivoting has only positive pivots), narrows
-the bracket by regula falsi on det(mu*I - M), and takes H and nu by inverse
-iteration at its upper end.  The bracket is kept as the certificate.
+elimination of mu*I - S without pivoting has only positive pivots), narrows
+the bracket by regula falsi on det(mu*I - S) to R = 60 digits of the excess
+at E + R + 30 digits, and takes H and nu by inverse iteration at its upper
+end.  The bracket is the certificate: both ends are probed again at twice
+the working precision, and when a probe disagrees the solve is repeated
+from the old bracket at 2E + R + 30 digits.
 """
 
 from __future__ import annotations
@@ -39,9 +45,17 @@ __all__ = [
 
 ITERATION_NOTE = "matrix may be reducible or periodic"
 
-# bounds on the probes of one bracket and on the inverse-iteration steps
+# bounds on the probes of one bracket, on the inverse-iteration steps and
+# on the solves that a failed confirmation repeats at a higher precision
 _MAX_PROBES = 400
 _MAX_STEPS = 100
+_MAX_ESCALATIONS = 6
+
+# digits of the excess beyond beta*|gamma|/ln10, digits of the excess that
+# the bracket resolves, and guard digits (E, R and G of perron_core)
+_EXCESS_SLACK = 15
+_RESOLVED = 60
+_GUARD = 30
 
 
 class PerronError(RuntimeError):
@@ -146,9 +160,11 @@ class PerronData:
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
     equilibrium-measure masses of the k-word cylinders.  ``bracket`` is the
     certificate (lo, hi) of the Perron root, both at ``dps`` digits: the
-    M-matrix test fails at lo and passes at hi, so lo <= root < hi.  lambda
-    is hi, or the max-plus floor when the root lies within the resolution
-    of it (zero excess).
+    M-matrix test fails at lo and passes at hi, so lo <= root < hi, and it
+    gave the same answers again at ``certified_dps`` digits.
+    ``escalations`` counts the solves that a disagreeing probe sent to a
+    higher precision.  lambda is hi, or the max-plus floor when the root
+    lies within the resolution of it (zero excess).
     """
 
     beta: float
@@ -161,43 +177,33 @@ class PerronData:
     log_matrix: np.ndarray
     dps: int
     bracket: tuple
+    certified_dps: int
+    escalations: int
 
     @property
     def words(self) -> list[tuple[int, ...]]:
         return self.pot.states
 
     def pressure_excess_log(self, h_mp) -> float:
-        """log(P - h); raises if the excess is not resolvably positive.
+        """log(P - h); raises unless the certified bracket lies above e^h
+        by more than 10^-E relative, E = dps - R - G the digits that the
+        excess was sized to occupy.
 
         log_lambda_mp carries the working precision it was produced at, so
-        the cancellation P - h is accurate whenever the excess exceeds the
-        stored resolution.
+        the cancellation P - h is accurate whenever the excess is resolved.
         """
+        with mpmath.workdps(self.dps):
+            resolvable = 1 + mpmath.mpf(10) ** (_RESOLVED + _GUARD - self.dps)
+            if not self.bracket[0] > mpmath.exp(h_mp) * resolvable:
+                raise PerronError(
+                    f"pressure excess P - h = {mpmath.nstr(self.log_lambda_mp - h_mp, 6)} "
+                    "is not resolvably positive (h misidentified or potential "
+                    "has zero excess)"
+                )
         # the subtraction is exact before rounding; 113 bits leave enough
         # guard bits for the float log to be correctly rounded
         with mpmath.workprec(113):
-            excess = self.log_lambda_mp - h_mp
-            if excess <= mpmath.mpf(10) ** (-_excess_floor_digits(self.log_matrix)):
-                raise PerronError(
-                    f"pressure excess P - h = {mpmath.nstr(excess, 6)} is not "
-                    "resolvably positive (h misidentified or potential has "
-                    "zero excess)"
-                )
-            return float(mpmath.log(excess))
-
-
-def _excess_floor_digits(log_entries: np.ndarray) -> int:
-    # the excess decays no faster than a simple path cost, <= n * span
-    finite = log_entries[np.isfinite(log_entries)]
-    span = float(-finite.min()) if finite.size else 0.0
-    return int(log_entries.shape[0] * span / math.log(10)) + 12
-
-
-def _working_dps(log_entries: np.ndarray) -> int:
-    finite = log_entries[np.isfinite(log_entries)]
-    span = float(finite.max() - finite.min()) if finite.size else 0.0
-    n = log_entries.shape[0]
-    return 45 + int((n + 0.5) * span / math.log(10)) + 2 * n
+            return float(mpmath.log(self.log_lambda_mp - h_mp))
 
 
 def _lu(a) -> int:
@@ -251,7 +257,9 @@ def _shifted_lu(mat, mu):
     det(mu*I - mat) as the product of the pivots; None when elimination
     stopped at a zero pivot before the last."""
     n = len(mat)
-    a = [[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]
+    a = [[-x for x in row] for row in mat]
+    for i in range(n):
+        a[i][i] += mu
     passes = _lu(a) == n
     det = 1
     for i in range(n):
@@ -269,8 +277,10 @@ def _adjacency_root(adj, dps: int | None = None):
     Otherwise Newton's method on det(x I - adj), with d/dx log det =
     trace((x I - adj)^-1), runs in floats from the largest out-degree: from
     above the root its steps stay above it, so x falls monotonically onto
-    it.  Given dps, Newton steps at that precision follow, each squaring
-    the error, until the steps stop halving.
+    it.  Given dps, each Newton step squares the error, so the steps run at
+    precisions that double from the float's 53 bits up to dps digits, and
+    further steps at dps follow until they stop halving (one, when the
+    doubling has converged).
     """
     degrees = {sum(row) for row in adj}
     if len(degrees) == 1:
@@ -291,15 +301,29 @@ def _adjacency_root(adj, dps: int | None = None):
         raise PerronError(f"Newton iteration for an adjacency root did not settle; {ITERATION_NOTE}")
     if dps is None:
         return x
+
+    def newton_step(x):
+        _, det, lu = _shifted_lu(adj, x)
+        if not det:  # x is the root at this precision
+            return mpmath.mpf(0)
+        return 1 / sum(_solve(lu, [int(j == i) for j in range(n)])[i] for i in range(n))
+
     with mpmath.workdps(dps):
-        x, last = mpmath.mpf(x), mpmath.inf
+        target = mpmath.mp.prec
+    # 8 guard bits a level cover the constant in e_next = C e^2
+    precs = [target]
+    while precs[-1] > 120:
+        precs.append(precs[-1] // 2 + 8)
+    x = mpmath.mpf(x)
+    for prec in reversed(precs):
+        with mpmath.workprec(prec):
+            x -= newton_step(x)
+    with mpmath.workdps(dps):
+        last = mpmath.inf
         for _ in range(_MAX_STEPS):
-            _, det, lu = _shifted_lu(adj, x)
-            if not det:  # x is the root at this precision
-                return x
-            step = 1 / sum(_solve(lu, [int(j == i) for j in range(n)])[i] for i in range(n))
+            step = newton_step(x)
             x -= step
-            if abs(step) > abs(last) / 2:
+            if not step or abs(step) > abs(last) / 2 or abs(step) < x * mpmath.eps * 8:
                 return x
             last = step
     raise PerronError(f"Newton iteration for an adjacency root did not settle; {ITERATION_NOTE}")
@@ -316,8 +340,12 @@ def adjacency_entropy(adj, dps: int | None = None):
         return mpmath.log(root)
 
 
-def _exp_matrix(logm: np.ndarray) -> list:
-    """exp of each finite log entry at the working precision; 0 elsewhere."""
+def _scaled_matrix(logm: np.ndarray, shift, w) -> list:
+    """exp(logm[i, j] - shift + w[j] - w[i]) at the working precision; 0
+    where logm is -inf.  shift and w are mpf; the exponent is formed in
+    mpf from the exact float entries, so the matrix is similar to
+    exp(logm - shift) up to one rounding of each exponent at the working
+    precision, however large w is."""
     cache = {}
     n = logm.shape[0]
     mat = [[0] * n for _ in range(n)]
@@ -325,13 +353,14 @@ def _exp_matrix(logm: np.ndarray) -> list:
         for j in range(n):
             e = float(logm[i, j])
             if math.isfinite(e):
-                if e not in cache:
-                    cache[e] = mpmath.exp(mpmath.mpf(e))
-                mat[i][j] = cache[e]
+                x = mpmath.mpf(e) - shift + w[j] - w[i]
+                if x not in cache:
+                    cache[x] = mpmath.exp(x)
+                mat[i][j] = cache[x]
     return mat
 
 
-def _bracket_root(mat, floor, guess, digits: int, rel_width):
+def _bracket_root(mat, floor, guess, digits: int, rel_width, start=None):
     """Certified bracket of the Perron root of mat, narrowed around it.
 
     ``floor`` is a lower estimate of the root (its max-plus floor, or None)
@@ -344,7 +373,9 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width):
     pivots, until hi - lo <= rel_width * (hi - floor).  (The last pivot
     alone changes sign only between the root of the leading block and rho,
     a window as narrow as the excess when the last state is off the Aubry
-    set.)
+    set.)  A ``start`` bracket (lo, hi) above the floor, from a solve at a
+    lower precision, is probed first and narrowed if the test still fails
+    at lo and passes at hi.
 
     Returns (lo, hi, lambda, factors of hi*I - mat).  When the test passes
     within floor * 10^-digits of the floor (the zero-excess case, such as
@@ -361,7 +392,14 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width):
         floor = low
     x_min = floor * mpmath.mpf(10) ** -digits
     x_max = max(2 * (top - floor), 2 * x_min)
-    found = _search(mat, floor, guess or x_max, x_min, x_max)
+    found = None
+    if start is not None and start[0] > floor:
+        passes_lo, f_lo, _ = _shifted_lu(mat, start[0])
+        passes_hi, f_hi, lu_hi = _shifted_lu(mat, start[1])
+        if passes_hi and not passes_lo:
+            found = start[0], f_lo, start[1], f_hi, lu_hi
+    if found is None:
+        found = _search(mat, floor, guess or x_max, x_min, x_max)
     if found is None:  # the test passes at floor + x_min
         lo = floor - x_min
         if not _shifted_lu(mat, lo)[0]:
@@ -464,21 +502,12 @@ def _inverse_iteration(lu, settle):
 def perron(
     pot: LocallyConstantPotential, beta: float, tol: float = 1e-14, floor=None
 ) -> PerronData:
-    """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure.
+    """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
+    of the transfer matrix of ``pot`` at ``beta``; see perron_core.
 
-    Solved at adaptive precision so that log_lambda keeps full relative
-    accuracy even when the spectral gap closes like e^{beta*gamma}: lambda
-    is bracketed, and H and nu settle, to the digits of the excess of
-    lambda over its max-plus floor e^{beta*m + h} that the working
-    precision resolves.  tol bounds the accepted eigen-residual relative
-    to lambda.
-
-    ``floor`` is (m, adj, gamma): the maximum cycle mean of the word graph,
-    the 0/1 critical adjacency of a component of largest entropy h of
-    A - m, and the max-plus rate gamma of the excess (None if unknown), the
-    first guess for log(lambda - floor) = beta*(m + gamma) + h.  Without
-    it, perron derives all three from ``pot`` (aubry.critical_floor), or
-    starts from a Collatz-Wielandt bound if they cannot be derived.
+    Without a ``floor``, perron derives it from ``pot``
+    (aubry.critical_floor), or starts from a Collatz-Wielandt bound if it
+    cannot be derived.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -490,25 +519,72 @@ def perron(
 
         floor = critical_floor(pot)
     logm = transfer_matrix(pot, beta)
+    return PerronData(
+        beta=beta, pot=pot, log_matrix=logm,
+        **perron_core(logm, beta, floor, tol, pot.states.index(zero)),
+    )
+
+
+def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -> dict:
+    """The Perron pair of exp(logm), as the PerronData fields other than
+    beta, pot and log_matrix, with H normalized to 1 at ``anchor``.
+
+    ``floor`` is (m, adj, gamma[, V]), or None: the maximum cycle mean of the
+    word graph, the 0/1 critical adjacency of a component of largest
+    entropy h of A - m, the max-plus rate gamma of the excess (None if
+    unknown) and a max-plus subaction V of A - m by state, vanishing at
+    ``anchor`` (None, or left out, if unknown).  logm = beta*A.
+
+    The solve runs on S = e^{-beta*m} D^-1 exp(logm) D, D = diag(e^{w}),
+    w = beta*V, whose exponents are formed in mpf (_scaled_matrix).  The
+    root lies above the floor e^h by about e^{beta*gamma}; at E + R + G
+    digits, E = beta*|gamma|/ln10 + 15 for the excess, the bracket resolves
+    R = 60 digits of it, and G = 30 digits guard against rounding.  Without
+    V (or with a -inf entry in it) w = 0, and E starts from the rate bound
+    beta*span, span the spread of A.  The bracket is confirmed by probing
+    both ends again at twice the working precision.  When a probe
+    disagrees, E doubles and the solve starts again from the old bracket.
+    H and nu settle by inverse iteration to R digits; they are unscaled as
+    H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
+    unscaling.  tol bounds the accepted eigen-residual relative to lambda.
+    """
     n = logm.shape[0]
-    dps = _working_dps(logm)
-    # the zero-excess window, relative to the largest entry so that it
-    # stays inside the working precision
-    digits = _excess_floor_digits(logm - logm.max())
-    resolved = dps - digits  # digits of the excess, H and nu that dps resolves
+    finite = logm[np.isfinite(logm)]
+    span = float(finite.max() - finite.min()) if finite.size else 0.0
+    cycle_mean, adj, gamma, *v = floor if floor is not None else (0.0, None, None)
+    v = v[0] if v else None
+    scaled = v is not None and all(math.isfinite(x) for x in v)
+    rate = beta * abs(gamma) if gamma is not None else 0.0
+    if not scaled:
+        v, rate = (0.0,) * n, max(rate, span)
+    excess_digits = int(rate / math.log(10)) + _EXCESS_SLACK
+    start, escalations = None, 0
+    while True:
+        dps = excess_digits + _RESOLVED + _GUARD
+        with mpmath.workdps(dps):
+            shift = mpmath.mpf(beta) * cycle_mean
+            w = [mpmath.mpf(beta) * x for x in v]
+            mat = _scaled_matrix(logm, shift, w)
+            base = guess = None
+            if adj is not None:
+                base = _adjacency_root(adj, dps)
+                if gamma is not None:
+                    with mpmath.workprec(53):
+                        guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
+            resolution = mpmath.mpf(10) ** -_RESOLVED
+            lo, hi, lam, lu = _bracket_root(
+                mat, base, guess, excess_digits + _RESOLVED, resolution, start
+            )
+        if _confirmed(logm, shift, w, lo, hi, 2 * dps):
+            break
+        escalations += 1
+        if escalations > _MAX_ESCALATIONS:
+            raise PerronError(
+                f"the bracket was not confirmed at {2 * dps} digits; {ITERATION_NOTE}"
+            )
+        excess_digits *= 2
+        start = lo, hi
     with mpmath.workdps(dps):
-        mat = _exp_matrix(logm)
-        base = guess = None
-        if floor is not None:
-            cycle_mean, adj, gamma = floor
-            base = _adjacency_root(adj, dps)
-            if cycle_mean:
-                base *= mpmath.exp(mpmath.mpf(beta) * cycle_mean)
-            if gamma is not None:
-                with mpmath.workprec(53):
-                    guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
-        resolution = mpmath.mpf(10) ** -resolved
-        lo, hi, lam, lu = _bracket_root(mat, base, guess, digits, resolution)
         h_vec, nu_vec = _inverse_iteration(lu, resolution)
         if any(x <= 0 for x in h_vec + nu_vec):
             raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
@@ -518,31 +594,38 @@ def perron(
         )
         if res > mpmath.mpf(tol) * lam * max(h_vec) * 10**6:
             raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
-
-        h0 = h_vec[pot.states.index(zero)]
-        h_vec = [x / h0 for x in h_vec]
-        nu_total = sum(nu_vec)
-        nu_vec = [x / nu_total for x in nu_vec]
-        mass_raw = [h_vec[i] * nu_vec[i] for i in range(n)]
+        mass_raw = [h * nu for h, nu in zip(h_vec, nu_vec)]
         z = sum(mass_raw)
         mass_k = tuple(float(x / z) for x in mass_raw)
-        log_lambda_mp = mpmath.log(lam)
-    with mpmath.workdps(resolved + 12):  # 12 more for the integer part of log H
-        # + 0.0: a log of H(0^k) times 1 - 1e-400 underflows to 0, not -0
-        log_H = tuple(float(mpmath.log(x)) + 0.0 for x in h_vec)
-        log_nu = tuple(float(mpmath.log(x)) for x in nu_vec)
-    return PerronData(
-        beta=beta,
-        pot=pot,
+        log_lambda_mp = mpmath.log(lam) + shift
+        if shift:
+            lo, hi = (x * mpmath.exp(shift) for x in (lo, hi))
+        # log nu = log nu_S - w - log sum(nu_S e^{-w})
+        log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
+    with mpmath.workdps(_RESOLVED + _GUARD):
+        log_h0 = mpmath.log(h_vec[anchor]) + w[anchor]
+        # + 0.0: a log H of -1e-400 rounds to -0.0, not 0
+        log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_vec, w))
+        log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_vec, w))
+    return dict(
         log_lambda=float(log_lambda_mp),
         log_lambda_mp=log_lambda_mp,
         log_H=log_H,
         log_nu=log_nu,
         mass_k=mass_k,
-        log_matrix=logm,
         dps=dps,
         bracket=(lo, hi),
+        certified_dps=2 * dps,
+        escalations=escalations,
     )
+
+
+def _confirmed(logm, shift, w, lo, hi, dps: int) -> bool:
+    """The M-matrix test of the scaled matrix, formed again at dps digits,
+    still fails at lo and passes at hi."""
+    with mpmath.workdps(dps):
+        mat = _scaled_matrix(logm, shift, w)
+        return not _shifted_lu(mat, lo)[0] and _shifted_lu(mat, hi)[0]
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

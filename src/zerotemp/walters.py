@@ -494,19 +494,25 @@ def _rel_err(measured: float, expected: float) -> float:
 
 def _appendix_chains(gamma_p: float, eta: float, beta: float):
     """The perturbed and unperturbed depth-1 tables (beta already applied),
-    each with its perron floor (m, adj, gamma) in closed form.
+    each with its perron floor (m, adj, gamma, V) in closed form.
 
     Perturbed: the loop at 1 weighs m = log(1 + e^{beta eta}) > 0, the
     largest cycle mean; its Aubry set is that loop, and the best way back
-    to it in A - m is 1 -> 0 -> 1, of weight 2 beta gamma_p - 2m.
-    Unperturbed: m = 0, both loops are Aubry components of entropy 0, and
-    the max-plus rate of their cost matrix is the 2-cycle mean beta gamma_p.
+    to it in A - m is 1 -> 0 -> 1, of weight 2 beta gamma_p - 2m.  The
+    subaction of A - m is S(1, x): 0 at 1 and beta gamma_p - m at 0, so
+    V = (0, m - beta gamma_p) once it vanishes at 0.
+    Unperturbed: m = 0, both loops are Aubry components of entropy 0, the
+    max-plus rate of their cost matrix is the 2-cycle mean beta gamma_p,
+    and V = 0.
     """
     g = beta * gamma_p
     m = math.log1p(math.exp(beta * eta))
     perturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): m}
     unperturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): 0.0}
-    return (perturbed, (m, ((1,),), 2.0 * g - 2.0 * m)), (unperturbed, (0.0, ((1,),), g))
+    return (
+        (perturbed, (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
+        (unperturbed, (0.0, ((1,),), g, (0.0, 0.0))),
+    )
 
 
 def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample:

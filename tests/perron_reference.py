@@ -2,9 +2,12 @@
 oracle for transfer matrices with at most 9 states.
 
 It computes every eigenpair of exp(transfer matrix), left and right, by
-mpmath's complex Hessenberg QR at ``dps`` digits (by default the working
-precision of ``perron``), and returns the dominant pair in the form
-``perron`` reports it.
+mpmath's complex Hessenberg QR at ``dps`` digits, and returns the dominant
+pair in the form ``perron`` reports it.  The default precision is its own,
+so that the oracle takes none from the code under test: the spread rule
+that ``perron`` used before it scaled by the subaction, which covers the
+digits of the excess, plus 100 digits, more than the 90 that ``perron``
+resolves beyond them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,17 @@ import math
 
 import mpmath
 
-from zerotemp.spectral import _working_dps, transfer_matrix
+import numpy as np
+
+from zerotemp.spectral import transfer_matrix
+
+
+def _reference_dps(logm) -> int:
+    """(n + 0.5) * span digits and more, span the spread of the log entries."""
+    finite = logm[np.isfinite(logm)]
+    span = float(finite.max() - finite.min()) if finite.size else 0.0
+    n = logm.shape[0]
+    return 145 + int((n + 0.5) * span / math.log(10)) + 2 * n
 
 
 def reference_perron(pot, beta: float, dps: int | None = None) -> dict:
@@ -21,7 +34,7 @@ def reference_perron(pot, beta: float, dps: int | None = None) -> dict:
     n = logm.shape[0]
     if n > 9:
         raise ValueError("the dense reference is for at most 9 states")
-    dps = dps or _working_dps(logm)
+    dps = dps or _reference_dps(logm)
     with mpmath.workdps(dps):
         m = mpmath.zeros(n, n)
         for i in range(n):

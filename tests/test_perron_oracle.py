@@ -1,6 +1,7 @@
 """perron() against the dense eigen-solver it replaced (perron_reference),
 on random potentials and on the near-degenerate examples."""
 
+import functools
 import itertools
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron
 from zerotemp.asymptotics import Analysis
 from zerotemp.maxplus import _strongly_connected_components
-from zerotemp.spectral import adjacency_entropy
+from zerotemp.spectral import _confirmed, adjacency_entropy, transfer_matrix
 from zerotemp.verify import zero_potential
 
 from conftest import two_zero_blocks_potential
@@ -159,3 +160,37 @@ def test_adjacency_entropy():
         assert abs(adjacency_entropy(golden, 50) - exact) < mpmath.mpf(10) ** -49
     with mpmath.workdps(40):
         assert adjacency_entropy(((1, 1), (1, 1)), 40) == mpmath.log(2)
+
+
+def test_two_zero_blocks_escalates_and_still_matches():
+    # the O(1)-coupled block {1, 2} leaves a pivot the size of the excess,
+    # so the first precision fails the doubled-precision probe
+    pot = two_zero_blocks_potential()
+    an = Analysis(pot)
+    p = an.perron(128.0)
+    assert p.escalations >= 1
+    assert p.certified_dps == 2 * p.dps
+    ref = reference_perron(pot, 128.0)
+    assert_matches_reference(p, ref)
+    assert_excess_matches(p, an.entropy(128.0), ref)
+
+
+def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
+    pot = two_zero_blocks_potential()
+    beta = 128.0
+    an = Analysis(pot)
+    p = an.perron(beta)
+    logm = transfer_matrix(pot, beta)
+    root = reference_perron(pot, beta, dps=3 * p.dps)["lambda"]
+    with mpmath.workdps(p.dps):
+        w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
+        below = +root  # rounded to the working precision
+        ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(below, 2)) + 1 - mpmath.mp.prec)
+        if below > root:
+            below -= ulp
+        above = below + ulp
+        assert below < root < above
+    confirmed = functools.partial(_confirmed, logm, mpmath.mpf(0), w, dps=p.certified_dps)
+    assert confirmed(below, above)
+    assert not confirmed(above, above + ulp)  # lo nudged past the root
+    assert not confirmed(below - ulp, below)  # hi nudged below it

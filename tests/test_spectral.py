@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from zerotemp import (
     perron,
     transfer_matrix,
 )
+from zerotemp import spectral
+from zerotemp.asymptotics import Analysis
 from zerotemp.verify import lc1_potential, lc2_potential, zero_potential
 
 import mpmath
@@ -166,3 +170,144 @@ def test_normalization_uses_the_aubry_rule():
     assert not pot.is_normalized_for_optimization()
     with pytest.raises(PositiveCycleError):
         decompose_aubry(word_graph(pot))
+
+
+# ------------------------------------------------- precision from the request
+
+
+def _lifted_tables():
+    """One potential on the full 2-shift as a depth-3 table (8 states) and
+    as the same values read off depth-4 words (16 states); the fixed points
+    0 and 1 weigh 0, and the other values are not dyadic."""
+    words3 = list(itertools.product((0, 1), repeat=4))
+    table3 = {
+        w: 0.0 if len(set(w)) == 1 else -1.0 - 0.37 * ((5 * int("".join(map(str, w)), 2)) % 9)
+        for w in words3
+    }
+    table4 = {w: table3[w[:4]] for w in itertools.product((0, 1), repeat=5)}
+    sft = full_shift(1, 0.5)
+    return LocallyConstantPotential(sft, 3, table3), LocallyConstantPotential(sft, 4, table4)
+
+
+def test_precision_follows_the_excess_not_the_state_count():
+    pot8, pot16 = _lifted_tables()
+    beta = 128.0
+    an8, an16 = Analysis(pot8), Analysis(pot16)
+    gamma = an16.gamma_maxplus
+    assert an8.gamma_maxplus == pytest.approx(gamma, rel=1e-12)
+    p8, p16 = an8.perron(beta), an16.perron(beta)
+    assert p16.dps <= beta * abs(gamma) / math.log(10) + 120
+    assert abs(p16.dps - p8.dps) < 10
+    assert p16.certified_dps == 2 * p16.dps
+    assert p16.log_lambda == pytest.approx(p8.log_lambda, rel=1e-13)
+
+
+def test_unscaled_floors_give_the_same_pair():
+    pot = _lifted_tables()[0]
+    an = Analysis(pot)
+    m, adj, gamma, v = an.floor
+    expected = an.perron(64.0)
+    # no subaction, and one with a -inf entry: perron runs unscaled
+    for floor in [(m, adj, gamma), (m, adj, gamma, (float("-inf"),) + v[1:])]:
+        p = perron(pot, 64.0, floor=floor)
+        assert p.log_lambda == expected.log_lambda
+        assert p.log_H == pytest.approx(expected.log_H, rel=1e-14, abs=1e-14)
+        assert p.log_nu == pytest.approx(expected.log_nu, rel=1e-14, abs=1e-14)
+        assert p.mass_k == pytest.approx(expected.mass_k, rel=1e-14, abs=1e-300)
+
+
+def _cycle_product(mat, cycle):
+    prod = mpmath.mpf(1)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        prod *= mat[v][u]  # row = target, column = source
+    return prod
+
+
+def test_scaled_exponents_are_formed_in_mpmath():
+    # golden shift, zero on the windows of the orbits 0 and 01, non-dyadic
+    # elsewhere, so that the subaction V is not dyadic
+    sft = golden_mean_shift()
+    words = [w for w in itertools.product((0, 1), repeat=4) if (1, 1) not in zip(w, w[1:])]
+    zero = {(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)}
+    table = {w: 0.0 if w in zero else -1.1 - 0.3 * i for i, w in enumerate(words)}
+    pot = LocallyConstantPotential(sft, 3, table)
+    an = Analysis(pot)
+    beta = 64.0
+    v = an.subaction_maxplus
+    assert any(x * 2**20 != int(x * 2**20) for x in v)
+    p = an.perron(beta)
+    logm = transfer_matrix(pot, beta)
+    n = logm.shape[0]
+    # every simple cycle of the word graph, by its least node
+    cycles, graph = [], {u: [] for u in range(n)}
+    for (u, t, _) in an.graph.edges:
+        graph[u].append(t)
+
+    def extend(path):
+        for t in graph[path[-1]]:
+            if t == path[0]:
+                cycles.append(list(path))
+            elif t > path[0] and t not in path:
+                extend(path + [t])
+
+    for u in range(n):
+        extend([u])
+    critical = set(an.decomposition.critical_pairs)
+    with mpmath.workdps(p.dps):
+        w = [mpmath.mpf(beta) * x for x in v]
+        mat = spectral._scaled_matrix(logm, mpmath.mpf(0), w)
+        # float exponents, the formation that mpmath replaces
+        rounded = [
+            [mpmath.exp(float(logm[i, j]) + float(w[j]) - float(w[i])) if mat[i][j] else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
+        tiny = mpmath.mpf(10) ** (10 - p.dps)
+        seen_critical = off_by_rounding = 0
+        for cycle in cycles:
+            weight = mpmath.exp(sum(mpmath.mpf(logm[t, u]) for u, t in zip(cycle, cycle[1:] + cycle[:1])))
+            assert abs(_cycle_product(mat, cycle) / weight - 1) < tiny
+            if all((u, t) in critical for u, t in zip(cycle, cycle[1:] + cycle[:1])):
+                seen_critical += 1
+                assert abs(_cycle_product(mat, cycle) - 1) < tiny
+            off_by_rounding += abs(_cycle_product(rounded, cycle) / weight - 1) > 10**-20
+        assert seen_critical >= 2
+        assert off_by_rounding > 0
+        assert all(mat[i][j] <= 1 + tiny for i in range(n) for j in range(n))
+
+
+def _charpoly(adj):
+    """Integer coefficients of det(x I - adj), leading first (Faddeev-LeVerrier)."""
+    n = len(adj)
+    a = [[Fraction(x) for x in row] for row in adj]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        m = [[am[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+    return [int(c) for c in coeffs]
+
+
+def test_adjacency_root_doubles_its_precision(monkeypatch):
+    adj = ((1, 1, 1, 0), (1, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0))
+    dps = 4000
+    with mpmath.workdps(dps):
+        full = mpmath.mp.prec
+    calls = []
+    shifted_lu = spectral._shifted_lu
+    monkeypatch.setattr(
+        spectral, "_shifted_lu", lambda mat, mu: calls.append(mpmath.mp.prec) or shifted_lu(mat, mu)
+    )
+    root = spectral._adjacency_root(adj, dps)
+    assert sum(prec >= full for prec in calls) <= 2
+    # Newton on the integer characteristic polynomial, at more digits
+    coeffs = _charpoly(adj)
+    with mpmath.workdps(dps + 20):
+        x = mpmath.mpf(float(root))
+        for _ in range(20):
+            x -= mpmath.polyval(coeffs, x) / mpmath.polyval(
+                [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])], x
+            )
+        assert abs(root - x) / x < mpmath.mpf(10) ** -3990

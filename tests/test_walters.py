@@ -264,20 +264,22 @@ def test_appendix_selection_flip():
 
 def test_appendix_floors_match_critical_floor():
     # the closed-form floors that appendix_example hands to perron agree
-    # with the ones perron would derive (Karp, Aubry decomposition, Karp),
+    # with the ones perron would derive (Karp, Aubry decomposition, Karp,
+    # subaction),
     # up to Karp's rounding of m; the betas keep the perturbed loop weight
     # m = log(1 + e^{beta eta}) above ZERO_CYCLE_TOL, below which the Aubry
     # rule counts the loop at 0 as critical too
     sft = full_shift(1, 0.5)
     for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
         for beta in (1.0, 2.0, 5.0, 10.0):
-            for table, (m, adj, gamma) in _appendix_chains(gamma_p, eta, beta):
-                m_ref, adj_ref, gamma_ref = critical_floor(
+            for table, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
+                m_ref, adj_ref, gamma_ref, v_ref = critical_floor(
                     LocallyConstantPotential(sft, 1, table)
                 )
                 assert m == pytest.approx(m_ref, rel=1e-12, abs=1e-15)
                 assert adj == adj_ref
                 assert gamma == pytest.approx(gamma_ref, rel=1e-12, abs=1e-14)
+                assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-14)
 
 
 def test_appendix_example_derives_no_floor(monkeypatch):
