@@ -1,121 +1,21 @@
 """Zero-temperature asymptotics of Gibbs equilibrium states on shifts of
 finite type: pressure-convergence rates via max-plus cost matrices, calibrated
-subactions, and ground-state selection for Walters-type potentials."""
+subactions, and ground-state selection for Walters-type potentials.
 
-from .symbolic import (
-    Sft,
-    enumerate_words,
-    full_shift,
-    golden_mean_shift,
-)
-from .maxplus import (
-    MaxPlusEigenData,
-    MaxPlusMatrix,
-    NoEigenvalueError,
-    mp_2x2_closed_form,
-    mp_apply,
-    mp_eigenvalue,
-    mp_eigenvectors,
-)
-from .spectral import (
-    LocallyConstantPotential,
-    PerronData,
-    PerronError,
-    equilibrium_cylinder_mass,
-    perron,
-    transfer_matrix,
-)
-from .aubry import (
-    AubryDecomposition,
-    EmptyAubrySetError,
-    PositiveCycleError,
-    WordGraph,
-    decompose_aubry,
-    mane_potential,
-    max_cycle_mean,
-    symmetrized_mane_check,
-    word_graph,
-)
-from .asymptotics import (
-    DEFAULT_BETA_GRID,
-    GammaEstimate,
-    SubactionEstimate,
-    estimate_gamma,
-    estimate_subaction,
-    limit_measure_estimate,
-)
-from .walters import (
-    GOLDEN_MASS_0,
-    GOLDEN_RATIO,
-    AppendixExample,
-    BracketError,
-    FirstCoordPerturbation,
-    SeriesDivergenceError,
-    StabilityReport,
-    StabilityRow,
-    WaltersPotential,
-    WaltersZeroTempReport,
-    appendix_example,
-    classify_regime,
-    perturbation_stability_experiment,
-    subaction_offset_estimate,
-    walters_asymptotic_ratio,
-    walters_cylinder_ratio,
-    walters_gamma,
-    walters_pressure,
-)
+The package re-exports the ``__all__`` of each of its computing modules."""
+
+from . import asymptotics, aubry, maxplus, spectral, symbolic, walters
+from .asymptotics import *  # noqa: F401,F403
+from .aubry import *  # noqa: F401,F403
+from .maxplus import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .symbolic import *  # noqa: F401,F403
+from .walters import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sft",
-    "full_shift",
-    "golden_mean_shift",
-    "enumerate_words",
-    "MaxPlusMatrix",
-    "MaxPlusEigenData",
-    "NoEigenvalueError",
-    "mp_apply",
-    "mp_eigenvalue",
-    "mp_eigenvectors",
-    "mp_2x2_closed_form",
-    "LocallyConstantPotential",
-    "PerronData",
-    "PerronError",
-    "transfer_matrix",
-    "perron",
-    "equilibrium_cylinder_mass",
-    "WordGraph",
-    "AubryDecomposition",
-    "PositiveCycleError",
-    "EmptyAubrySetError",
-    "word_graph",
-    "max_cycle_mean",
-    "mane_potential",
-    "decompose_aubry",
-    "symmetrized_mane_check",
-    "GammaEstimate",
-    "SubactionEstimate",
-    "estimate_gamma",
-    "estimate_subaction",
-    "limit_measure_estimate",
-    "DEFAULT_BETA_GRID",
-    "WaltersPotential",
-    "FirstCoordPerturbation",
-    "WaltersZeroTempReport",
-    "StabilityRow",
-    "StabilityReport",
-    "AppendixExample",
-    "SeriesDivergenceError",
-    "BracketError",
-    "walters_gamma",
-    "walters_pressure",
-    "walters_cylinder_ratio",
-    "walters_asymptotic_ratio",
-    "classify_regime",
-    "subaction_offset_estimate",
-    "perturbation_stability_experiment",
-    "appendix_example",
-    "GOLDEN_RATIO",
-    "GOLDEN_MASS_0",
+    name
+    for module in (symbolic, maxplus, spectral, aubry, asymptotics, walters)
+    for name in module.__all__
 ]

@@ -4,7 +4,8 @@ Cross-checks the pressure route (1/beta * log(P(beta A) - h), from spectral
 data) against the max-plus route (eigenvalue of the Aubry inter-component
 cost matrix), and extracts calibrated-subaction estimates from eigenfunction
 logarithms.  ``Analysis`` holds what these estimates share for one
-potential, so that each piece is computed once however many estimates read it.
+potential, so that each piece is computed once however many estimates read it,
+and its ``floor`` is the one max-plus floor routine behind ``perron``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .aubry import (
     max_plus_subaction,
     word_graph,
 )
-from .maxplus import NEG_INF, NoEigenvalueError, mp_eigenvectors
+from .maxplus import NEG_INF, NoEigenvalueError, mp_eigenvalue, mp_eigenvectors
 from .spectral import LocallyConstantPotential, PerronData, PerronError, adjacency_entropy
 from .spectral import equilibrium_cylinder_mass, perron
 
@@ -95,19 +96,30 @@ class Analysis:
 
     @cached_property
     def floor(self):
-        """(0, adjacency of a largest-entropy component, gamma, max-plus
-        subaction) for ``perron``, gamma and the subaction None when the
-        cost matrix has no eigenvector; None when the potential is not
-        normalized, and perron finds its own."""
+        """(m, adjacency of a largest-entropy component, gamma, max-plus
+        subaction) for ``perron``: m = 0 when the potential is normalized;
+        otherwise m is the maximum cycle mean of the word graph and the rest
+        is read off the analysis of A - m.  gamma and the subaction are None
+        when the cost matrix has no eigenvector; the floor is None when A - m
+        has no Aubry decomposition either (rounding of m), and perron finds
+        its own."""
+        an, m = self, 0.0
         try:
             d = self.decomposition
         except (PositiveCycleError, EmptyAubrySetError):
-            return None
+            m = mp_eigenvalue(self.graph.weight_matrix())
+            pot = self.pot
+            shifted = {w: a - m for w, a in pot.values.items()}
+            an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, shifted), self.tol)
+            try:
+                d = an.decomposition
+            except (PositiveCycleError, EmptyAubrySetError):
+                return None
         try:
-            gamma, v = self.gamma_maxplus, self.subaction_maxplus
+            gamma, v = an.gamma_maxplus, an.subaction_maxplus
         except NoEigenvalueError:
             gamma = v = None
-        return 0.0, d.adjacency(d.entropies.index(d.h)), gamma, v
+        return m, d.adjacency(d.entropies.index(d.h)), gamma, v
 
     @cached_property
     def gamma_maxplus(self) -> float:

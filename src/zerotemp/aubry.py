@@ -17,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .maxplus import (
-    NEG_INF,
-    MaxPlusMatrix,
-    NoEigenvalueError,
-    _closure,
-    critical_graph,
-    mp_eigenvalue,
-    mp_eigenvectors,
-)
+from .maxplus import NEG_INF, MaxPlusMatrix, _closure, critical_graph
 from .spectral import LocallyConstantPotential, adjacency_entropy
 
 __all__ = [
@@ -34,12 +26,9 @@ __all__ = [
     "PositiveCycleError",
     "EmptyAubrySetError",
     "word_graph",
-    "max_cycle_mean",
     "mane_potential",
     "decompose_aubry",
     "max_plus_subaction",
-    "critical_floor",
-    "symmetrized_mane_check",
 ]
 
 ZERO_CYCLE_TOL = 1e-12
@@ -84,38 +73,12 @@ class WordGraph:
 
 
 def word_graph(pot: LocallyConstantPotential) -> WordGraph:
-    from .symbolic import is_admissible
-
-    nodes = tuple(pot.states)
-    index = {w: i for i, w in enumerate(nodes)}
-    k = pot.word_length
-    edges = []
-    for u in nodes:
-        for s in range(pot.sft.alphabet_size):
-            long_word = u + (s,)
-            if not is_admissible(pot.sft, long_word):
-                continue
-            v = long_word[-k:]
-            edges.append((index[u], index[v], pot.value(long_word)))
-    return WordGraph(nodes=nodes, edges=tuple(edges))
-
-
-def max_cycle_mean(g: WordGraph) -> float:
-    return mp_eigenvalue(g.weight_matrix())
+    return WordGraph(tuple(pot.states), pot.edges)
 
 
 def mane_potential(g: WordGraph, u: int, v: int) -> float:
     """Maximum path weight from node u to node v (length >= 1); -inf if unreachable."""
     return g.best_paths[u][v]
-
-
-def symmetrized_mane_check(g: WordGraph, u: int, v: int) -> bool:
-    """True iff S(u,v) + S(v,u) = 0, i.e. u and v share an Aubry component."""
-    suv = mane_potential(g, u, v)
-    svu = mane_potential(g, v, u)
-    if suv == NEG_INF or svu == NEG_INF:
-        return False
-    return abs(suv + svu) <= ZERO_CYCLE_TOL
 
 
 @dataclass(frozen=True)
@@ -124,9 +87,7 @@ class AubryDecomposition:
 
     ``cost`` is the full L x L matrix (a_ij), a_ij = best way to enter
     Sigma_i coming from Sigma_j; ``maximal_set`` indexes the components of
-    maximal entropy.  ``flagged_edges`` records non-critical edges between
-    nodes of one component that contributed cost candidates (a sub-case the
-    cost definition does not single out).
+    maximal entropy.
     """
 
     graph: WordGraph
@@ -134,7 +95,6 @@ class AubryDecomposition:
     entropies: tuple[float, ...]
     maximal_set: tuple[int, ...]
     cost: MaxPlusMatrix
-    flagged_edges: tuple[tuple[int, int], ...]
     critical_pairs: tuple[tuple[int, int], ...]
 
     @property
@@ -179,33 +139,22 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     # cost a_ij: edges u -> v entering Sigma_i that are not internal critical
     # edges of Sigma_i, weighted by the best approach from Sigma_j to u.
     L = len(comps)
-    sources = [comp[0] for comp in comps]  # lexicographically least node
     cost = [[NEG_INF] * L for _ in range(L)]
-    flagged = []
     for (u, v, w) in g.edges:
         i = node_comp.get(v)
-        if i is None:
+        if i is None or ((u, v) in crit_pairs and node_comp.get(u) == i):
             continue
-        internal = (u, v) in crit_pairs and node_comp.get(u) == i
-        if internal:
-            continue
-        if node_comp.get(u) == i:
-            flagged.append((u, v))
-        for j in range(L):
-            src = sources[j]
-            approach = 0.0 if u in comps[j] else best[src][u]
-            if approach == NEG_INF:
-                continue
-            cand = w + approach
-            if cand > cost[i][j]:
-                cost[i][j] = cand
+        for j, comp in enumerate(comps):
+            # from the lexicographically least node of Sigma_j
+            approach = 0.0 if u in comp else best[comp[0]][u]
+            if approach != NEG_INF:
+                cost[i][j] = max(cost[i][j], w + approach)
     return AubryDecomposition(
         graph=g,
         components=tuple(comps),
         entropies=tuple(entropies),
         maximal_set=maximal,
         cost=MaxPlusMatrix.from_rows(cost),
-        flagged_edges=tuple(flagged),
         critical_pairs=tuple(crit_edges),
     )
 
@@ -224,33 +173,3 @@ def max_plus_subaction(g: WordGraph, d: AubryDecomposition, offsets, anchor: int
         for x in range(g.n)
     ]
     return tuple(x if x == NEG_INF else x - v[anchor] for x in v)
-
-
-def critical_floor(pot: LocallyConstantPotential):
-    """(m, adj, gamma, V): the maximum cycle mean m of the word graph, the
-    critical adjacency of a component of largest entropy h of A - m, the
-    max-plus eigenvalue gamma of the cost matrix of those components and
-    the max-plus subaction V of A - m, vanishing at the all-zeros word
-    (gamma and V None if that cost matrix has no eigenvector, V None
-    without an all-zeros word).  e^{beta m + h} is the floor under the
-    Perron root at beta, beta*gamma the rate of the excess over it, and
-    e^{beta V} the diagonal scaling of perron.  None when rounding of m
-    leaves A - m with no Aubry decomposition."""
-    g = word_graph(pot)
-    m = max_cycle_mean(g)
-    shifted = WordGraph(g.nodes, tuple((u, v, w - m) for u, v, w in g.edges))
-    try:
-        d = decompose_aubry(shifted)
-    except (PositiveCycleError, EmptyAubrySetError):
-        return None
-    adj = d.adjacency(d.entropies.index(d.h))
-    try:
-        eig = mp_eigenvectors(d.maximal_cost())
-    except NoEigenvalueError:
-        return m, adj, None, None
-    zero = tuple([0] * pot.word_length)
-    v = None
-    if zero in g.nodes:
-        offsets = [float(x) for x in eig.eigenvectors[0]]
-        v = max_plus_subaction(shifted, d, offsets, g.nodes.index(zero))
-    return m, adj, float(eig.eigenvalue), v

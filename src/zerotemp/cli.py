@@ -68,9 +68,20 @@ def _num(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ConfigError(f"{field} must be a number or decimal string")
     try:
-        return float(x)
-    except ValueError:
+        value = float(x)
+    except (ValueError, OverflowError):
         raise ConfigError(f"{field} is not a valid number: {x!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {x!r}")
+    return value
+
+
+def _check_theta(pot_cfg: dict) -> None:
+    """The metric base theta of the shift: accepted and checked, though no
+    computation reads it."""
+    theta = _num(pot_cfg.get("theta", 0.5), "theta")
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"theta must lie in (0, 1), got {theta}")
 
 
 def _fmt(x) -> str:
@@ -123,7 +134,7 @@ def _parse_potential(cfg: dict):
             ):
                 raise ConfigError("transitions must be an n x n 0/1 matrix")
             rows = tuple(tuple(bool(v) for v in r) for r in trans)
-        theta = _num(pot_cfg.get("theta", 0.5), "theta")
+        _check_theta(pot_cfg)
         table = pot_cfg.get("table")
         if not isinstance(table, dict) or not table:
             raise ConfigError("locally-constant potential needs a 'table' object")
@@ -133,11 +144,11 @@ def _parse_potential(cfg: dict):
                 raise ConfigError(f"table key {key!r} must be a word of digits")
             conv[key] = _num(val, f"table[{key}]")
         try:
-            sft = Sft(n, rows, theta)
-            return kind, LocallyConstantPotential.from_table(sft, conv)
+            return kind, LocallyConstantPotential.from_table(Sft(n, rows), conv)
         except ValueError as exc:
             raise ConfigError(str(exc))
     if kind == "walters":
+        _check_theta(pot_cfg)
         try:
             return kind, WaltersPotential(
                 b=_num(pot_cfg.get("b"), "b"),
@@ -145,7 +156,6 @@ def _parse_potential(cfg: dict):
                 a=_num(pot_cfg.get("a"), "a"),
                 c=_num(pot_cfg.get("c"), "c"),
                 rho=_num(pot_cfg.get("rho", 0.5), "rho"),
-                theta=_num(pot_cfg.get("theta", 0.5), "theta"),
                 relaxed=bool(pot_cfg.get("relaxed", False)),
             )
         except ValueError as exc:
@@ -532,13 +542,13 @@ def _dispatch(args) -> int:
     if args.verb == "walters":
         return _cmd_single_report(args.config, "walters")
     try:
-        gamma_p = float(args.gamma)
-        eta = float(args.eta)
-        beta_max = float(args.beta_max)
+        values = [float(x) for x in (args.gamma, args.eta, args.beta_max)]
     except ValueError:
-        print("argument error: gamma, eta, beta-max must be numbers", file=sys.stderr)
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        print("argument error: gamma, eta, beta-max must be finite numbers", file=sys.stderr)
         return EXIT_SCHEMA
-    return _cmd_appendix(gamma_p, eta, beta_max)
+    return _cmd_appendix(*values)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = [
+    "MaxPlusMatrix",
+    "MaxPlusEigenData",
+    "NoEigenvalueError",
+    "mp_apply",
+    "mp_eigenvalue",
+    "mp_eigenvectors",
+    "mp_2x2_closed_form",
+]
+
 NEG_INF = float("-inf")
 
 # columns equal up to an additive constant are considered the same eigenvector

@@ -111,44 +111,31 @@ class LocallyConstantPotential:
     def states(self) -> list[tuple[int, ...]]:
         return enumerate_words(self.sft, self.word_length)
 
-    def is_normalized_for_optimization(self) -> bool:
-        """All values <= 0, no cycle of the word graph weighs more than 0
-        and some cycle weighs 0, each to aubry.ZERO_CYCLE_TOL: the rule by
-        which the Aubry decomposition accepts a potential."""
-        from .aubry import ZERO_CYCLE_TOL, PositiveCycleError, word_graph
-
-        if any(v > ZERO_CYCLE_TOL for v in self.values.values()):
-            return False
-        try:
-            best = word_graph(self).best_paths
-        except PositiveCycleError:
-            return False
-        return any(best[v][v] >= -ZERO_CYCLE_TOL for v in range(len(best)))
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(u, v, A(u.s)) by state index for each admissible (k+1)-word u.s,
+        v = u[1:] + (s,): the edges of the word graph, ordered by u, then s."""
+        index = {w: i for i, w in enumerate(self.states)}
+        allows = self.sft.allows
+        return tuple(
+            (index[u], index[u[1:] + (s,)], self.value(u + (s,)))
+            for u in self.states
+            for s in range(self.sft.alphabet_size)
+            if allows(u[-1], s)
+        )
 
 
 def transfer_matrix(pot: LocallyConstantPotential, beta: float) -> np.ndarray:
-    """Log-domain transfer matrix over k-words.
-
-    Entry (w, w') equals beta * A(w'[0] . w) when the k-word w' can be
-    obtained from w by prepending one symbol (w'[1:] == w[:-1] and the
-    (k+1)-word w'[0].w is admissible); -inf otherwise.  Row index is the
-    target word, column the prepended (preimage) word.
+    """Log-domain transfer matrix over k-words: entry (v, u) is beta times
+    the weight of the word-graph edge u -> v, -inf where there is none.
+    Row index is the target word, column the preimage word.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    words = pot.states
-    k = pot.word_length
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
+    n = len(pot.states)
     m = np.full((n, n), -np.inf)
-    for wp in words:
-        for s in range(pot.sft.alphabet_size):
-            long_word = wp + (s,)
-            if not is_admissible(pot.sft, long_word):
-                continue
-            w = long_word[-k:]
-            if w in index:
-                m[index[w], index[wp]] = beta * pot.value(long_word)
+    for u, v, w in pot.edges:
+        m[v, u] = beta * w
     return m
 
 
@@ -506,8 +493,8 @@ def perron(
     of the transfer matrix of ``pot`` at ``beta``; see perron_core.
 
     Without a ``floor``, perron derives it from ``pot``
-    (aubry.critical_floor), or starts from a Collatz-Wielandt bound if it
-    cannot be derived.
+    (asymptotics.Analysis.floor), or starts from a Collatz-Wielandt bound if
+    it cannot be derived.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -515,9 +502,9 @@ def perron(
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
     if floor is None:
-        from .aubry import critical_floor  # aubry builds on this module
+        from .asymptotics import Analysis  # asymptotics builds on this module
 
-        floor = critical_floor(pot)
+        floor = Analysis(pot, tol).floor
     logm = transfer_matrix(pot, beta)
     return PerronData(
         beta=beta, pot=pot, log_matrix=logm,
@@ -529,11 +516,11 @@ def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -
     """The Perron pair of exp(logm), as the PerronData fields other than
     beta, pot and log_matrix, with H normalized to 1 at ``anchor``.
 
-    ``floor`` is (m, adj, gamma[, V]), or None: the maximum cycle mean of the
+    ``floor`` is (m, adj, gamma, V), or None: the maximum cycle mean of the
     word graph, the 0/1 critical adjacency of a component of largest
     entropy h of A - m, the max-plus rate gamma of the excess (None if
     unknown) and a max-plus subaction V of A - m by state, vanishing at
-    ``anchor`` (None, or left out, if unknown).  logm = beta*A.
+    ``anchor`` (None if unknown).  logm = beta*A.
 
     The solve runs on S = e^{-beta*m} D^-1 exp(logm) D, D = diag(e^{w}),
     w = beta*V, whose exponents are formed in mpf (_scaled_matrix).  The
@@ -551,8 +538,7 @@ def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -
     n = logm.shape[0]
     finite = logm[np.isfinite(logm)]
     span = float(finite.max() - finite.min()) if finite.size else 0.0
-    cycle_mean, adj, gamma, *v = floor if floor is not None else (0.0, None, None)
-    v = v[0] if v else None
+    cycle_mean, adj, gamma, v = floor if floor is not None else (0.0, None, None, None)
     scaled = v is not None and all(math.isfinite(x) for x in v)
     rate = beta * abs(gamma) if gamma is not None else 0.0
     if not scaled:

@@ -1,10 +1,9 @@
 """Subshifts of finite type and their admissible words.
 
 A subshift is described by a 0/1 transition matrix over a finite alphabet
-``{0, ..., n-1}`` together with the metric base ``theta``: two one-sided
-sequences are at distance ``theta**i`` where ``i`` is the index of the first
-disagreement.  The other modules see a subshift only through its admissible
-words, enumerated in the lexicographic order that indexes their states.
+``{0, ..., n-1}``.  The other modules see a subshift only through its
+admissible words, enumerated in the lexicographic order that indexes their
+states.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from functools import cached_property
 __all__ = [
     "Sft",
     "full_shift",
-    "golden_mean_shift",
     "enumerate_words",
 ]
 
@@ -29,14 +27,11 @@ class Sft:
 
     alphabet_size: int
     transitions: tuple[tuple[bool, ...], ...]
-    theta: float = 0.5
 
     def __post_init__(self):
         n = self.alphabet_size
         if n < 1:
             raise ValueError("alphabet_size must be positive")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         t = self.transitions
         if len(t) != n or any(len(row) != n for row in t):
             raise ValueError("transition matrix shape does not match alphabet")
@@ -56,18 +51,12 @@ class Sft:
         return {}
 
 
-def full_shift(d: int, theta: float) -> Sft:
+def full_shift(d: int) -> Sft:
     """The full shift on d+1 symbols, all transitions allowed."""
     if d < 1:
         raise ValueError("d must be >= 1")
     n = d + 1
-    rows = tuple(tuple(True for _ in range(n)) for _ in range(n))
-    return Sft(alphabet_size=n, transitions=rows, theta=theta)
-
-
-def golden_mean_shift(theta: float = 0.5) -> Sft:
-    """Two symbols, word 11 forbidden."""
-    return Sft(2, ((True, True), (True, False)), theta)
+    return Sft(n, tuple(tuple(True for _ in range(n)) for _ in range(n)))
 
 
 def is_admissible(sft: Sft, symbols: tuple[int, ...]) -> bool:

@@ -70,7 +70,7 @@ def format_result(r: CheckResult) -> str:
 
 def lc1_potential() -> LocallyConstantPotential:
     """Symmetric two-cycle example: zero on 00 and 11, -1 on 01 and 10."""
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     return LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": -1.0, "10": -1.0, "11": 0.0}
     )
@@ -78,7 +78,7 @@ def lc1_potential() -> LocallyConstantPotential:
 
 def lc2_potential() -> LocallyConstantPotential:
     """Asymmetric variant: -1 on 01, -2 on 10."""
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     return LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": -1.0, "10": -2.0, "11": 0.0}
     )
@@ -86,7 +86,7 @@ def lc2_potential() -> LocallyConstantPotential:
 
 def three_symbol_potential() -> LocallyConstantPotential:
     """Two disjoint zero cycles on three symbols: fixed point 0 and orbit 12."""
-    sft = full_shift(2, 0.5)
+    sft = full_shift(2)
     return LocallyConstantPotential.from_table(
         sft,
         {
@@ -104,7 +104,7 @@ def three_symbol_potential() -> LocallyConstantPotential:
 
 
 def zero_potential() -> LocallyConstantPotential:
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     return LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}
     )
@@ -279,7 +279,7 @@ def suite_appendix() -> list[CheckResult]:
     return out
 
 
-def _brute_max_cycle_mean(m: MaxPlusMatrix):
+def _brute_best_cycle_mean(m: MaxPlusMatrix):
     """Maximum mean over all simple cycles, by exhaustive DFS enumeration."""
     n = m.n
     exact = any(
@@ -328,7 +328,7 @@ def suite_maxplus_oracle() -> list[CheckResult]:
                     row.append(Fraction(rng.randint(-24, 12), rng.randint(1, 4)))
             rows.append(row)
         m = MaxPlusMatrix.from_rows(rows)
-        expected = _brute_max_cycle_mean(m)
+        expected = _brute_best_cycle_mean(m)
         try:
             lam = mp_eigenvalue(m)
         except NoEigenvalueError:

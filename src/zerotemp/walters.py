@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxplus import MaxPlusMatrix, mp_2x2_closed_form
-from .spectral import LocallyConstantPotential, perron
-from .symbolic import full_shift
+from .spectral import perron_core
 
 __all__ = [
     "WaltersPotential",
@@ -42,7 +41,6 @@ __all__ = [
     "walters_gamma",
     "walters_pressure",
     "walters_cylinder_ratio",
-    "walters_asymptotic_ratio",
     "classify_regime",
     "subaction_offset_estimate",
     "perturbation_stability_experiment",
@@ -83,14 +81,11 @@ class WaltersPotential:
     a: float
     c: float
     rho: float = 0.5
-    theta: float = 0.5
     relaxed: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
         if self.relaxed:
             ok = self.b <= 0 and self.d <= 0 and self.b + self.d < 0
         else:
@@ -240,13 +235,6 @@ class _Series:
         )
 
 
-def _log_series(total: float, rho: float, beta: float, z: float, trunc: int,
-                weighted: bool) -> float:
-    """log of sum_{j>=1} (j+1)^w exp(beta*total*(1-rho^j) - j z), w in {0,1},
-    with at most trunc head terms and the rest in closed form."""
-    return _Series(total, rho, beta, trunc)(z)[int(weighted)]
-
-
 def _pressure_equation(w: WaltersPotential, beta: float, trunc: int):
     """t -> (f(t), f'(t)) for the log of the renewal equation at P = e^t,
     f(t) = beta(b+d) + softplus(log S_a(P)) + softplus(log S_c(P)) - 2P,
@@ -332,20 +320,6 @@ def walters_cylinder_ratio(w: WaltersPotential, pert: FirstCoordPerturbation,
     ratio = math.exp(t) if t < 709.0 else math.inf
     # mu0 = S0 / (S0 + S1) = 1 / (1 + e^{-t})
     return ratio, _sigmoid(t)
-
-
-def walters_asymptotic_ratio(w: WaltersPotential, p: float, beta: float) -> float:
-    """(P^2+e^{beta a})/(P+e^{beta a}) * (P+e^{beta c})/(P^2+e^{beta c})."""
-    if p <= 0:
-        raise ValueError("pressure must be positive")
-    lp = math.log(p)
-    t = (
-        _logaddexp(2.0 * lp, beta * w.a)
-        - _logaddexp(lp, beta * w.a)
-        + _logaddexp(lp, beta * w.c)
-        - _logaddexp(2.0 * lp, beta * w.c)
-    )
-    return math.exp(t) if t < 709.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -493,8 +467,9 @@ def _rel_err(measured: float, expected: float) -> float:
 
 
 def _appendix_chains(gamma_p: float, eta: float, beta: float):
-    """The perturbed and unperturbed depth-1 tables (beta already applied),
-    each with its perron floor (m, adj, gamma, V) in closed form.
+    """The perturbed and unperturbed log transfer matrices (beta already
+    applied) of the two-state chain, each with its perron floor
+    (m, adj, gamma, V) in closed form.
 
     Perturbed: the loop at 1 weighs m = log(1 + e^{beta eta}) > 0, the
     largest cycle mean; its Aubry set is that loop, and the best way back
@@ -507,19 +482,17 @@ def _appendix_chains(gamma_p: float, eta: float, beta: float):
     """
     g = beta * gamma_p
     m = math.log1p(math.exp(beta * eta))
-    perturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): m}
-    unperturbed = {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): 0.0}
     return (
-        (perturbed, (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
-        (unperturbed, (0.0, ((1,),), g, (0.0, 0.0))),
+        (np.array([[0.0, g], [g, m]]), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
+        (np.array([[0.0, g], [g, 0.0]]), (0.0, ((1,),), g, (0.0, 0.0))),
     )
 
 
 def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample:
-    """Evaluate the selection-flip example and cross-check against perron().
+    """Evaluate the selection-flip example and cross-check against perron_core.
 
-    The perturbed transfer matrix is [[1, g], [g, 1+h]]; it is fed to the
-    spectral solver as a depth-1 table and the numeric eigendata is compared
+    The perturbed transfer matrix is [[1, g], [g, 1+h]]; its log is handed
+    to the spectral solver at beta 1 and the numeric eigendata is compared
     with the closed forms (max relative error reported).
     """
     if not (gamma_p < eta < 0.0):
@@ -531,22 +504,15 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
     p0 = 2.0 * r * r / (s * (s + 1.0))  # = 1/2 - h/(2 sqrt(h^2+4g^2)), stably
     p_unpert = math.log1p(math.exp(beta * gamma_p))
 
-    sft = full_shift(1, 0.5)
-    (table_pert, floor_pert), (table_unpert, floor_unpert) = _appendix_chains(
-        gamma_p, eta, beta
-    )
-    pd_pert = perron(LocallyConstantPotential(sft, 1, table_pert), 1.0, floor=floor_pert)
-    pd_unpert = perron(
-        LocallyConstantPotential(sft, 1, table_unpert), 1.0, floor=floor_unpert
-    )
-
+    pert, unpert = (perron_core(logm, 1.0, floor, 1e-14, 0)
+                    for logm, floor in _appendix_chains(gamma_p, eta, beta))
     errs = [
-        _rel_err(math.exp(pd_pert.log_lambda), lambda_tilde),
-        _rel_err(math.exp(pd_pert.log_H[1]), h1_pert),
-        _rel_err(pd_pert.mass_k[0], p0),
-        _rel_err(math.exp(pd_unpert.log_H[1]), 1.0),
-        _rel_err(pd_unpert.log_lambda, p_unpert),
-        _rel_err(pd_unpert.mass_k[0], 0.5),
+        _rel_err(math.exp(pert["log_lambda"]), lambda_tilde),
+        _rel_err(math.exp(pert["log_H"][1]), h1_pert),
+        _rel_err(pert["mass_k"][0], p0),
+        _rel_err(math.exp(unpert["log_H"][1]), 1.0),
+        _rel_err(unpert["log_lambda"], p_unpert),
+        _rel_err(unpert["mass_k"][0], 0.5),
     ]
     return AppendixExample(
         beta=beta,
@@ -555,8 +521,8 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
         lambda_tilde=lambda_tilde,
         h1_pert=h1_pert,
         p0=p0,
-        h1_unpert=math.exp(pd_unpert.log_H[1]),
+        h1_unpert=math.exp(unpert["log_H"][1]),
         p_unpert=p_unpert,
-        mu0_unpert=pd_unpert.mass_k[0],
+        mu0_unpert=unpert["mass_k"][0],
         max_rel_err=max(errs),
     )

@@ -3,7 +3,7 @@ from zerotemp import LocallyConstantPotential, full_shift
 
 def two_zero_blocks_potential() -> LocallyConstantPotential:
     """Fixed point 0 and the full shift on {1,2} both carry zero weight."""
-    sft = full_shift(2, 0.5)
+    sft = full_shift(2)
     return LocallyConstantPotential.from_table(
         sft,
         {

@@ -262,3 +262,45 @@ def test_walters_truncation_cap_exits_3(tmp_path, capsys):
     }
     assert main(["walters", write_config(tmp_path, cfg)]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_theta_range_validation(tmp_path, capsys):
+    # theta, the metric base of the shift, is accepted and range-checked
+    # although no computation reads it
+    for cfg in (LC1_CONFIG, W4_CONFIG):
+        for theta in (1.5, 1.0, 0.0):
+            bad = dict(cfg, potential=dict(cfg["potential"], theta=theta))
+            assert main(["run", write_config(tmp_path, bad)]) == EXIT_SCHEMA
+            assert "theta must lie in (0, 1)" in capsys.readouterr().err
+    good = dict(LC1_CONFIG, potential=dict(LC1_CONFIG["potential"], theta="0.25"))
+    assert main(["gamma", write_config(tmp_path, good)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def _with_potential(cfg, **fields):
+    return dict(cfg, potential=dict(cfg["potential"], **fields))
+
+
+NON_FINITE = [
+    ("gamma", dict(LC1_CONFIG, beta_grid=[2, "nan"])),
+    ("gamma", dict(LC1_CONFIG, beta_grid=[2, "inf"])),
+    ("gamma", dict(LC1_CONFIG, beta_grid=[2, "1e400"])),
+    ("run", _with_potential(LC1_CONFIG, table=dict(LC1_CONFIG["potential"]["table"], **{"01": "nan"}))),
+    ("run", _with_potential(LC1_CONFIG, table=dict(LC1_CONFIG["potential"]["table"], **{"10": "-inf"}))),
+    ("walters", _with_potential(W4_CONFIG, a="-inf")),
+    ("walters", _with_potential(W4_CONFIG, rho="nan")),
+    ("walters", dict(W4_CONFIG, perturbation=dict(W4_CONFIG["perturbation"], delta="nan"))),
+    ("appendix", ["--gamma", "-2", "--eta", "-1", "--beta-max", "nan"]),
+    ("appendix", ["--gamma", "-2", "--eta", "-1", "--beta-max", "inf"]),
+    ("appendix", ["--gamma", "-2", "--eta", "-1", "--beta-max", "1e400"]),
+    ("appendix", ["--gamma=-inf", "--eta", "-1", "--beta-max", "8"]),
+]
+
+
+@pytest.mark.parametrize("verb,arg", NON_FINITE, ids=range(len(NON_FINITE)))
+def test_non_finite_numbers_exit_2(tmp_path, capsys, verb, arg):
+    argv = [verb] + (arg if verb == "appendix" else [write_config(tmp_path, arg)])
+    assert main(argv) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(("config error:", "argument error:"))

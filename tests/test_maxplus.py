@@ -12,7 +12,7 @@ from zerotemp import (
     mp_eigenvectors,
 )
 from zerotemp.maxplus import NEG_INF
-from zerotemp.verify import _brute_max_cycle_mean
+from zerotemp.verify import _brute_best_cycle_mean
 
 F = Fraction
 
@@ -133,7 +133,7 @@ def test_karp_vs_brute_force_exact():
             for _ in range(n)
         ]
         m = MaxPlusMatrix.from_rows(rows)
-        expected = _brute_max_cycle_mean(m)
+        expected = _brute_best_cycle_mean(m)
         if expected is None:
             with pytest.raises(NoEigenvalueError):
                 mp_eigenvalue(m)

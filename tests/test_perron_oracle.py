@@ -108,7 +108,7 @@ def test_generic_potentials_match_the_dense_reference(pot, beta):
 def test_near_degenerate_appendix_2x2(beta):
     # the perturbed selection-flip matrix [[1, g], [g, 1 + e]] with g << e
     g, e = beta * -2.0, math.log1p(math.exp(beta * -1.0))
-    pot = LocallyConstantPotential(full_shift(1, 0.5), 1, {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): e})
+    pot = LocallyConstantPotential(full_shift(1), 1, {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): e})
     assert_matches_reference(perron(pot, 1.0), reference_perron(pot, 1.0))
 
 
@@ -137,7 +137,7 @@ def test_wrong_floor_and_guess_are_caught_by_the_test():
     pot = two_zero_blocks_potential()
     expected = perron(pot, 32.0)
     # floor e^{log 3} above the root, and floor e^0 with a far guess
-    for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None), (0.0, ((1,),), -40.0)]:
+    for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None), (0.0, ((1,),), -40.0, None)]:
         p = perron(pot, 32.0, floor=floor)
         assert p.log_H == expected.log_H
         assert p.mass_k == expected.mass_k

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from zerotemp import (
+    EmptyAubrySetError,
     LocallyConstantPotential,
     PerronError,
     PositiveCycleError,
     decompose_aubry,
     word_graph,
     equilibrium_cylinder_mass,
+    Sft,
     full_shift,
-    golden_mean_shift,
     perron,
     transfer_matrix,
 )
@@ -23,9 +24,12 @@ from zerotemp.verify import lc1_potential, lc2_potential, zero_potential
 
 import mpmath
 
+# two symbols, word 11 forbidden
+GOLDEN = Sft(2, ((True, True), (True, False)))
+
 
 def test_table_validation():
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     with pytest.raises(ValueError):
         LocallyConstantPotential(sft, 1, {(0, 0): 0.0})  # missing words
     with pytest.raises(ValueError):
@@ -33,7 +37,7 @@ def test_table_validation():
 
 
 def test_golden_mean_table_excludes_forbidden():
-    sft = golden_mean_shift()
+    sft = GOLDEN
     pot = LocallyConstantPotential.from_table(sft, {"00": 0.0, "01": -1.0, "10": -1.0})
     assert pot.value((0, 1)) == -1.0
     with pytest.raises(ValueError):
@@ -73,7 +77,7 @@ def test_perron_zero_potential():
 
 
 def test_depth_zero_lift():
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     pot = LocallyConstantPotential(sft, 0, {(0,): 0.0, (1,): -1.0})
     for beta in (1.0, 5.0):
         p = perron(pot, beta)
@@ -118,7 +122,7 @@ def test_equilibrium_measure_consistency():
 
 
 def test_inadmissible_word_gets_zero_mass():
-    sft = golden_mean_shift()
+    sft = GOLDEN
     pot = LocallyConstantPotential.from_table(sft, {"00": 0.0, "01": -1.0, "10": -1.0})
     p = perron(pot, 2.0)
     assert equilibrium_cylinder_mass(p, (1, 1)) == 0.0
@@ -141,7 +145,7 @@ def test_pressure_sandwich_under_perturbation():
     beta = 10.0
     eps = 1e-3
     base = perron(lc1_potential(), beta).log_lambda
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     pert = LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": -1.0 + eps / beta, "10": -1.0, "11": 0.0}
     )
@@ -149,25 +153,27 @@ def test_pressure_sandwich_under_perturbation():
 
 
 def test_normalization_check():
-    assert lc1_potential().is_normalized_for_optimization()
-    sft = full_shift(1, 0.5)
+    # the Aubry decomposition accepts exactly the normalized potentials
+    decompose_aubry(word_graph(lc1_potential()))
+    sft = full_shift(1)
     bad = LocallyConstantPotential.from_table(
         sft, {"00": 0.5, "01": -1.0, "10": -1.0, "11": 0.0}
     )
-    assert not bad.is_normalized_for_optimization()
+    with pytest.raises(PositiveCycleError):
+        decompose_aubry(word_graph(bad))
     shifted = LocallyConstantPotential.from_table(
         sft, {"00": -0.5, "01": -1.0, "10": -1.0, "11": -0.5}
     )
-    assert not shifted.is_normalized_for_optimization()
+    with pytest.raises(EmptyAubrySetError):
+        decompose_aubry(word_graph(shifted))
 
 
 def test_normalization_uses_the_aubry_rule():
     # the cycle 0 -> 1 -> 2 -> 0 weighs 2e-12 (mean 6.7e-13): positive beyond
-    # the zero-cycle tolerance, so neither check may accept it
+    # the zero-cycle tolerance, so the Aubry rule may not accept it
     table = {w: -1.0 for w in ("00", "02", "10", "11", "21", "22")}
     table.update({"01": 1e-12, "12": 1e-12, "20": 0.0})
-    pot = LocallyConstantPotential.from_table(full_shift(2, 0.5), table)
-    assert not pot.is_normalized_for_optimization()
+    pot = LocallyConstantPotential.from_table(full_shift(2), table)
     with pytest.raises(PositiveCycleError):
         decompose_aubry(word_graph(pot))
 
@@ -185,7 +191,7 @@ def _lifted_tables():
         for w in words3
     }
     table4 = {w: table3[w[:4]] for w in itertools.product((0, 1), repeat=5)}
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     return LocallyConstantPotential(sft, 3, table3), LocallyConstantPotential(sft, 4, table4)
 
 
@@ -208,7 +214,7 @@ def test_unscaled_floors_give_the_same_pair():
     m, adj, gamma, v = an.floor
     expected = an.perron(64.0)
     # no subaction, and one with a -inf entry: perron runs unscaled
-    for floor in [(m, adj, gamma), (m, adj, gamma, (float("-inf"),) + v[1:])]:
+    for floor in [(m, adj, gamma, None), (m, adj, gamma, (float("-inf"),) + v[1:])]:
         p = perron(pot, 64.0, floor=floor)
         assert p.log_lambda == expected.log_lambda
         assert p.log_H == pytest.approx(expected.log_H, rel=1e-14, abs=1e-14)
@@ -226,7 +232,7 @@ def _cycle_product(mat, cycle):
 def test_scaled_exponents_are_formed_in_mpmath():
     # golden shift, zero on the windows of the orbits 0 and 01, non-dyadic
     # elsewhere, so that the subaction V is not dyadic
-    sft = golden_mean_shift()
+    sft = GOLDEN
     words = [w for w in itertools.product((0, 1), repeat=4) if (1, 1) not in zip(w, w[1:])]
     zero = {(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)}
     table = {w: 0.0 if w in zero else -1.1 - 0.3 * i for i, w in enumerate(words)}

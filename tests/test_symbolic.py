@@ -3,26 +3,22 @@ import weakref
 
 import pytest
 
-from zerotemp import Sft, enumerate_words, full_shift, golden_mean_shift
+from zerotemp import Sft, enumerate_words, full_shift
 from zerotemp.symbolic import is_admissible
+
+# two symbols, word 11 forbidden
+GOLDEN = Sft(2, ((True, True), (True, False)))
 
 
 def test_full_shift_shape():
-    sft = full_shift(2, 0.5)
+    sft = full_shift(2)
     assert sft.alphabet_size == 3
     assert all(all(row) for row in sft.transitions)
 
 
 def test_full_shift_rejects_trivial():
     with pytest.raises(ValueError):
-        full_shift(0, 0.5)
-
-
-def test_theta_range_validation():
-    with pytest.raises(ValueError):
-        full_shift(1, 1.0)
-    with pytest.raises(ValueError):
-        full_shift(1, 0.0)
+        full_shift(0)
 
 
 def test_dead_row_rejected():
@@ -37,14 +33,13 @@ def test_dead_column_rejected():
 
 
 def test_golden_mean_shift_forbids_11():
-    sft = golden_mean_shift()
-    words = enumerate_words(sft, 2)
+    words = enumerate_words(GOLDEN, 2)
     assert (1, 1) not in words
     assert set(words) == {(0, 0), (0, 1), (1, 0)}
 
 
 def test_enumerate_words_lexicographic():
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     assert enumerate_words(sft, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(enumerate_words(sft, 5)) == 32
     with pytest.raises(ValueError):
@@ -52,10 +47,9 @@ def test_enumerate_words_lexicographic():
 
 
 def test_is_admissible():
-    sft = golden_mean_shift()
-    assert is_admissible(sft, (0, 1, 0))
-    assert not is_admissible(sft, (1, 1))
-    assert not is_admissible(sft, (0, 5))
+    assert is_admissible(GOLDEN, (0, 1, 0))
+    assert not is_admissible(GOLDEN, (1, 1))
+    assert not is_admissible(GOLDEN, (0, 5))
 
 
 def test_words_are_freed_with_the_sft():

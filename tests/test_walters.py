@@ -3,6 +3,7 @@ import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,15 +21,14 @@ from zerotemp import (
     mp_eigenvalue,
     perturbation_stability_experiment,
     subaction_offset_estimate,
-    walters_asymptotic_ratio,
     walters_cylinder_ratio,
     walters_gamma,
     walters_pressure,
 )
-from zerotemp import aubry, walters
-from zerotemp.aubry import critical_floor
+from zerotemp import walters
+from zerotemp.asymptotics import Analysis
 from zerotemp.verify import regime_potentials
-from zerotemp.walters import _appendix_chains, _log_series, _pressure_equation
+from zerotemp.walters import _appendix_chains, _pressure_equation, _Series
 
 
 W4 = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-3.0)
@@ -122,14 +122,26 @@ def test_boundary_regime_golden_limits():
     assert mu0 == pytest.approx(GOLDEN_MASS_0, abs=0.02)
 
 
+def asymptotic_ratio(w, p, beta):
+    """(P^2+e^{beta a})/(P+e^{beta a}) * (P+e^{beta c})/(P^2+e^{beta c})."""
+    lp = math.log(p)
+    t = (
+        np.logaddexp(2.0 * lp, beta * w.a)
+        - np.logaddexp(lp, beta * w.a)
+        + np.logaddexp(lp, beta * w.c)
+        - np.logaddexp(2.0 * lp, beta * w.c)
+    )
+    return math.exp(t) if t < 709.0 else math.inf
+
+
 def test_asymptotic_ratio():
     beta = 150.0
     sym = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)
-    assert walters_asymptotic_ratio(sym, walters_pressure(sym, beta), beta) == 1.0
+    assert asymptotic_ratio(sym, walters_pressure(sym, beta), beta) == 1.0
     for w in regime_potentials().values():
         p = walters_pressure(w, beta)
         exact, _ = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
-        asym = walters_asymptotic_ratio(w, p, beta)
+        asym = asymptotic_ratio(w, p, beta)
         if math.isinf(exact) or math.isinf(asym):
             assert math.isinf(exact) and math.isinf(asym)
         else:
@@ -181,15 +193,12 @@ def test_log_series_against_direct_sum():
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-2.0)
     beta, z = 3.0, 0.25
     direct = sum(math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000))
-    assert _log_series(w.a, w.rho, beta, z, w.default_trunc(), False) == pytest.approx(
-        math.log(direct), abs=1e-12
-    )
+    log_s, log_s_w = _Series(w.a, w.rho, beta, w.default_trunc())(z)
+    assert log_s == pytest.approx(math.log(direct), abs=1e-12)
     direct_w = sum(
         (j + 1) * math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000)
     )
-    assert _log_series(w.a, w.rho, beta, z, w.default_trunc(), True) == pytest.approx(
-        math.log(direct_w), abs=1e-12
-    )
+    assert log_s_w == pytest.approx(math.log(direct_w), abs=1e-12)
 
 
 def test_classify_regime_cases():
@@ -263,19 +272,21 @@ def test_appendix_selection_flip():
 
 
 def test_appendix_floors_match_critical_floor():
-    # the closed-form floors that appendix_example hands to perron agree
-    # with the ones perron would derive (Karp, Aubry decomposition, Karp,
-    # subaction),
+    # the closed-form floors that appendix_example hands to perron_core agree
+    # with the ones perron would derive (Analysis.floor: Karp, Aubry
+    # decomposition of A - m, Karp, subaction),
     # up to Karp's rounding of m; the betas keep the perturbed loop weight
     # m = log(1 + e^{beta eta}) above ZERO_CYCLE_TOL, below which the Aubry
     # rule counts the loop at 0 as critical too
-    sft = full_shift(1, 0.5)
+    sft = full_shift(1)
     for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
         for beta in (1.0, 2.0, 5.0, 10.0):
-            for table, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
-                m_ref, adj_ref, gamma_ref, v_ref = critical_floor(
+            for logm, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
+                # logm[v, u] is the weight of the edge u -> v
+                table = {(u, t): logm[t, u] for u in (0, 1) for t in (0, 1)}
+                m_ref, adj_ref, gamma_ref, v_ref = Analysis(
                     LocallyConstantPotential(sft, 1, table)
-                )
+                ).floor
                 assert m == pytest.approx(m_ref, rel=1e-12, abs=1e-15)
                 assert adj == adj_ref
                 assert gamma == pytest.approx(gamma_ref, rel=1e-12, abs=1e-14)
@@ -284,7 +295,7 @@ def test_appendix_floors_match_critical_floor():
 
 def test_appendix_example_derives_no_floor(monkeypatch):
     calls = []
-    monkeypatch.setattr(aubry, "critical_floor", lambda pot: calls.append(pot))
+    monkeypatch.setattr(Analysis, "floor", property(lambda an: calls.append(an.pot)))
     assert appendix_example(-2.0, -1.0, 20.0).max_rel_err <= 1e-10
     assert calls == []
 
@@ -367,9 +378,9 @@ def check_against_oracle(w, beta, trunc=None, sign=0.0):
             for z in (2.0**-6, 0.25, 2.0):
                 s, s_w = oracle_series(total, w.rho, beta, z)
                 series_trunc = w.default_trunc() if trunc is None else trunc
-                for weighted, exact in ((False, s), (True, s_w)):
-                    got = _log_series(total, w.rho, beta, z, series_trunc, weighted)
-                    assert got == pytest.approx(float(mpmath.log(exact)), rel=0.0, abs=1e-13)
+                got = _Series(total, w.rho, beta, series_trunc)(z)
+                for log_sum, exact in zip(got, (s, s_w)):
+                    assert log_sum == pytest.approx(float(mpmath.log(exact)), rel=0.0, abs=1e-13)
 
 
 @given(b=DYADIC, d=DYADIC, a=DYADIC, c=DYADIC, rho=ORACLE_RHOS, beta=ORACLE_BETAS,
