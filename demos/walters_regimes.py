@@ -8,7 +8,6 @@ predicted limit in every regime.
 """
 
 from zerotemp import (
-    FirstCoordPerturbation,
     classify_regime,
     walters_cylinder_ratio,
     walters_gamma,
@@ -23,7 +22,7 @@ if __name__ == "__main__":
         print(f"\n{name}: gamma = {walters_gamma(w)}, predicted mass {rep.limit_mass_0}")
         for beta in (25.0, 50.0, 100.0, 150.0):
             p = walters_pressure(w, beta)
-            _, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
+            _, mu0 = walters_cylinder_ratio(w, 0.0, beta, p)
             print(f"  beta {beta:5.0f}: mu([0]) = {mu0:.10f}")
         if rep.l_limit is not None:
             import math

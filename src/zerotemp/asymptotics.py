@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
 
 from .aubry import (
     AubryDecomposition,
@@ -56,26 +55,19 @@ def _entropy_mp(decomp: AubryDecomposition, dps: int):
 class Analysis:
     """What the estimates for one potential share, each part computed once:
     the word graph, the Aubry decomposition, the max-plus eigendata of its
-    maximal cost matrix and the max-plus subaction; Perron pairs by beta
-    (solved with ``tol`` above the floor e^h of the decomposition); and h at
-    the highest precision asked for so far.
+    maximal cost matrix and the max-plus subaction; Perron pairs by beta,
+    each solved on first use above the floor of this analysis; and h at the
+    highest precision asked for so far.
     """
 
-    def __init__(self, pot: LocallyConstantPotential, tol: float = 1e-14):
+    def __init__(self, pot: LocallyConstantPotential):
         self.pot = pot
-        self.tol = tol
         self._perron: dict[float, PerronData] = {}
         self._h = (0, None)  # (dps, h at that precision)
 
-    def prefetch(self, betas, grid_map=starmap) -> None:
-        """Solve the Perron pair at each beta not solved yet; ``grid_map``
-        works as ``itertools.starmap`` and may fan the solves out to a pool."""
-        todo = [b for b in betas if b not in self._perron]
-        args = [(self.pot, b, self.tol, self.floor) for b in todo]
-        self._perron.update(zip(todo, grid_map(perron, args)))
-
     def perron(self, beta: float) -> PerronData:
-        self.prefetch((beta,))
+        if beta not in self._perron:
+            self._perron[beta] = perron(self.pot, beta, self.floor)
         return self._perron[beta]
 
     def entropy(self, beta: float):
@@ -110,7 +102,7 @@ class Analysis:
             m = mp_eigenvalue(self.graph.weight_matrix())
             pot = self.pot
             shifted = {w: a - m for w, a in pot.values.items()}
-            an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, shifted), self.tol)
+            an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, shifted))
             try:
                 d = an.decomposition
             except (PositiveCycleError, EmptyAubrySetError):
@@ -141,16 +133,15 @@ class Analysis:
         return max_plus_subaction(g, self.decomposition, lead, g.nodes.index(zero_word))
 
 
-def _analysis_for(pot, analysis, tol: float = 1e-14) -> Analysis:
+def _analysis_for(pot, analysis) -> Analysis:
     if analysis is not None and analysis.pot != pot:
         raise ValueError("the analysis was made for another potential")
-    return analysis if analysis is not None else Analysis(pot, tol)
+    return analysis if analysis is not None else Analysis(pot)
 
 
 def estimate_gamma(
     pot: LocallyConstantPotential,
     beta_grid=DEFAULT_BETA_GRID,
-    tol: float = 1e-14,
     analysis: Analysis | None = None,
 ) -> GammaEstimate:
     """gamma_hat(beta) = (1/beta) log(P(beta A) - h) along the grid, plus the
@@ -158,12 +149,12 @@ def estimate_gamma(
     components (the predicted limit).
 
     h is computed at the precision the largest beta needs.  A given
-    ``analysis`` of ``pot`` supplies the shared parts (its own tol applies).
+    ``analysis`` of ``pot`` supplies the shared parts.
     """
     grid = tuple(float(b) for b in beta_grid)
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be non-empty and strictly increasing")
-    an = _analysis_for(pot, analysis, tol)
+    an = _analysis_for(pot, analysis)
     h_mp = an.entropy(grid[-1])
     return GammaEstimate(
         beta_grid=grid,

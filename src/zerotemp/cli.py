@@ -11,8 +11,6 @@ the Aubry decomposition, h and the Walters pressure at each beta are each
 computed once per config and kept until the run ends.
 
 Exit codes: 0 success, 2 malformed config or arguments, 3 numerical failure.
-Set ZEROTEMP_THREADS to solve the per-beta Perron pairs and Walters pressures
-on a process pool before the reports read them.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import math
 import os
 import sys
 from functools import cached_property
-from multiprocessing import Pool
 
 from .asymptotics import Analysis, estimate_gamma, estimate_subaction, limit_measure_estimate
 from .aubry import EmptyAubrySetError, PositiveCycleError
@@ -35,7 +32,6 @@ from .symbolic import Sft, enumerate_words
 from .verify import SUITE_NAMES, format_result, run_suite
 from .walters import (
     BracketError,
-    FirstCoordPerturbation,
     SeriesDivergenceError,
     WaltersPotential,
     appendix_example,
@@ -57,6 +53,7 @@ NUMERICAL_ERRORS = (
     NoEigenvalueError,
     PositiveCycleError,
     EmptyAubrySetError,
+    OverflowError,
 )
 
 
@@ -121,16 +118,20 @@ def _parse_potential(cfg: dict):
     kind = pot_cfg.get("kind")
     if kind == "locally-constant":
         n = pot_cfg.get("alphabet_size", 2)
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError("alphabet_size must be a positive integer")
         trans = pot_cfg.get("transitions")
         if trans is None:
+            # table words spell each symbol as one digit
+            if n > 10:
+                raise ConfigError(f"alphabet_size {n} is more than a table of digit words can cover")
             rows = tuple(tuple(True for _ in range(n)) for _ in range(n))
         else:
             if (
                 not isinstance(trans, list)
                 or len(trans) != n
                 or any(not isinstance(r, list) or len(r) != n for r in trans)
+                or any(v not in (0, 1) for r in trans for v in r)
             ):
                 raise ConfigError("transitions must be an n x n 0/1 matrix")
             rows = tuple(tuple(bool(v) for v in r) for r in trans)
@@ -149,6 +150,9 @@ def _parse_potential(cfg: dict):
             raise ConfigError(str(exc))
     if kind == "walters":
         _check_theta(pot_cfg)
+        relaxed = pot_cfg.get("relaxed", False)
+        if not isinstance(relaxed, bool):
+            raise ConfigError("relaxed must be true or false")
         try:
             return kind, WaltersPotential(
                 b=_num(pot_cfg.get("b"), "b"),
@@ -156,7 +160,7 @@ def _parse_potential(cfg: dict):
                 a=_num(pot_cfg.get("a"), "a"),
                 c=_num(pot_cfg.get("c"), "c"),
                 rho=_num(pot_cfg.get("rho", 0.5), "rho"),
-                relaxed=bool(pot_cfg.get("relaxed", False)),
+                relaxed=relaxed,
             )
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -211,42 +215,20 @@ def _parse_config(cfg: dict):
     return _Run(kind, pot, grid, pert), tuple(reports)
 
 
-def _thread_count() -> int:
-    try:
-        return max(int(os.environ.get("ZEROTEMP_THREADS", "1")), 1)
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, args_list):
-    """``[fn(*args) for args in args_list]``, optionally on a process pool.
-
-    Results come back in submission order either way.
-    """
-    workers = _thread_count()
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*a) for a in args_list]
-    with Pool(min(workers, len(args_list))) as pool:
-        return pool.starmap(fn, args_list)
-
-
 class _Run:
     """One config, and what its reports share.  Each shared part is solved
-    on first use and kept until the run ends; per-beta solves go through
-    _grid_map."""
+    on first use and kept until the run ends."""
 
     def __init__(self, kind, pot, grid, pert):
         self.kind, self.pot, self.grid, self.pert = kind, pot, grid, pert
 
     @cached_property
     def analysis(self) -> Analysis:
-        an = Analysis(self.pot)
-        an.prefetch(self.grid, _grid_map)
-        return an
+        return Analysis(self.pot)
 
     @cached_property
     def pressures(self) -> list[float]:
-        return _grid_map(walters_pressure, [(self.pot, b) for b in self.grid])
+        return [walters_pressure(self.pot, b) for b in self.grid]
 
 
 def _report_lc_gamma(run):
@@ -326,7 +308,7 @@ def _report_walters_measure(run):
     header = ["beta", "pressure", "ratio", "mu_0"]
     csv_rows = []
     for beta, p in zip(run.grid, run.pressures):
-        ratio, mu0 = walters_cylinder_ratio(run.pot, FirstCoordPerturbation.none(), beta, p)
+        ratio, mu0 = walters_cylinder_ratio(run.pot, 0.0, beta, p)
         csv_rows.append((beta, p, ratio, mu0))
     summary = f"measure: mu([0]) at beta {run.grid[-1]:g} = {csv_rows[-1][3]:.7f}"
     return header, csv_rows, summary

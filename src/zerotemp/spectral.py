@@ -56,6 +56,13 @@ _MAX_ESCALATIONS = 6
 _EXCESS_SLACK = 15
 _RESOLVED = 60
 _GUARD = 30
+# the most digits one solve may ask for: the benchmark ladder peaks below
+# 2,000, a 2-state solve at 10^5 digits takes about a minute, and far
+# enough past it mpmath cannot even set the precision up
+_MAX_DPS = 10**5
+# the largest eigen-residual |S H - lambda H| accepted, relative to
+# lambda max(H)
+_MAX_RESIDUAL = 1e-8
 
 
 class PerronError(RuntimeError):
@@ -465,10 +472,9 @@ def _search(mat, floor, x, x_min, x_max):
 def _inverse_iteration(lu, settle):
     """Right and left Perron vectors from the factors of mu*I - M, mu just
     above the root, iterated until no component of either vector moves by
-    more than ``settle`` relative, twice in a row."""
+    more than ``settle`` relative."""
     n = len(lu)
     right, left = [mpmath.mpf(1)] * n, [mpmath.mpf(1)] * n
-    settled = 0
     for _ in range(_MAX_STEPS):
         new_right = _solve(lu, right)
         new_left = _solve(lu, left, transpose=True)
@@ -480,15 +486,12 @@ def _inverse_iteration(lu, settle):
             default=0,
         )
         right, left = new_right, new_left
-        settled = settled + 1 if moved <= settle else 0
-        if settled == 2:
+        if moved <= settle:
             return right, left
     raise PerronError(f"inverse iteration did not settle in {_MAX_STEPS} steps; {ITERATION_NOTE}")
 
 
-def perron(
-    pot: LocallyConstantPotential, beta: float, tol: float = 1e-14, floor=None
-) -> PerronData:
+def perron(pot: LocallyConstantPotential, beta: float, floor=None) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
     of the transfer matrix of ``pot`` at ``beta``; see perron_core.
 
@@ -496,23 +499,21 @@ def perron(
     (asymptotics.Analysis.floor), or starts from a Collatz-Wielandt bound if
     it cannot be derived.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
     if floor is None:
         from .asymptotics import Analysis  # asymptotics builds on this module
 
-        floor = Analysis(pot, tol).floor
+        floor = Analysis(pot).floor
     logm = transfer_matrix(pot, beta)
     return PerronData(
         beta=beta, pot=pot, log_matrix=logm,
-        **perron_core(logm, beta, floor, tol, pot.states.index(zero)),
+        **perron_core(logm, beta, floor, pot.states.index(zero)),
     )
 
 
-def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -> dict:
+def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
     """The Perron pair of exp(logm), as the PerronData fields other than
     beta, pot and log_matrix, with H normalized to 1 at ``anchor``.
 
@@ -533,7 +534,9 @@ def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -
     disagrees, E doubles and the solve starts again from the old bracket.
     H and nu settle by inverse iteration to R digits; they are unscaled as
     H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
-    unscaling.  tol bounds the accepted eigen-residual relative to lambda.
+    unscaling.  The eigen-residual must stay below _MAX_RESIDUAL relative
+    to lambda, and a solve that would need more than _MAX_DPS digits raises
+    PerronError before it starts.
     """
     n = logm.shape[0]
     finite = logm[np.isfinite(logm)]
@@ -547,6 +550,11 @@ def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -
     start, escalations = None, 0
     while True:
         dps = excess_digits + _RESOLVED + _GUARD
+        if dps > _MAX_DPS:
+            raise PerronError(
+                f"the solve at beta {beta:g} needs {float(dps):.3g} digits, "
+                f"more than the cap of {_MAX_DPS}"
+            )
         with mpmath.workdps(dps):
             shift = mpmath.mpf(beta) * cycle_mean
             w = [mpmath.mpf(beta) * x for x in v]
@@ -578,7 +586,7 @@ def perron_core(logm: np.ndarray, beta: float, floor, tol: float, anchor: int) -
             abs(sum(mat[i][j] * h_vec[j] for j in range(n) if mat[i][j]) - lam * h_vec[i])
             for i in range(n)
         )
-        if res > mpmath.mpf(tol) * lam * max(h_vec) * 10**6:
+        if res > _MAX_RESIDUAL * lam * max(h_vec):
             raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
         mass_raw = [h * nu for h, nu in zip(h_vec, nu_vec)]
         z = sum(mass_raw)

@@ -28,7 +28,6 @@ from .symbolic import full_shift
 from .walters import (
     GOLDEN_MASS_0,
     GOLDEN_RATIO,
-    FirstCoordPerturbation,
     WaltersPotential,
     appendix_example,
     classify_regime,
@@ -222,7 +221,7 @@ def suite_theorem_b() -> list[CheckResult]:
             CheckResult(f"{name} pressure rate vs gamma", abs(rate - gamma) <= 0.05, rate, gamma, 0.05)
         )
         rep = classify_regime(w)
-        _, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
+        _, mu0 = walters_cylinder_ratio(w, 0.0, beta, p)
         if rep.regime == "zero-dominant":
             ok = mu0 >= 0.98 if not rep.mirrored else mu0 <= 0.02
             out.append(CheckResult(f"{name} mass concentration", ok, mu0, rep.limit_mass_0, 0.02))
@@ -239,7 +238,7 @@ def suite_theorem_b() -> list[CheckResult]:
         delta = gamma - 0.5
         for sign in (1.0, -1.0):
             a_beta = sign * math.exp(beta * delta)
-            _, mu_pert = walters_cylinder_ratio(w, FirstCoordPerturbation(a_beta), beta, p)
+            _, mu_pert = walters_cylinder_ratio(w, a_beta, beta, p)
             mu_gap = abs(mu_pert - mu0)
             v_gap = abs(
                 subaction_offset_estimate(w, beta, p, a_beta)

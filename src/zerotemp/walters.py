@@ -31,7 +31,6 @@ from .spectral import perron_core
 
 __all__ = [
     "WaltersPotential",
-    "FirstCoordPerturbation",
     "WaltersZeroTempReport",
     "StabilityRow",
     "StabilityReport",
@@ -53,6 +52,8 @@ GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_MASS_0 = (10.0 + 2.0 * math.sqrt(5.0)) / 20.0
 
 TRUNC_CAP = 10**5
+# Newton on log P stops at a step below this (or 4 ulp of log P)
+_LOG_P_STEP = 1e-15
 # the series tails stop at terms below 2^-60 of the largest
 _TAIL_DIGITS = 60.0 * math.log(2.0)
 
@@ -124,17 +125,6 @@ class WaltersPotential:
         return max(int(j), 8)
 
 
-@dataclass(frozen=True)
-class FirstCoordPerturbation:
-    """B(x) = a_beta on the cylinder [0], 0 on [1]."""
-
-    a_beta: float
-
-    @classmethod
-    def none(cls) -> "FirstCoordPerturbation":
-        return cls(0.0)
-
-
 def walters_gamma(w: WaltersPotential) -> float:
     """gamma = max{a+b+d, c+b+d, (a+c+b+d)/2} (tail totals a, c)."""
     lam, _ = mp_2x2_closed_form(w.a, w.b, w.c, w.d)
@@ -183,7 +173,9 @@ class _Series:
     J >= 8 with c rho^J <= 1 (capped by trunc), so the m-sum converges like
     the exponential series; it stops at the first m past c rho^J whose
     term is below 2^-60 of the largest, which bounds it for every z, since
-    the geometric factors only fall with m.
+    the geometric factors only fall with m.  When trunc leaves c rho^J above
+    TRUNC_CAP, the m-sum would need that many terms, and SeriesDivergenceError
+    is raised instead.
     """
 
     def __init__(self, total: float, rho: float, beta: float, trunc: int):
@@ -198,6 +190,10 @@ class _Series:
         self._weights = j + 1.0
         self._head = beta * total * (1.0 - rho**j)
         x = c * rho**self._head_len
+        if x > TRUNC_CAP:
+            raise SeriesDivergenceError(
+                f"the series tail needs about {x:.3g} terms, more than the cap of {TRUNC_CAP}"
+            )
         log_x = math.log(c) + self._head_len * log_rho
         coeffs = []
         top = -math.inf
@@ -260,16 +256,15 @@ def _pressure_equation(w: WaltersPotential, beta: float, trunc: int):
     return f
 
 
-def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None,
-                     tol: float = 1e-15) -> float:
+def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None) -> float:
     """Unique positive root P of
     e^{2P} = e^{beta(b+d)} (1 + sum_j e^{beta A_j - jP})(1 + sum_j e^{beta C_j - jP})
     with A_j, C_j the tail partial sums.
 
     Newton's method on t = log P (see _pressure_equation), from beta*gamma,
     inside a bracket; a step that leaves the bracket is replaced by
-    bisection.  It stops at a step below tol or 4 ulp of t: rounding in f
-    leaves t no finer resolution.
+    bisection.  It stops at a step below _LOG_P_STEP or 4 ulp of t: rounding
+    in f leaves t no finer resolution.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -294,19 +289,20 @@ def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None,
         else:
             hi = t
         step = -value / slope
-        if abs(step) <= max(tol, 4.0 * math.ulp(t)):
+        if abs(step) <= max(_LOG_P_STEP, 4.0 * math.ulp(t)):
             return math.exp(t + step)
         t += step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-            if hi - lo <= max(tol, 4.0 * math.ulp(t)):
+            if hi - lo <= max(_LOG_P_STEP, 4.0 * math.ulp(t)):
                 break
     return math.exp(t)
 
 
-def walters_cylinder_ratio(w: WaltersPotential, pert: FirstCoordPerturbation,
-                           beta: float, p: float, trunc: int | None = None):
-    """(S0/S1, mu([0])) from the exact cylinder-mass series.
+def walters_cylinder_ratio(w: WaltersPotential, a_beta: float, beta: float, p: float,
+                           trunc: int | None = None):
+    """(S0/S1, mu([0])) from the exact cylinder-mass series, with the
+    first-coordinate perturbation B = a_beta on [0] and 0 on [1].
 
     S0 = (1 + sum (j+1) e^{beta A_j + j a_beta - j P}) / (1 + sum e^{...}),
     S1 the same with C_j and no perturbation term;
@@ -314,7 +310,7 @@ def walters_cylinder_ratio(w: WaltersPotential, pert: FirstCoordPerturbation,
     """
     if trunc is None:
         trunc = w.default_trunc()
-    l0, l0_w = _Series(w.a, w.rho, beta, trunc)(p - pert.a_beta)
+    l0, l0_w = _Series(w.a, w.rho, beta, trunc)(p - a_beta)
     l1, l1_w = _Series(w.c, w.rho, beta, trunc)(p)
     t = (_softplus(l0_w) - _softplus(l0)) - (_softplus(l1_w) - _softplus(l1))
     ratio = math.exp(t) if t < 709.0 else math.inf
@@ -395,31 +391,25 @@ class StabilityReport:
 
 def perturbation_stability_experiment(w: WaltersPotential, delta: float,
                                       beta_grid, sign: float = 1.0,
-                                      trunc: int | None = None,
                                       pressures=None) -> StabilityReport:
     """Compare mu([0]) and the V(1^inf) estimate with and without the
     perturbation a_beta = sign * e^{beta delta} along a beta grid.
 
     The perturbed pressure reuses the unperturbed one: it lies in the
     sandwich [P - |a_beta|, P + |a_beta|], and for delta < gamma the width
-    is a vanishing fraction of P itself.  ``pressures``, when given, are the
-    unperturbed pressures at the grid points, as walters_pressure returns
-    them with the same trunc.
+    is a vanishing fraction of P itself.  ``pressures``, when given, are
+    walters_pressure at the grid points.
     """
     grid = tuple(float(b) for b in beta_grid)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
     if pressures is None:
-        pressures = [walters_pressure(w, beta, trunc) for beta in grid]
+        pressures = [walters_pressure(w, beta) for beta in grid]
     rows = []
     for beta, p in zip(grid, pressures, strict=True):
         a_beta = sign * math.exp(beta * delta)
-        _, mu_pert = walters_cylinder_ratio(
-            w, FirstCoordPerturbation(a_beta), beta, p, trunc
-        )
-        _, mu_unpert = walters_cylinder_ratio(
-            w, FirstCoordPerturbation.none(), beta, p, trunc
-        )
+        _, mu_pert = walters_cylinder_ratio(w, a_beta, beta, p)
+        _, mu_unpert = walters_cylinder_ratio(w, 0.0, beta, p)
         v_pert = subaction_offset_estimate(w, beta, p, a_beta)
         v_unpert = subaction_offset_estimate(w, beta, p, 0.0)
         rows.append(
@@ -504,7 +494,7 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
     p0 = 2.0 * r * r / (s * (s + 1.0))  # = 1/2 - h/(2 sqrt(h^2+4g^2)), stably
     p_unpert = math.log1p(math.exp(beta * gamma_p))
 
-    pert, unpert = (perron_core(logm, 1.0, floor, 1e-14, 0)
+    pert, unpert = (perron_core(logm, 1.0, floor, 0)
                     for logm, floor in _appendix_chains(gamma_p, eta, beta))
     errs = [
         _rel_err(math.exp(pert["log_lambda"]), lambda_tilde),

@@ -101,16 +101,6 @@ def test_run_is_byte_deterministic(tmp_path):
         assert (out1 / f"{name}.csv").read_bytes() == (out2 / f"{name}.csv").read_bytes()
 
 
-def test_thread_fanout_matches_sequential(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, LC1_CONFIG)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    assert main(["run", cfg, "--output-dir", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("ZEROTEMP_THREADS", "2")
-    assert main(["run", cfg, "--output-dir", str(out2)]) == EXIT_OK
-    for report in LC1_CONFIG["reports"]:
-        assert (out1 / f"{report}.csv").read_bytes() == (out2 / f"{report}.csv").read_bytes()
-
-
 def test_reports_share_one_analysis(tmp_path, monkeypatch):
     perron_calls = count_calls(monkeypatch, "spectral", "perron")
     decompose_calls = count_calls(monkeypatch, "aubry", "decompose_aubry")
@@ -304,3 +294,44 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, verb, arg):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(("config error:", "argument error:"))
+
+
+MALFORMED = [
+    # "0" is a string, 2 is not 0/1: both used to run as the full shift
+    ("run", _with_potential(LC1_CONFIG, transitions=[["1", "1"], ["1", "0"]])),
+    ("run", _with_potential(LC1_CONFIG, transitions=[[1, 1], [1, 2]])),
+    ("run", _with_potential(LC1_CONFIG, alphabet_size=True, table={"0": 0})),
+    # without transitions the full shift's n x n matrix is never built
+    ("run", _with_potential(LC1_CONFIG, alphabet_size=10**6)),
+    # a non-empty string used to switch relaxed mode on
+    ("walters", _with_potential(W4_CONFIG, b="0", relaxed="false")),
+]
+
+
+@pytest.mark.parametrize("verb,cfg", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_fields_exit_2(tmp_path, capsys, verb, cfg):
+    assert main([verb, write_config(tmp_path, cfg)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+EXTREME = [
+    # perron would need about 1e300 digits
+    ("gamma", _with_potential(LC1_CONFIG, table=dict(LC1_CONFIG["potential"]["table"], **{"01": -1e300}))),
+    ("gamma", _with_potential(LC1_CONFIG, table=dict(LC1_CONFIG["potential"]["table"], **{"01": 1e300}))),
+    ("gamma", dict(LC1_CONFIG, beta_grid=[1e300])),
+    # the head is capped, so the series tail would need about 1e285 terms
+    ("walters", {
+        "potential": {"kind": "walters", "b": -1e-300, "d": -1, "a": -1, "c": -1e300, "rho": 0.5},
+        "beta_grid": [4],
+        "reports": ["pressure"],
+    }),
+    # e^{beta (eta - gamma)} overflows a float
+    ("appendix", ["--gamma", "-2", "--eta", "-1", "--beta-max", "1000"]),
+]
+
+
+@pytest.mark.parametrize("verb,arg", EXTREME, ids=range(len(EXTREME)))
+def test_extreme_inputs_exit_3(tmp_path, capsys, verb, arg):
+    argv = [verb] + (arg if verb == "appendix" else [write_config(tmp_path, arg)])
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure")

@@ -14,6 +14,7 @@ DELETED = (
     "walters_asymptotic_ratio",
     "golden_mean_shift",
     "_log_series",
+    "FirstCoordPerturbation",
 )
 
 

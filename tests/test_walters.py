@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from zerotemp import (
     GOLDEN_MASS_0,
     GOLDEN_RATIO,
-    FirstCoordPerturbation,
     LocallyConstantPotential,
     SeriesDivergenceError,
     WaltersPotential,
@@ -104,7 +103,7 @@ def test_cylinder_ratio_regimes():
     for name, w in regime_potentials().items():
         rep = classify_regime(w)
         p = walters_pressure(w, beta)
-        ratio, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
+        ratio, mu0 = walters_cylinder_ratio(w, 0.0, beta, p)
         if rep.regime == "zero-dominant":
             if rep.mirrored:
                 assert mu0 <= 0.01
@@ -117,7 +116,7 @@ def test_cylinder_ratio_regimes():
 def test_boundary_regime_golden_limits():
     beta = 150.0
     p = walters_pressure(W4, beta)
-    ratio, mu0 = walters_cylinder_ratio(W4, FirstCoordPerturbation.none(), beta, p)
+    ratio, mu0 = walters_cylinder_ratio(W4, 0.0, beta, p)
     assert ratio == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=0.02)
     assert mu0 == pytest.approx(GOLDEN_MASS_0, abs=0.02)
 
@@ -140,7 +139,7 @@ def test_asymptotic_ratio():
     assert asymptotic_ratio(sym, walters_pressure(sym, beta), beta) == 1.0
     for w in regime_potentials().values():
         p = walters_pressure(w, beta)
-        exact, _ = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, p)
+        exact, _ = walters_cylinder_ratio(w, 0.0, beta, p)
         asym = asymptotic_ratio(w, p, beta)
         if math.isinf(exact) or math.isinf(asym):
             assert math.isinf(exact) and math.isinf(asym)
@@ -150,9 +149,8 @@ def test_asymptotic_ratio():
 
 def test_series_divergence_detected():
     p = walters_pressure(W4, 50.0)
-    big = FirstCoordPerturbation(2.0 * p)
     with pytest.raises(SeriesDivergenceError):
-        walters_cylinder_ratio(W4, big, 50.0, p)
+        walters_cylinder_ratio(W4, 2.0 * p, 50.0, p)
 
 
 def test_truncation_cap_raises_instead_of_a_wrong_pressure():
@@ -222,8 +220,8 @@ def test_mirror_symmetry_of_masses():
     m = WaltersPotential(b=-1.3, d=-0.7, a=-2.5, c=-1.0)
     pw, pm = walters_pressure(w, beta), walters_pressure(m, beta)
     assert pw == pytest.approx(pm, rel=1e-10)
-    _, mu_w = walters_cylinder_ratio(w, FirstCoordPerturbation.none(), beta, pw)
-    _, mu_m = walters_cylinder_ratio(m, FirstCoordPerturbation.none(), beta, pm)
+    _, mu_w = walters_cylinder_ratio(w, 0.0, beta, pw)
+    _, mu_m = walters_cylinder_ratio(m, 0.0, beta, pm)
     assert mu_w == pytest.approx(1.0 - mu_m, abs=1e-9)
 
 
@@ -372,7 +370,7 @@ def check_against_oracle(w, beta, trunc=None, sign=0.0):
         p = walters_pressure(w, beta, trunc)
         assert p == pytest.approx(float(oracle_pressure(w, beta)), rel=1e-12, abs=0.0)
         a_beta = sign * math.exp(beta * (walters_gamma(w) - 0.5))
-        _, mu0 = walters_cylinder_ratio(w, FirstCoordPerturbation(a_beta), beta, p, trunc)
+        _, mu0 = walters_cylinder_ratio(w, a_beta, beta, p, trunc)
         assert mu0 == pytest.approx(float(oracle_mu0(w, beta, p, a_beta)), rel=1e-12, abs=0.0)
         for total in (w.a, w.c):
             for z in (2.0**-6, 0.25, 2.0):
