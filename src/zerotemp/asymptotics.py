@@ -44,7 +44,6 @@ class GammaEstimate:
     gamma_hat: tuple[float, ...]
     gamma_maxplus: float
     h: float
-    decomposition: AubryDecomposition
 
 
 def _entropy_mp(decomp: AubryDecomposition, dps: int):
@@ -161,7 +160,6 @@ def estimate_gamma(
         gamma_hat=tuple(an.perron(b).pressure_excess_log(h_mp) / b for b in grid),
         gamma_maxplus=an.gamma_maxplus,
         h=float(h_mp),
-        decomposition=an.decomposition,
     )
 
 

@@ -82,13 +82,7 @@ def _check_theta(pot_cfg: dict) -> None:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if x == -math.inf:
-            return "-inf"
-        if x == math.inf:
-            return "inf"
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _word_str(word) -> str:
@@ -377,16 +371,6 @@ _REPORTS = {
 }
 
 
-def _compute_reports(run, reports):
-    table = {}
-    summaries = []
-    for name in reports:
-        header, rows, summary = _REPORTS[run.kind, name](run)
-        table[name] = (header, rows)
-        summaries.append(summary)
-    return table, summaries
-
-
 def _render_csv(header, rows, digest: str) -> str:
     buf = io.StringIO()
     buf.write(f"# config-sha256={digest}\n")
@@ -396,51 +380,40 @@ def _render_csv(header, rows, digest: str) -> str:
     return buf.getvalue()
 
 
-def _load_run(config_path: str, wanted_kind: str | None = None):
-    """(run, report names, config digest); raises ConfigError."""
-    cfg, digest = _load_config(config_path)
-    run, reports = _parse_config(cfg)
-    if wanted_kind is not None and run.kind != wanted_kind:
-        raise ConfigError(f"this verb needs a {wanted_kind!r} potential, config has {run.kind!r}")
-    return run, reports, digest
+def _appendix_config(gamma, eta, beta_max):
+    """The config the appendix verb runs, and its digest: the selection-flip
+    example at beta = 2, 4, 8, ... below beta_max, then at beta_max."""
+    gamma, eta, beta_max = _num(gamma, "gamma"), _num(eta, "eta"), _num(beta_max, "beta-max")
+    if beta_max < 2:
+        raise ConfigError("beta-max must be at least 2")
+    grid = []
+    b = 2.0
+    while b < beta_max:
+        grid.append(b)
+        b *= 2.0
+    cfg = {
+        "potential": {"kind": "appendix", "gamma": gamma, "eta": eta},
+        "beta_grid": grid + [beta_max],
+        "reports": ["appendix"],
+    }
+    digest = hashlib.sha256(
+        f"appendix gamma={gamma!r} eta={eta!r} beta_max={beta_max!r}".encode()
+    ).hexdigest()
+    return cfg, digest
 
 
-def _cmd_run(config_path: str, output_dir: str | None) -> int:
-    run, reports, digest = _load_run(config_path)
-    table, summaries = _compute_reports(run, reports)
-    # all computation done; only now touch the filesystem
-    base = output_dir
-    if base is None:
+def _write_outputs(config_path, output_dir, results, summaries: str, digest) -> None:
+    """Each report's CSV and summary.txt into output_dir, by default
+    <config stem>_out/ next to the config."""
+    if output_dir is None:
         stem = os.path.splitext(os.path.basename(config_path))[0]
-        base = os.path.join(os.path.dirname(os.path.abspath(config_path)), stem + "_out")
-    os.makedirs(base, exist_ok=True)
-    for name in reports:
-        header, rows = table[name]
-        path = os.path.join(base, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
+        output_dir = os.path.join(os.path.dirname(os.path.abspath(config_path)), stem + "_out")
+    os.makedirs(output_dir, exist_ok=True)
+    for name, (header, rows, _) in results:
+        with open(os.path.join(output_dir, f"{name}.csv"), "w", newline="") as fh:
             fh.write(_render_csv(header, rows, digest))
-    summary_text = "\n".join(summaries) + "\n"
-    with open(os.path.join(base, "summary.txt"), "w") as fh:
-        fh.write(f"# config-sha256={digest}\n")
-        fh.write(summary_text)
-    print(summary_text, end="")
-    return EXIT_OK
-
-
-def _cmd_single_report(config_path: str, wanted_kind: str, report: str | None = None) -> int:
-    """Print the CSV of `report` to stdout; with no `report`, the CSV of
-    every report of the config followed by their summaries."""
-    run, reports, digest = _load_run(config_path, wanted_kind)
-    if report is not None:
-        reports = (report,)
-    table, summaries = _compute_reports(run, reports)
-    for name in reports:
-        header, rows = table[name]
-        sys.stdout.write(_render_csv(header, rows, digest))
-    if report is None:
-        for s in summaries:
-            print(s)
-    return EXIT_OK
+    with open(os.path.join(output_dir, "summary.txt"), "w") as fh:
+        fh.write(f"# config-sha256={digest}\n{summaries}")
 
 
 def _cmd_verify(suite: str) -> int:
@@ -456,28 +429,6 @@ def _cmd_verify(suite: str) -> int:
             failed += 1
     print(f"{len(results) - failed}/{len(results)} checks passed in suite {suite!r}")
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
-
-
-def _cmd_appendix(gamma_p: float, eta: float, beta_max: float) -> int:
-    if not (gamma_p < eta < 0):
-        print("argument error: need gamma < eta < 0", file=sys.stderr)
-        return EXIT_SCHEMA
-    if beta_max < 2:
-        print("argument error: beta-max must be at least 2", file=sys.stderr)
-        return EXIT_SCHEMA
-    grid = []
-    b = 2.0
-    while b < beta_max:
-        grid.append(b)
-        b *= 2.0
-    grid.append(beta_max)
-    header, rows, summary = _report_appendix(_Run("appendix", (gamma_p, eta), tuple(grid), None))
-    digest = hashlib.sha256(
-        f"appendix gamma={gamma_p!r} eta={eta!r} beta_max={beta_max!r}".encode()
-    ).hexdigest()
-    sys.stdout.write(_render_csv(header, rows, digest))
-    print(summary)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,35 +453,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the potential kind of the config each single-config verb runs
+_VERB_KINDS = {"gamma": "locally-constant", "walters": "walters", "appendix": "appendix"}
+
+
 def main(argv=None) -> int:
+    """Every verb but verify runs one config: run writes each report's CSV
+    and the summaries to a directory and prints the summaries; gamma prints
+    the gamma CSV; walters and appendix print every report's CSV, then the
+    summaries."""
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        if args.verb == "verify":
+            return _cmd_verify(args.suite)
+        if args.verb == "appendix":
+            cfg, digest = _appendix_config(args.gamma, args.eta, args.beta_max)
+        else:
+            cfg, digest = _load_config(args.config)
+        run, reports = _parse_config(cfg)
+        kind = _VERB_KINDS.get(args.verb, run.kind)
+        if run.kind != kind:
+            raise ConfigError(f"this verb needs a {kind!r} potential, config has {run.kind!r}")
+        if args.verb == "gamma":
+            reports = ("gamma",)
+        results = [(name, _REPORTS[run.kind, name](run)) for name in reports]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure in {args.verb}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def _dispatch(args) -> int:
+    summaries = "".join(f"{s}\n" for _, (_, _, s) in results)
+    # all computation done; only now touch the filesystem
     if args.verb == "run":
-        return _cmd_run(args.config, args.output_dir)
-    if args.verb == "verify":
-        return _cmd_verify(args.suite)
-    if args.verb == "gamma":
-        return _cmd_single_report(args.config, "locally-constant", "gamma")
-    if args.verb == "walters":
-        return _cmd_single_report(args.config, "walters")
-    try:
-        values = [float(x) for x in (args.gamma, args.eta, args.beta_max)]
-    except ValueError:
-        values = [math.nan]
-    if not all(map(math.isfinite, values)):
-        print("argument error: gamma, eta, beta-max must be finite numbers", file=sys.stderr)
-        return EXIT_SCHEMA
-    return _cmd_appendix(*values)
+        _write_outputs(args.config, args.output_dir, results, summaries, digest)
+    else:
+        for _, (header, rows, _) in results:
+            sys.stdout.write(_render_csv(header, rows, digest))
+    if args.verb != "gamma":
+        print(summaries, end="")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

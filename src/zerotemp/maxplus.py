@@ -28,7 +28,7 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# columns equal up to an additive constant are considered the same eigenvector
+# float tolerance for a zero cycle weight, and for a tie in mp_2x2_closed_form
 DEDUP_TOL = 1e-9
 
 
@@ -77,7 +77,6 @@ class MaxPlusMatrix:
 class MaxPlusEigenData:
     eigenvalue: object
     eigenvectors: tuple[tuple[object, ...], ...]
-    critical_nodes: tuple[int, ...]
     eigenspace_dim: int
 
 
@@ -269,7 +268,7 @@ def _is_zero(x, exact: bool) -> bool:
 
 
 def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
-    """Eigenvalue, critical nodes and an eigenvector basis.
+    """Eigenvalue, an eigenvector basis and the eigenspace dimension.
 
     B = M - lam has maximum cycle mean 0; columns of its Kleene closure at
     critical nodes (nodes on a zero-weight cycle of B) are eigenvectors, one
@@ -293,27 +292,8 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
         base = col[0]
         if base == NEG_INF:
             raise NoEigenvalueError("reducible matrix: eigenvector has -inf entries")
-        vec = tuple(x if x == NEG_INF else x - base for x in col)
-        dup = False
-        for known in vectors:
-            diffs = [
-                a - kb
-                for a, kb in zip(vec, known)
-                if a != NEG_INF and kb != NEG_INF
-            ]
-            if len(diffs) == len(vec):
-                spread = max(diffs) - min(diffs)
-                if (exact and spread == 0) or (not exact and spread <= DEDUP_TOL):
-                    dup = True
-                    break
-        if not dup:
-            vectors.append(vec)
-    return MaxPlusEigenData(
-        eigenvalue=lam,
-        eigenvectors=tuple(vectors),
-        critical_nodes=tuple(sorted(v for c in comps for v in c)),
-        eigenspace_dim=len(comps),
-    )
+        vectors.append(tuple(x if x == NEG_INF else x - base for x in col))
+    return MaxPlusEigenData(eigenvalue=lam, eigenvectors=tuple(vectors), eigenspace_dim=len(comps))
 
 
 def mp_2x2_closed_form(a, b, c, d):

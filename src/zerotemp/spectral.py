@@ -354,7 +354,7 @@ def _scaled_matrix(logm: np.ndarray, shift, w) -> list:
     return mat
 
 
-def _bracket_root(mat, floor, guess, digits: int, rel_width, start=None):
+def _bracket_root(mat, floor, guess, digits: int, rel_width):
     """Certified bracket of the Perron root of mat, narrowed around it.
 
     ``floor`` is a lower estimate of the root (its max-plus floor, or None)
@@ -367,9 +367,7 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width, start=None):
     pivots, until hi - lo <= rel_width * (hi - floor).  (The last pivot
     alone changes sign only between the root of the leading block and rho,
     a window as narrow as the excess when the last state is off the Aubry
-    set.)  A ``start`` bracket (lo, hi) above the floor, from a solve at a
-    lower precision, is probed first and narrowed if the test still fails
-    at lo and passes at hi.
+    set.)
 
     Returns (lo, hi, lambda, factors of hi*I - mat).  When the test passes
     within floor * 10^-digits of the floor (the zero-excess case, such as
@@ -386,14 +384,7 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width, start=None):
         floor = low
     x_min = floor * mpmath.mpf(10) ** -digits
     x_max = max(2 * (top - floor), 2 * x_min)
-    found = None
-    if start is not None and start[0] > floor:
-        passes_lo, f_lo, _ = _shifted_lu(mat, start[0])
-        passes_hi, f_hi, lu_hi = _shifted_lu(mat, start[1])
-        if passes_hi and not passes_lo:
-            found = start[0], f_lo, start[1], f_hi, lu_hi
-    if found is None:
-        found = _search(mat, floor, guess or x_max, x_min, x_max)
+    found = _search(mat, floor, guess or x_max, x_min, x_max)
     if found is None:  # the test passes at floor + x_min
         lo = floor - x_min
         if not _shifted_lu(mat, lo)[0]:
@@ -531,7 +522,7 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
     V (or with a -inf entry in it) w = 0, and E starts from the rate bound
     beta*span, span the spread of A.  The bracket is confirmed by probing
     both ends again at twice the working precision.  When a probe
-    disagrees, E doubles and the solve starts again from the old bracket.
+    disagrees, E doubles and the solve starts again.
     H and nu settle by inverse iteration to R digits; they are unscaled as
     H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
     unscaling.  The eigen-residual must stay below _MAX_RESIDUAL relative
@@ -547,7 +538,7 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
     if not scaled:
         v, rate = (0.0,) * n, max(rate, span)
     excess_digits = int(rate / math.log(10)) + _EXCESS_SLACK
-    start, escalations = None, 0
+    escalations = 0
     while True:
         dps = excess_digits + _RESOLVED + _GUARD
         if dps > _MAX_DPS:
@@ -566,9 +557,7 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
                     with mpmath.workprec(53):
                         guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
             resolution = mpmath.mpf(10) ** -_RESOLVED
-            lo, hi, lam, lu = _bracket_root(
-                mat, base, guess, excess_digits + _RESOLVED, resolution, start
-            )
+            lo, hi, lam, lu = _bracket_root(mat, base, guess, excess_digits + _RESOLVED, resolution)
         if _confirmed(logm, shift, w, lo, hi, 2 * dps):
             break
         escalations += 1
@@ -577,7 +566,6 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
                 f"the bracket was not confirmed at {2 * dps} digits; {ITERATION_NOTE}"
             )
         excess_digits *= 2
-        start = lo, hi
     with mpmath.workdps(dps):
         h_vec, nu_vec = _inverse_iteration(lu, resolution)
         if any(x <= 0 for x in h_vec + nu_vec):

@@ -31,7 +31,7 @@ from .walters import (
     WaltersPotential,
     appendix_example,
     classify_regime,
-    subaction_offset_estimate,
+    perturbation_stability_experiment,
     walters_cylinder_ratio,
     walters_gamma,
     walters_pressure,
@@ -235,15 +235,10 @@ def suite_theorem_b() -> list[CheckResult]:
                 CheckResult(f"{name} pressure prefactor l(beta)", abs(l_beta - GOLDEN_RATIO) <= 0.02, l_beta, GOLDEN_RATIO, 0.02)
             )
         # stability: perturbation exponentially below the gamma rate
-        delta = gamma - 0.5
         for sign in (1.0, -1.0):
-            a_beta = sign * math.exp(beta * delta)
-            _, mu_pert = walters_cylinder_ratio(w, a_beta, beta, p)
-            mu_gap = abs(mu_pert - mu0)
-            v_gap = abs(
-                subaction_offset_estimate(w, beta, p, a_beta)
-                - subaction_offset_estimate(w, beta, p, 0.0)
-            )
+            row = perturbation_stability_experiment(w, gamma - 0.5, (beta,), sign, [p]).rows[0]
+            mu_gap = abs(row.mu0_pert - row.mu0_unpert)
+            v_gap = abs(row.vhat1_pert - row.vhat1_unpert)
             tag = "+" if sign > 0 else "-"
             out.append(
                 CheckResult(f"{name} mass stability (sign {tag})", mu_gap <= 0.02, mu_gap, 0.0, 0.02)

@@ -111,19 +111,6 @@ class WaltersPotential:
             ]
         )
 
-    def default_trunc(self) -> int:
-        """J with rho^J / (1 - rho) < 1e-15, so that the dropped tail of
-        the partial sums is below relative rounding of a.  Raises
-        SeriesDivergenceError when J would pass TRUNC_CAP: a shorter sum
-        would return a pressure off by up to rho^J, without an error."""
-        j = math.ceil(math.log(1e-15 * (1.0 - self.rho)) / math.log(self.rho))
-        if j > TRUNC_CAP:
-            raise SeriesDivergenceError(
-                f"rho = {self.rho} needs {j} series terms for a tail below 1e-15, "
-                f"more than the cap of {TRUNC_CAP}"
-            )
-        return max(int(j), 8)
-
 
 def walters_gamma(w: WaltersPotential) -> float:
     """gamma = max{a+b+d, c+b+d, (a+c+b+d)/2} (tail totals a, c)."""
@@ -161,6 +148,20 @@ def _log_sum(exponents) -> float:
     return top + math.log(float(np.exp(exponents - top).sum()))
 
 
+def _head_cap(rho: float) -> int:
+    """J with rho^J / (1 - rho) < 1e-15, so that the dropped tail of
+    the partial sums is below relative rounding of the total.  Raises
+    SeriesDivergenceError when J would pass TRUNC_CAP: a shorter sum
+    would return a pressure off by up to rho^J, without an error."""
+    j = math.ceil(math.log(1e-15 * (1.0 - rho)) / math.log(rho))
+    if j > TRUNC_CAP:
+        raise SeriesDivergenceError(
+            f"rho = {rho} needs {j} series terms for a tail below 1e-15, "
+            f"more than the cap of {TRUNC_CAP}"
+        )
+    return max(int(j), 8)
+
+
 class _Series:
     """S_w(z) = sum_{j>=1} (j+1)^w e^{beta A_j - j z}, w in {0, 1}, for one
     tail total: A_j = total (1 - rho^j).
@@ -170,21 +171,22 @@ class _Series:
     c = -beta total > 0, e^{beta A_j} = e^{-c} sum_m (c rho^j)^m / m!, so
     sum_{j>=J} = e^{-c} sum_m c^m/m! sum_{j>=J} (j+1)^w (rho^m e^{-z})^j,
     every term positive and every inner sum geometric.  J is the smallest
-    J >= 8 with c rho^J <= 1 (capped by trunc), so the m-sum converges like
-    the exponential series; it stops at the first m past c rho^J whose
+    J >= 8 with c rho^J <= 1 (capped by _head_cap), so the m-sum converges
+    like the exponential series; it stops at the first m past c rho^J whose
     term is below 2^-60 of the largest, which bounds it for every z, since
-    the geometric factors only fall with m.  When trunc leaves c rho^J above
-    TRUNC_CAP, the m-sum would need that many terms, and SeriesDivergenceError
-    is raised instead.
+    the geometric factors only fall with m.  When the cap leaves c rho^J
+    above TRUNC_CAP, the m-sum would need that many terms, and
+    SeriesDivergenceError is raised instead.
     """
 
-    def __init__(self, total: float, rho: float, beta: float, trunc: int):
+    def __init__(self, total: float, rho: float, beta: float):
+        cap = _head_cap(rho)
         c = -beta * total
         log_rho = math.log(rho)
         head_len = 8
         if c * rho**head_len > 1.0:
             head_len = math.ceil(math.log(c) / -log_rho)
-        self._head_len = max(2, min(head_len, trunc))
+        self._head_len = max(2, min(head_len, cap))
         j = np.arange(1.0, self._head_len)
         self._j = j
         self._weights = j + 1.0
@@ -231,15 +233,15 @@ class _Series:
         )
 
 
-def _pressure_equation(w: WaltersPotential, beta: float, trunc: int):
+def _pressure_equation(w: WaltersPotential, beta: float):
     """t -> (f(t), f'(t)) for the log of the renewal equation at P = e^t,
     f(t) = beta(b+d) + softplus(log S_a(P)) + softplus(log S_c(P)) - 2P,
     strictly decreasing.  f' comes from the same evaluation:
     d log S/dz = -(S_w/S - 1), so
     f'(t) = -P (sigma(log S_a)(S_w,a/S_a - 1) + sigma(log S_c)(S_w,c/S_c - 1) + 2).
     """
-    series_a = _Series(w.a, w.rho, beta, trunc)
-    series_c = _Series(w.c, w.rho, beta, trunc)
+    series_a = _Series(w.a, w.rho, beta)
+    series_c = _Series(w.c, w.rho, beta)
     bd = beta * (w.b + w.d)
 
     def f(t: float) -> tuple[float, float]:
@@ -256,7 +258,7 @@ def _pressure_equation(w: WaltersPotential, beta: float, trunc: int):
     return f
 
 
-def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None) -> float:
+def walters_pressure(w: WaltersPotential, beta: float) -> float:
     """Unique positive root P of
     e^{2P} = e^{beta(b+d)} (1 + sum_j e^{beta A_j - jP})(1 + sum_j e^{beta C_j - jP})
     with A_j, C_j the tail partial sums.
@@ -268,18 +270,21 @@ def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None)
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if trunc is None:
-        trunc = w.default_trunc()
-    f = _pressure_equation(w, beta, trunc)
+    f = _pressure_equation(w, beta)
     t = beta * walters_gamma(w)
     lo = t - 10.0
     hi = math.log(math.log(2.0)) + 1.0
-    tries = 0
-    while f(lo)[0] <= 0.0:
+    for _ in range(51):
+        if math.exp(lo) == 0.0:
+            raise BracketError(
+                f"lower bracket for log P not found: P = e^{lo:.6g} "
+                "underflows to 0 in floating point"
+            )
+        if f(lo)[0] > 0.0:
+            break
         lo -= 20.0
-        tries += 1
-        if tries > 50:
-            raise BracketError("lower bracket for log P not found")
+    else:
+        raise BracketError("lower bracket for log P not found")
     if f(hi)[0] >= 0.0:
         raise BracketError("upper bracket for log P not found")
     for _ in range(200):
@@ -299,8 +304,7 @@ def walters_pressure(w: WaltersPotential, beta: float, trunc: int | None = None)
     return math.exp(t)
 
 
-def walters_cylinder_ratio(w: WaltersPotential, a_beta: float, beta: float, p: float,
-                           trunc: int | None = None):
+def walters_cylinder_ratio(w: WaltersPotential, a_beta: float, beta: float, p: float):
     """(S0/S1, mu([0])) from the exact cylinder-mass series, with the
     first-coordinate perturbation B = a_beta on [0] and 0 on [1].
 
@@ -308,10 +312,8 @@ def walters_cylinder_ratio(w: WaltersPotential, a_beta: float, beta: float, p: f
     S1 the same with C_j and no perturbation term;
     mu([0]) = S0 / (S0 + S1).
     """
-    if trunc is None:
-        trunc = w.default_trunc()
-    l0, l0_w = _Series(w.a, w.rho, beta, trunc)(p - a_beta)
-    l1, l1_w = _Series(w.c, w.rho, beta, trunc)(p)
+    l0, l0_w = _Series(w.a, w.rho, beta)(p - a_beta)
+    l1, l1_w = _Series(w.c, w.rho, beta)(p)
     t = (_softplus(l0_w) - _softplus(l0)) - (_softplus(l1_w) - _softplus(l1))
     ratio = math.exp(t) if t < 709.0 else math.inf
     # mu0 = S0 / (S0 + S1) = 1 / (1 + e^{-t})

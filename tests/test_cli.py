@@ -236,6 +236,32 @@ def test_appendix_verb(capsys):
     capsys.readouterr()
 
 
+def test_run_of_an_appendix_config_matches_the_verb(tmp_path, capsys):
+    cfg = {
+        "potential": {"kind": "appendix", "gamma": "-2", "eta": "-1"},
+        "beta_grid": [2, 4, 8, 16, 20],
+        "reports": ["appendix"],
+    }
+    csv = run_csvs(tmp_path, cfg, "app")["appendix"]
+    summary = (tmp_path / "app" / "summary.txt").read_text().split("\n", 1)[1]
+    capsys.readouterr()
+    assert main(["appendix", "--gamma", "-2", "--eta", "-1", "--beta-max", "20"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines(True)
+    # the verb's digest names its arguments, not config bytes
+    digest = hashlib.sha256(b"appendix gamma=-2.0 eta=-1.0 beta_max=20.0").hexdigest()
+    assert out[0] == f"# config-sha256={digest}\n"
+    assert out[1:] == (csv + summary).splitlines(True)[1:]
+
+
+def test_run_writes_next_to_the_config_by_default(tmp_path, capsys):
+    cfg = write_config(tmp_path, W4_CONFIG, "w4.json")
+    assert main(["run", cfg]) == EXIT_OK
+    out = tmp_path / "w4_out"
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted([f"{r}.csv" for r in W4_CONFIG["reports"]] + ["summary.txt"])
+    assert capsys.readouterr().out == (out / "summary.txt").read_text().split("\n", 1)[1]
+
+
 def test_verify_verb(capsys):
     assert main(["verify", "appendix"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -327,6 +353,12 @@ EXTREME = [
     }),
     # e^{beta (eta - gamma)} overflows a float
     ("appendix", ["--gamma", "-2", "--eta", "-1", "--beta-max", "1000"]),
+    # P = e^{beta*gamma} is below the smallest float
+    ("walters", {
+        "potential": {"kind": "walters", "b": -1e300, "d": -1, "a": -1, "c": -1, "rho": 0.5},
+        "beta_grid": [4],
+        "reports": ["pressure"],
+    }),
 ]
 
 

@@ -75,6 +75,7 @@ def test_eigenvector_identity_random():
         rows = [[rng.uniform(-4, 4) for _ in range(n)] for _ in range(n)]
         m = MaxPlusMatrix.from_rows(rows)
         eig = mp_eigenvectors(m)
+        assert len(eig.eigenvectors) == eig.eigenspace_dim
         for v in eig.eigenvectors:
             lhs = mp_apply(m, list(v))
             assert all(abs(x - (eig.eigenvalue + y)) < 1e-9 for x, y in zip(lhs, v))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zerotemp import (
     GOLDEN_MASS_0,
     GOLDEN_RATIO,
+    BracketError,
     LocallyConstantPotential,
     SeriesDivergenceError,
     WaltersPotential,
@@ -27,7 +28,7 @@ from zerotemp import (
 from zerotemp import walters
 from zerotemp.asymptotics import Analysis
 from zerotemp.verify import regime_potentials
-from zerotemp.walters import _appendix_chains, _pressure_equation, _Series
+from zerotemp.walters import _appendix_chains, _head_cap, _pressure_equation, _Series
 
 
 W4 = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-3.0)
@@ -153,15 +154,23 @@ def test_series_divergence_detected():
         walters_cylinder_ratio(W4, 2.0 * p, 50.0, p)
 
 
+def test_pressure_underflow_is_a_bracket_error():
+    # beta*gamma is about -2e300, so P = e^{log P} is 0.0 at the lower
+    # bracket end: a float underflow, not a perturbation >= pressure
+    w = WaltersPotential(b=-1e300, d=-1.0, a=-1.0, c=-1.0, rho=0.5)
+    with pytest.raises(BracketError, match="underflows to 0"):
+        walters_pressure(w, 4.0)
+
+
 def test_truncation_cap_raises_instead_of_a_wrong_pressure():
     # rho^J / (1 - rho) < 1e-15 needs J of about 3.9e6 terms at rho 0.99999;
     # the 1e5-term cap left rho^J = 0.37 and a pressure off by 6e-4
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0, rho=0.99999)
     with pytest.raises(SeriesDivergenceError):
-        w.default_trunc()
+        _head_cap(w.rho)
     with pytest.raises(SeriesDivergenceError):
         walters_pressure(w, 11.0)
-    assert WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0, rho=0.999).default_trunc() < 10**5
+    assert _head_cap(0.999) < 10**5
 
 
 def test_series_small_terms_negligible():
@@ -191,7 +200,7 @@ def test_log_series_against_direct_sum():
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-2.0)
     beta, z = 3.0, 0.25
     direct = sum(math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000))
-    log_s, log_s_w = _Series(w.a, w.rho, beta, w.default_trunc())(z)
+    log_s, log_s_w = _Series(w.a, w.rho, beta)(z)
     assert log_s == pytest.approx(math.log(direct), abs=1e-12)
     direct_w = sum(
         (j + 1) * math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000)
@@ -365,18 +374,17 @@ def oracle_mu0(w, beta, p, a_beta):
     return s0 / (s0 + s1)
 
 
-def check_against_oracle(w, beta, trunc=None, sign=0.0):
+def check_against_oracle(w, beta, sign=0.0):
     with mpmath.workdps(ORACLE_DPS):
-        p = walters_pressure(w, beta, trunc)
+        p = walters_pressure(w, beta)
         assert p == pytest.approx(float(oracle_pressure(w, beta)), rel=1e-12, abs=0.0)
         a_beta = sign * math.exp(beta * (walters_gamma(w) - 0.5))
-        _, mu0 = walters_cylinder_ratio(w, a_beta, beta, p, trunc)
+        _, mu0 = walters_cylinder_ratio(w, a_beta, beta, p)
         assert mu0 == pytest.approx(float(oracle_mu0(w, beta, p, a_beta)), rel=1e-12, abs=0.0)
         for total in (w.a, w.c):
             for z in (2.0**-6, 0.25, 2.0):
                 s, s_w = oracle_series(total, w.rho, beta, z)
-                series_trunc = w.default_trunc() if trunc is None else trunc
-                got = _Series(total, w.rho, beta, series_trunc)(z)
+                got = _Series(total, w.rho, beta)(z)
                 for log_sum, exact in zip(got, (s, s_w)):
                     assert log_sum == pytest.approx(float(mpmath.log(exact)), rel=0.0, abs=1e-13)
 
@@ -388,14 +396,16 @@ def test_pressure_and_masses_against_mpmath_oracle(b, d, a, c, rho, beta, sign):
     check_against_oracle(WaltersPotential(b=b, d=d, a=a, c=c, rho=rho), beta, sign=sign)
 
 
-def test_short_head_is_exact():
-    # trunc caps the head only: at 8 head terms the tail carries the
+def test_short_head_is_exact(monkeypatch):
+    # the cap bounds the head only: at 8 head terms the tail carries the
     # e^{c rho^j} factor exactly (c rho^8 of 23 to 69 here); summed as
     # e^{beta*total} past the head, these pressures were 2.2e-3 and 1.3e-3 low
+    monkeypatch.setattr(walters, "_head_cap", lambda rho: 8)
     w = dataclasses.replace(W4, rho=0.99)
-    check_against_oracle(w, 25.0, trunc=8)
-    check_against_oracle(w, 25.0, trunc=8, sign=1.0)
-    check_against_oracle(WaltersPotential(b=-0.5, d=-0.75, a=-2.0, c=-1.0, rho=0.99), 25.0, trunc=8)
+    assert _Series(w.a, w.rho, 25.0)._head_len == 8
+    check_against_oracle(w, 25.0)
+    check_against_oracle(w, 25.0, sign=1.0)
+    check_against_oracle(WaltersPotential(b=-0.5, d=-0.75, a=-2.0, c=-1.0, rho=0.99), 25.0)
 
 
 # ------------------------------------------------------------ solve cost
@@ -427,7 +437,7 @@ def test_newton_slope_matches_central_difference():
         for rho in (0.5, 0.99):
             for beta in (25.0, 150.0):
                 w_rho = dataclasses.replace(w, rho=rho)
-                f = _pressure_equation(w_rho, beta, w_rho.default_trunc())
+                f = _pressure_equation(w_rho, beta)
                 t_root = math.log(walters_pressure(w_rho, beta))
                 for t in (t_root - 2.0, t_root, t_root + 0.5):
                     h = 1e-5
