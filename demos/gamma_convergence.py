@@ -7,13 +7,14 @@ travelling costs between Aubry components.  This script prints the finite-beta
 estimate (1/beta) log(P - h) next to that eigenvalue for three examples.
 """
 
-from zerotemp import decompose_aubry, estimate_gamma, word_graph
+from zerotemp import Analysis, estimate_gamma
 from zerotemp.verify import lc1_potential, lc2_potential, three_symbol_potential
 
 
 def show(name, pot):
-    ge = estimate_gamma(pot)
-    d = decompose_aubry(word_graph(pot))
+    an = Analysis(pot)
+    ge = estimate_gamma(an)
+    d = an.decomposition
     print(f"\n{name}: components {d.components}, entropies {d.entropies}")
     print(f"  travelling costs {d.cost.entries}")
     print(f"  max-plus rate gamma = {ge.gamma_maxplus}")

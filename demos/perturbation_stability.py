@@ -12,6 +12,7 @@ from zerotemp import (
     WaltersPotential,
     perturbation_stability_experiment,
     walters_gamma,
+    walters_pressure,
 )
 
 
@@ -19,8 +20,9 @@ if __name__ == "__main__":
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-3.0)
     gamma = walters_gamma(w)
     grid = (25.0, 50.0, 100.0, 150.0)
+    pressures = [walters_pressure(w, beta) for beta in grid]
     for sign in (1.0, -1.0):
-        rep = perturbation_stability_experiment(w, gamma - 0.5, grid, sign=sign)
+        rep = perturbation_stability_experiment(w, gamma - 0.5, grid, pressures, sign)
         print(f"\nsign {sign:+.0f}, delta = gamma - 0.5 = {rep.delta}")
         print("  beta    |mu gap|      |V-hat gap|")
         for row in rep.rows:
@@ -31,6 +33,6 @@ if __name__ == "__main__":
 
     sym = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)  # gamma = -2
     try:
-        perturbation_stability_experiment(sym, -1.0, grid)
+        perturbation_stability_experiment(sym, -1.0, grid, [walters_pressure(sym, b) for b in grid])
     except SeriesDivergenceError as exc:
         print(f"\ndelta = -1 above gamma = -2: {exc}")

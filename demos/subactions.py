@@ -6,20 +6,20 @@ the cost matrix plus Mane potentials from each Aubry component.  The script
 compares the two at increasing beta and shows the calibration residual decay.
 """
 
-from zerotemp import estimate_subaction
+from zerotemp import Analysis, estimate_subaction
 from zerotemp.verify import lc2_potential, three_symbol_potential
 
 
 def show(name, pot):
+    an = Analysis(pot)
     print(f"\n{name}")
     print("  beta    residual      max |V-hat - V-reconstructed|")
     for beta in (16.0, 64.0, 256.0):
-        se = estimate_subaction(pot, beta)
-        gap = max(abs(a - b) for a, b in zip(se.v_hat, se.v_rec))
+        se = estimate_subaction(an, beta)
+        gap = max(abs(a - b) for a, b in zip(se.v_hat, an.subaction_maxplus))
         print(f"  {beta:5.0f}   {se.calibration_residual:.3e}    {gap:.3e}")
-    se = estimate_subaction(pot, 256.0)
     print(f"  values at beta 256: {[round(v, 6) for v in se.v_hat]}")
-    print(f"  eigenspace dimension: {se.eigenspace_dim}")
+    print(f"  eigenspace dimension: {an.eigenvectors.eigenspace_dim}")
 
 
 if __name__ == "__main__":

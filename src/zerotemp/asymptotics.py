@@ -5,7 +5,8 @@ data) against the max-plus route (eigenvalue of the Aubry inter-component
 cost matrix), and extracts calibrated-subaction estimates from eigenfunction
 logarithms.  ``Analysis`` holds what these estimates share for one
 potential, so that each piece is computed once however many estimates read it,
-and its ``floor`` is the one max-plus floor routine behind ``perron``.
+and its ``floor`` is the one max-plus floor routine behind ``perron``.  Each
+estimate takes the analysis of its potential.
 """
 
 from __future__ import annotations
@@ -132,28 +133,16 @@ class Analysis:
         return max_plus_subaction(g, self.decomposition, lead, g.nodes.index(zero_word))
 
 
-def _analysis_for(pot, analysis) -> Analysis:
-    if analysis is not None and analysis.pot != pot:
-        raise ValueError("the analysis was made for another potential")
-    return analysis if analysis is not None else Analysis(pot)
-
-
-def estimate_gamma(
-    pot: LocallyConstantPotential,
-    beta_grid=DEFAULT_BETA_GRID,
-    analysis: Analysis | None = None,
-) -> GammaEstimate:
+def estimate_gamma(an: Analysis, beta_grid=DEFAULT_BETA_GRID) -> GammaEstimate:
     """gamma_hat(beta) = (1/beta) log(P(beta A) - h) along the grid, plus the
     max-plus eigenvalue of the cost matrix restricted to maximal-entropy
     components (the predicted limit).
 
-    h is computed at the precision the largest beta needs.  A given
-    ``analysis`` of ``pot`` supplies the shared parts.
+    h is computed at the precision the largest beta needs.
     """
     grid = tuple(float(b) for b in beta_grid)
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be non-empty and strictly increasing")
-    an = _analysis_for(pot, analysis)
     h_mp = an.entropy(grid[-1])
     return GammaEstimate(
         beta_grid=grid,
@@ -166,48 +155,28 @@ def estimate_gamma(
 @dataclass(frozen=True)
 class SubactionEstimate:
     beta: float
-    nodes: tuple[tuple[int, ...], ...]
     v_hat: tuple[float, ...]
-    v_rec: tuple[float, ...]
     calibration_residual: float
-    eigenspace_dim: int
-    component_offsets: tuple[tuple[float, ...], ...]
-    perron_data: PerronData
 
 
-def estimate_subaction(
-    pot: LocallyConstantPotential, beta: float, analysis: Analysis | None = None
-) -> SubactionEstimate:
-    """Finite-beta subaction V_hat = (1/beta) log H, and its max-plus
-    reconstruction V_rec(x) = max_j [V(Sigma_j) + S_j(x)].
-
-    Both are normalized to vanish at the all-zeros word.  When the max-plus
-    eigenspace has dimension > 1 all basis offsets are reported and the
-    first is used for the reconstruction.  A given ``analysis`` of ``pot``
-    supplies the shared parts.
+def estimate_subaction(an: Analysis, beta: float) -> SubactionEstimate:
+    """Finite-beta subaction V_hat = (1/beta) log H by node of ``an.graph``,
+    normalized to vanish at the all-zeros word; its max-plus limit is
+    ``an.subaction_maxplus``.
     """
-    an = _analysis_for(pot, analysis)
-    p = an.perron(beta)
-    v_hat = tuple(lh / beta for lh in p.log_H)
+    v_hat = tuple(lh / beta for lh in an.perron(beta).log_H)
     # residual of the calibration max_u [A(u v) + V(u)] = V(v) at each node
     best_in: dict[int, float] = {}
     for (u, v, w) in an.graph.edges:
         best_in[v] = max(best_in.get(v, NEG_INF), w + v_hat[u] - v_hat[v])
     return SubactionEstimate(
         beta=beta,
-        nodes=an.graph.nodes,
         v_hat=v_hat,
-        v_rec=an.subaction_maxplus,
         calibration_residual=max((abs(m) for m in best_in.values()), default=0.0),
-        eigenspace_dim=an.eigenvectors.eigenspace_dim,
-        component_offsets=tuple(tuple(float(x) for x in vec) for vec in an.eigenvectors.eigenvectors),
-        perron_data=p,
     )
 
 
-def limit_measure_estimate(
-    pot: LocallyConstantPotential, beta: float, words, analysis: Analysis | None = None
-) -> dict:
+def limit_measure_estimate(an: Analysis, beta: float, words) -> dict:
     """Equilibrium cylinder masses at the given beta for each word."""
-    p = _analysis_for(pot, analysis).perron(beta)
+    p = an.perron(beta)
     return {tuple(w): equilibrium_cylinder_mass(p, w) for w in words}

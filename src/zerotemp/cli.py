@@ -89,6 +89,17 @@ def _word_str(word) -> str:
     return "".join(str(s) for s in word)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key that it repeats: json.loads would keep
+    the last value and so let the config change its own potential."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str):
     try:
         with open(path, "rb") as fh:
@@ -96,7 +107,7 @@ def _load_config(path: str):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     try:
-        cfg = json.loads(raw.decode("utf-8"))
+        cfg = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -135,8 +146,9 @@ def _parse_potential(cfg: dict):
             raise ConfigError("locally-constant potential needs a 'table' object")
         conv = {}
         for key, val in table.items():
-            if not isinstance(key, str) or not key or not key.isdigit():
-                raise ConfigError(f"table key {key!r} must be a word of digits")
+            # isdigit() alone takes other scripts' digits, which int() reads as 0-9
+            if not (key.isascii() and key.isdigit()):
+                raise ConfigError(f"table key {key!r} must be a word of ASCII digits")
             conv[key] = _num(val, f"table[{key}]")
         try:
             return kind, LocallyConstantPotential.from_table(Sft(n, rows), conv)
@@ -226,7 +238,7 @@ class _Run:
 
 
 def _report_lc_gamma(run):
-    ge = estimate_gamma(run.pot, run.grid, analysis=run.analysis)
+    ge = estimate_gamma(run.analysis, run.grid)
     csv_rows = [
         (b, run.analysis.perron(b).log_lambda, g, ge.gamma_maxplus, ge.h)
         for b, g in zip(run.grid, ge.gamma_hat)
@@ -240,17 +252,16 @@ def _report_lc_gamma(run):
 
 
 def _report_lc_subaction(run):
+    an = run.analysis
     header = ["beta", "node", "v_hat", "v_rec", "calibration_residual"]
     csv_rows = []
     for beta in run.grid:
-        se = estimate_subaction(run.pot, beta, analysis=run.analysis)
-        for i, node in enumerate(se.nodes):
-            csv_rows.append(
-                (beta, _word_str(node), se.v_hat[i], se.v_rec[i], se.calibration_residual)
-            )
+        se = estimate_subaction(an, beta)
+        for node, v_hat, v_rec in zip(an.graph.nodes, se.v_hat, an.subaction_maxplus):
+            csv_rows.append((beta, _word_str(node), v_hat, v_rec, se.calibration_residual))
     summary = (
         f"subaction: residual({run.grid[-1]:g}) = {se.calibration_residual:.3e}, "
-        f"eigenspace dimension {se.eigenspace_dim}"
+        f"eigenspace dimension {an.eigenvectors.eigenspace_dim}"
     )
     return header, csv_rows, summary
 
@@ -262,7 +273,7 @@ def _report_lc_measure(run):
     header = ["beta", "word", "mass"]
     csv_rows = []
     for beta in run.grid:
-        masses = limit_measure_estimate(pot, beta, words, analysis=run.analysis)
+        masses = limit_measure_estimate(run.analysis, beta, words)
         for w in words:
             csv_rows.append((beta, _word_str(w), masses[tuple(w)]))
     tail = ", ".join(f"[{_word_str(w)}]={masses[tuple(w)]:.6f}" for w in ones)
@@ -310,7 +321,7 @@ def _report_walters_measure(run):
 
 def _report_walters_stability(run):
     rep = perturbation_stability_experiment(
-        run.pot, run.pert["delta"], run.grid, sign=run.pert["sign"], pressures=run.pressures
+        run.pot, run.pert["delta"], run.grid, run.pressures, run.pert["sign"]
     )
     header = [
         "beta",

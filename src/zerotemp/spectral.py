@@ -18,8 +18,8 @@ elimination of mu*I - S without pivoting has only positive pivots), narrows
 the bracket by regula falsi on det(mu*I - S) to R = 60 digits of the excess
 at E + R + 30 digits, and takes H and nu by inverse iteration at its upper
 end.  The bracket is the certificate: both ends are probed again at twice
-the working precision, and when a probe disagrees the solve is repeated
-from the old bracket at 2E + R + 30 digits.
+the working precision, and when a probe disagrees the solve is repeated,
+from a cold search, at 2E + R + 30 digits.
 """
 
 from __future__ import annotations
@@ -482,21 +482,15 @@ def _inverse_iteration(lu, settle):
     raise PerronError(f"inverse iteration did not settle in {_MAX_STEPS} steps; {ITERATION_NOTE}")
 
 
-def perron(pot: LocallyConstantPotential, beta: float, floor=None) -> PerronData:
+def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
-    of the transfer matrix of ``pot`` at ``beta``; see perron_core.
-
-    Without a ``floor``, perron derives it from ``pot``
-    (asymptotics.Analysis.floor), or starts from a Collatz-Wielandt bound if
-    it cannot be derived.
+    of the transfer matrix of ``pot`` at ``beta``; see perron_core for
+    ``floor`` (None when no floor is known).  Analysis(pot).perron(beta),
+    in asymptotics, passes the floor of the potential.
     """
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
-    if floor is None:
-        from .asymptotics import Analysis  # asymptotics builds on this module
-
-        floor = Analysis(pot).floor
     logm = transfer_matrix(pot, beta)
     return PerronData(
         beta=beta, pot=pot, log_matrix=logm,

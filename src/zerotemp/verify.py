@@ -23,7 +23,7 @@ from .maxplus import (
     mp_eigenvalue,
     mp_eigenvectors,
 )
-from .spectral import LocallyConstantPotential, perron
+from .spectral import LocallyConstantPotential
 from .symbolic import full_shift
 from .walters import (
     GOLDEN_MASS_0,
@@ -125,13 +125,13 @@ def regime_potentials() -> dict:
 def suite_closed_forms() -> list[CheckResult]:
     """perron() against exact 2x2 eigenvalues over an inverse-temperature sweep."""
     out = []
-    lc1, lc2 = lc1_potential(), lc2_potential()
+    an1, an2 = Analysis(lc1_potential()), Analysis(lc2_potential())
     worst1 = worst2 = 0.0
     for beta in range(1, 51):
-        p1 = perron(lc1, float(beta)).log_lambda
+        p1 = an1.perron(float(beta)).log_lambda
         e1 = math.log1p(math.exp(-beta))
         worst1 = max(worst1, abs(p1 - e1) / e1)
-        p2 = perron(lc2, float(beta)).log_lambda
+        p2 = an2.perron(float(beta)).log_lambda
         e2 = math.log1p(math.exp(-1.5 * beta))
         worst2 = max(worst2, abs(p2 - e2) / e2)
     out.append(
@@ -140,7 +140,7 @@ def suite_closed_forms() -> list[CheckResult]:
     out.append(
         CheckResult("perron asymmetric example rel err, beta 1..50", worst2 <= 1e-12, worst2, 0.0, 1e-12)
     )
-    p0 = perron(zero_potential(), 1.0).log_lambda
+    p0 = Analysis(zero_potential()).perron(1.0).log_lambda
     out.append(
         CheckResult("pressure of zero potential", abs(p0 - math.log(2)) <= 1e-12, p0, math.log(2), 1e-12)
     )
@@ -171,14 +171,13 @@ def suite_theorem_a() -> list[CheckResult]:
     """Pressure-excess rate vs max-plus eigenvalue, monotonicity, cost laws,
     and calibrated-subaction residuals."""
     out = []
-    examples = [
-        ("symmetric example", lc1_potential()),
-        ("asymmetric example", lc2_potential()),
-        ("three-symbol example", three_symbol_potential()),
+    analyses = [
+        ("symmetric example", Analysis(lc1_potential())),
+        ("asymmetric example", Analysis(lc2_potential())),
+        ("three-symbol example", Analysis(three_symbol_potential())),
     ]
-    analyses = [Analysis(pot) for _, pot in examples]
-    for (name, pot), an in zip(examples, analyses):
-        ge = estimate_gamma(pot, analysis=an)
+    for name, an in analyses:
+        ge = estimate_gamma(an)
         gap = abs(ge.gamma_hat[-1] - ge.gamma_maxplus)
         out.append(
             CheckResult(f"{name} gamma gap at beta 256", gap <= 0.05, ge.gamma_hat[-1], ge.gamma_maxplus, 0.05)
@@ -190,14 +189,14 @@ def suite_theorem_a() -> list[CheckResult]:
             CheckResult(f"{name} pressure excess non-increasing", drop <= 1e-12, drop, 0.0, 1e-12)
         )
         out.extend(_lemma_cost_law_checks(name, an.decomposition))
-    for (name, pot), an in zip(examples[:2], analyses):
-        se = estimate_subaction(pot, 256.0, analysis=an)
+    for name, an in analyses[:2]:
+        se = estimate_subaction(an, 256.0)
         out.append(
             CheckResult(f"{name} calibration residual at beta 256", se.calibration_residual <= 0.02, se.calibration_residual, 0.0, 0.02)
         )
     # subaction constancy across a multi-node Aubry component
-    an3 = analyses[2]
-    se3 = estimate_subaction(an3.pot, 256.0, analysis=an3)
+    an3 = analyses[2][1]
+    se3 = estimate_subaction(an3, 256.0)
     spread = 0.0
     for comp in an3.decomposition.components:
         vals = [se3.v_hat[v] for v in comp]
@@ -236,7 +235,7 @@ def suite_theorem_b() -> list[CheckResult]:
             )
         # stability: perturbation exponentially below the gamma rate
         for sign in (1.0, -1.0):
-            row = perturbation_stability_experiment(w, gamma - 0.5, (beta,), sign, [p]).rows[0]
+            row = perturbation_stability_experiment(w, gamma - 0.5, (beta,), [p], sign).rows[0]
             mu_gap = abs(row.mu0_pert - row.mu0_unpert)
             v_gap = abs(row.vhat1_pert - row.vhat1_unpert)
             tag = "+" if sign > 0 else "-"

@@ -391,22 +391,19 @@ class StabilityReport:
     gaps_shrink: bool
 
 
-def perturbation_stability_experiment(w: WaltersPotential, delta: float,
-                                      beta_grid, sign: float = 1.0,
-                                      pressures=None) -> StabilityReport:
+def perturbation_stability_experiment(w: WaltersPotential, delta: float, beta_grid,
+                                      pressures, sign: float = 1.0) -> StabilityReport:
     """Compare mu([0]) and the V(1^inf) estimate with and without the
     perturbation a_beta = sign * e^{beta delta} along a beta grid.
 
     The perturbed pressure reuses the unperturbed one: it lies in the
     sandwich [P - |a_beta|, P + |a_beta|], and for delta < gamma the width
-    is a vanishing fraction of P itself.  ``pressures``, when given, are
-    walters_pressure at the grid points.
+    is a vanishing fraction of P itself.  ``pressures`` are walters_pressure
+    at the grid points.
     """
     grid = tuple(float(b) for b in beta_grid)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
-    if pressures is None:
-        pressures = [walters_pressure(w, beta) for beta in grid]
     rows = []
     for beta, p in zip(grid, pressures, strict=True):
         a_beta = sign * math.exp(beta * delta)

@@ -367,3 +367,24 @@ def test_extreme_inputs_exit_3(tmp_path, capsys, verb, arg):
     argv = [verb] + (arg if verb == "appendix" else [write_config(tmp_path, arg)])
     assert main(argv) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure")
+
+
+# each would override the value of "11" and still exit 0
+SELF_OVERRIDING = [
+    '{"potential": {"kind": "locally-constant", "table": '
+    '{"00": 0, "01": -1, "10": -1, "11": 0, "11": -7}}, "beta_grid": [8], "reports": ["gamma"]}',
+    '{"potential": {"kind": "locally-constant", "table": '
+    '{"00": 0, "01": -1, "10": -1, "11": 0, "\\u0661\\u0661": -7}}, "beta_grid": [8], "reports": ["gamma"]}',
+    '{"potential": {"kind": "locally-constant", "table": {"00": 0, "01": -1, "10": -1, "11": 0}}, '
+    '"beta_grid": [8], "reports": ["gamma"], "beta_grid": [2]}',
+]
+
+
+@pytest.mark.parametrize("text", SELF_OVERRIDING, ids=["repeated-key", "arabic-indic-digits", "top-level"])
+def test_configs_that_override_themselves_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["gamma", str(path)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""

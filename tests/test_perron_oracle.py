@@ -101,7 +101,7 @@ def test_normalized_potentials_match_the_dense_reference(pot, beta):
 @ORACLE
 @given(potentials(GENERIC), BETAS)
 def test_generic_potentials_match_the_dense_reference(pot, beta):
-    assert_matches_reference(perron(pot, beta), reference_perron(pot, beta))
+    assert_matches_reference(Analysis(pot).perron(beta), reference_perron(pot, beta))
 
 
 @pytest.mark.parametrize("beta", [5.0, 20.0, 50.0])
@@ -109,7 +109,7 @@ def test_near_degenerate_appendix_2x2(beta):
     # the perturbed selection-flip matrix [[1, g], [g, 1 + e]] with g << e
     g, e = beta * -2.0, math.log1p(math.exp(beta * -1.0))
     pot = LocallyConstantPotential(full_shift(1), 1, {(0, 0): 0.0, (0, 1): g, (1, 0): g, (1, 1): e})
-    assert_matches_reference(perron(pot, 1.0), reference_perron(pot, 1.0))
+    assert_matches_reference(Analysis(pot).perron(1.0), reference_perron(pot, 1.0))
 
 
 def test_two_zero_blocks_at_beta_512():
@@ -123,7 +123,7 @@ def test_two_zero_blocks_at_beta_512():
 
 
 def test_zero_potential_returns_the_floor():
-    p = perron(zero_potential(), 7.0)
+    p = Analysis(zero_potential()).perron(7.0)
     ref = reference_perron(zero_potential(), 7.0)
     assert_matches_reference(p, ref)
     assert p.bracket[0] < 2 < p.bracket[1]
@@ -135,10 +135,10 @@ def test_zero_potential_returns_the_floor():
 
 def test_wrong_floor_and_guess_are_caught_by_the_test():
     pot = two_zero_blocks_potential()
-    expected = perron(pot, 32.0)
+    expected = Analysis(pot).perron(32.0)
     # floor e^{log 3} above the root, and floor e^0 with a far guess
     for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None), (0.0, ((1,),), -40.0, None)]:
-        p = perron(pot, 32.0, floor=floor)
+        p = perron(pot, 32.0, floor)
         assert p.log_H == expected.log_H
         assert p.mass_k == expected.mass_k
         assert p.log_lambda == expected.log_lambda
@@ -148,7 +148,7 @@ def test_missing_zero_state_still_raises():
     sft = Sft(2, ((False, True), (True, True)))
     table = {"010": -1.0, "011": -1.0, "101": -1.0, "110": -1.0, "111": 0.0}
     with pytest.raises(PerronError):
-        perron(LocallyConstantPotential.from_table(sft, table), 4.0)
+        perron(LocallyConstantPotential.from_table(sft, table), 4.0, None)
 
 
 def test_adjacency_entropy():

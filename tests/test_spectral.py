@@ -59,11 +59,11 @@ def test_transfer_matrix_rejects_nonpositive_beta():
 
 
 def test_perron_closed_forms():
-    lc1, lc2 = lc1_potential(), lc2_potential()
+    lc1, lc2 = Analysis(lc1_potential()), Analysis(lc2_potential())
     for beta in (1.0, 7.0, 25.0, 50.0):
-        p1 = perron(lc1, beta)
+        p1 = lc1.perron(beta)
         assert p1.log_lambda == pytest.approx(math.log1p(math.exp(-beta)), rel=1e-13)
-        p2 = perron(lc2, beta)
+        p2 = lc2.perron(beta)
         assert p2.log_lambda == pytest.approx(math.log1p(math.exp(-1.5 * beta)), rel=1e-13)
         # eigenfunction ratio H(1)/H(0) = e^{beta(b-d)/2} = e^{beta/2}
         assert p2.log_H[1] == pytest.approx(beta / 2, rel=1e-12)
@@ -71,23 +71,23 @@ def test_perron_closed_forms():
 
 
 def test_perron_zero_potential():
-    p = perron(zero_potential(), 3.0)
+    p = Analysis(zero_potential()).perron(3.0)
     assert p.log_lambda == pytest.approx(math.log(2), rel=1e-14)
     assert p.mass_k == pytest.approx((0.5, 0.5))
 
 
 def test_depth_zero_lift():
     sft = full_shift(1)
-    pot = LocallyConstantPotential(sft, 0, {(0,): 0.0, (1,): -1.0})
+    an = Analysis(LocallyConstantPotential(sft, 0, {(0,): 0.0, (1,): -1.0}))
     for beta in (1.0, 5.0):
-        p = perron(pot, beta)
+        p = an.perron(beta)
         assert p.log_lambda == pytest.approx(math.log1p(math.exp(-beta)), rel=1e-13)
 
 
 def test_pressure_monotone_and_convex_in_beta():
-    lc2 = lc2_potential()
+    an = Analysis(lc2_potential())
     betas = [0.5 * k for k in range(1, 15)]
-    ps = [perron(lc2, b).log_lambda for b in betas]
+    ps = [an.perron(b).log_lambda for b in betas]
     assert all(p2 < p1 for p1, p2 in zip(ps, ps[1:]))  # A <= 0 and not cohomologous to 0
     second = [p0 - 2 * p1 + p2 for p0, p1, p2 in zip(ps, ps[1:], ps[2:])]
     assert all(s > -1e-12 for s in second)
@@ -95,9 +95,10 @@ def test_pressure_monotone_and_convex_in_beta():
 
 def test_pressure_derivative_is_potential_average():
     lc2 = lc2_potential()
+    an = Analysis(lc2)
     beta, h = 2.0, 1e-5
-    deriv = (perron(lc2, beta + h).log_lambda - perron(lc2, beta - h).log_lambda) / (2 * h)
-    p = perron(lc2, beta)
+    deriv = (an.perron(beta + h).log_lambda - an.perron(beta - h).log_lambda) / (2 * h)
+    p = an.perron(beta)
     avg = sum(
         lc2.value(w) * equilibrium_cylinder_mass(p, w)
         for w in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -106,7 +107,7 @@ def test_pressure_derivative_is_potential_average():
 
 
 def test_equilibrium_measure_consistency():
-    p = perron(lc2_potential(), 3.0)
+    p = Analysis(lc2_potential()).perron(3.0)
     words = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1, 1), (1, 0, 0)]
     masses = {w: equilibrium_cylinder_mass(p, w) for w in words}
     assert masses[(0,)] + masses[(1,)] == pytest.approx(1.0, abs=1e-14)
@@ -124,19 +125,19 @@ def test_equilibrium_measure_consistency():
 def test_inadmissible_word_gets_zero_mass():
     sft = GOLDEN
     pot = LocallyConstantPotential.from_table(sft, {"00": 0.0, "01": -1.0, "10": -1.0})
-    p = perron(pot, 2.0)
+    p = Analysis(pot).perron(2.0)
     assert equilibrium_cylinder_mass(p, (1, 1)) == 0.0
     assert equilibrium_cylinder_mass(p, (0, 1, 1, 0)) == 0.0
 
 
 def test_zero_potential_bernoulli_masses():
-    p = perron(zero_potential(), 1.0)
+    p = Analysis(zero_potential()).perron(1.0)
     for w in ((0, 1), (1, 1), (0, 0, 1)):
         assert equilibrium_cylinder_mass(p, w) == pytest.approx(0.5 ** len(w), rel=1e-12)
 
 
 def test_pressure_excess_error_on_zero_gap():
-    p = perron(zero_potential(), 5.0)
+    p = Analysis(zero_potential()).perron(5.0)
     with pytest.raises(PerronError):
         p.pressure_excess_log(mpmath.log(mpmath.mpf(2)))
 
@@ -144,12 +145,12 @@ def test_pressure_excess_error_on_zero_gap():
 def test_pressure_sandwich_under_perturbation():
     beta = 10.0
     eps = 1e-3
-    base = perron(lc1_potential(), beta).log_lambda
+    base = Analysis(lc1_potential()).perron(beta).log_lambda
     sft = full_shift(1)
     pert = LocallyConstantPotential.from_table(
         sft, {"00": 0.0, "01": -1.0 + eps / beta, "10": -1.0, "11": 0.0}
     )
-    assert abs(perron(pert, beta).log_lambda - base) <= eps
+    assert abs(Analysis(pert).perron(beta).log_lambda - base) <= eps
 
 
 def test_normalization_check():
@@ -215,7 +216,7 @@ def test_unscaled_floors_give_the_same_pair():
     expected = an.perron(64.0)
     # no subaction, and one with a -inf entry: perron runs unscaled
     for floor in [(m, adj, gamma, None), (m, adj, gamma, (float("-inf"),) + v[1:])]:
-        p = perron(pot, 64.0, floor=floor)
+        p = perron(pot, 64.0, floor)
         assert p.log_lambda == expected.log_lambda
         assert p.log_H == pytest.approx(expected.log_H, rel=1e-14, abs=1e-14)
         assert p.log_nu == pytest.approx(expected.log_nu, rel=1e-14, abs=1e-14)

@@ -236,19 +236,22 @@ def test_mirror_symmetry_of_masses():
 
 def test_stability_experiment():
     gamma = walters_gamma(W4)
-    rep = perturbation_stability_experiment(W4, gamma - 0.5, (50.0, 100.0, 150.0))
+    grid = (50.0, 100.0, 150.0)
+    pressures = [walters_pressure(W4, beta) for beta in grid]
+    rep = perturbation_stability_experiment(W4, gamma - 0.5, grid, pressures)
     assert rep.mu_gap_tail <= 0.02
     assert rep.vhat_gap_tail <= 0.02
     assert rep.gaps_shrink
     # zero perturbation: gaps vanish identically
-    rep0 = perturbation_stability_experiment(W4, gamma - 0.5, (50.0, 100.0), sign=0.0)
+    rep0 = perturbation_stability_experiment(W4, gamma - 0.5, grid[:2], pressures[:2], sign=0.0)
     assert rep0.mu_gap_tail == 0.0 and rep0.vhat_gap_tail == 0.0
 
 
 def test_instability_branch_signals_divergence():
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)  # gamma = -2
+    pressures = [walters_pressure(w, beta) for beta in (50.0, 100.0)]
     with pytest.raises(SeriesDivergenceError):
-        perturbation_stability_experiment(w, -1.0, (50.0, 100.0), sign=1.0)
+        perturbation_stability_experiment(w, -1.0, (50.0, 100.0), pressures, sign=1.0)
 
 
 def test_subaction_offset_estimate_unperturbed_limit():
