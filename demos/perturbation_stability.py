@@ -11,6 +11,7 @@ from zerotemp import (
     SeriesDivergenceError,
     WaltersPotential,
     perturbation_stability_experiment,
+    walters_cylinder_ratio,
     walters_gamma,
     walters_pressure,
 )
@@ -21,8 +22,9 @@ if __name__ == "__main__":
     gamma = walters_gamma(w)
     grid = (25.0, 50.0, 100.0, 150.0)
     pressures = [walters_pressure(w, beta) for beta in grid]
+    masses = [walters_cylinder_ratio(w, 0.0, beta, p)[1] for beta, p in zip(grid, pressures)]
     for sign in (1.0, -1.0):
-        rep = perturbation_stability_experiment(w, gamma - 0.5, grid, pressures, sign)
+        rep = perturbation_stability_experiment(w, gamma - 0.5, grid, pressures, masses, sign)
         print(f"\nsign {sign:+.0f}, delta = gamma - 0.5 = {rep.delta}")
         print("  beta    |mu gap|      |V-hat gap|")
         for row in rep.rows:
@@ -32,7 +34,9 @@ if __name__ == "__main__":
         print(f"  gaps shrink along the grid: {rep.gaps_shrink}")
 
     sym = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)  # gamma = -2
+    pressures = [walters_pressure(sym, b) for b in grid]
+    masses = [walters_cylinder_ratio(sym, 0.0, b, p)[1] for b, p in zip(grid, pressures)]
     try:
-        perturbation_stability_experiment(sym, -1.0, grid, [walters_pressure(sym, b) for b in grid])
+        perturbation_stability_experiment(sym, -1.0, grid, pressures, masses)
     except SeriesDivergenceError as exc:
         print(f"\ndelta = -1 above gamma = -2: {exc}")

@@ -7,17 +7,22 @@ union of zero-weight cycles, and the cost a_ij of travelling into component
 Sigma_i from component Sigma_j drives the max-plus eigenproblem of the
 pressure's zero-temperature speed.
 
-This module is a thin layer over ``maxplus``: the Mane table is the max-plus
-closure of the word graph's weight matrix, kept on the graph, and the Aubry
-components are the components of its critical graph.
+The word graph has E = O(n) edges and is never closed.  Bellman-Ford gives
+it a potential u (w + u(x) - u(y) <= 0 on every edge), and the Aubry
+components are the components of the critical graph read off u.  The cost
+matrix, the max-plus subaction and the Mane potential read single-source
+rows of S, each a Dijkstra run on the reduced weights (Johnson's
+reweighting), kept on the graph: O(nE + L E log n) for L components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .maxplus import NEG_INF, MaxPlusMatrix, _closure, critical_graph
+from .maxplus import NEG_INF, MaxPlusMatrix, critical_graph
 from .spectral import LocallyConstantPotential, adjacency_entropy
 
 __all__ = [
@@ -48,6 +53,7 @@ class WordGraph:
 
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, float], ...]  # (source index, target index, weight)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -60,16 +66,46 @@ class WordGraph:
         return MaxPlusMatrix.from_rows(rows)
 
     @cached_property
-    def best_paths(self) -> list[list[float]]:
-        """best_paths[u][v] = max weight over paths u -> v of length >= 1.
+    def potential(self) -> list[float]:
+        """u with w + u(x) - u(y) <= ZERO_CYCLE_TOL / n on every edge x -> y.
 
-        The max-plus closure of the weight matrix, kept with the graph.
-        Raises PositiveCycleError when a diagonal entry is positive.
+        Bellman-Ford from every node at 0.  A relaxation counts only when it
+        gains more than ZERO_CYCLE_TOL / n, so a cycle heavier than
+        ZERO_CYCLE_TOL never settles: PositiveCycleError after n + 1 rounds.
         """
-        best = _closure(self.weight_matrix())
-        if any(best[v][v] > ZERO_CYCLE_TOL for v in range(self.n)):
-            raise PositiveCycleError("positive cycle: potential has m(A) != 0")
-        return best
+        gain, u = ZERO_CYCLE_TOL / self.n, [0.0] * self.n
+        for _ in range(self.n + 1):
+            settled = True
+            for (x, y, w) in self.edges:
+                if u[x] + w - u[y] > gain:
+                    u[y], settled = u[x] + w, False
+            if settled:
+                return u
+        raise PositiveCycleError("positive cycle: potential has m(A) != 0")
+
+    def paths_from(self, s: int) -> list[float]:
+        """row[v] = max weight over paths s -> v of length >= 1, -inf when
+        there is none, kept with the graph.  Dijkstra on the reduced weights
+        min(0, w + u(x) - u(y)) picks the paths; the row sums their raw weights.
+        """
+        if s in self._rows:
+            return self._rows[s]
+        u, out = self.potential, [[] for _ in self.nodes]
+        for (x, y, w) in self.edges:
+            out[x].append((y, w, max(0.0, u[y] - u[x] - w)))
+        loss = [math.inf] * self.n  # minus the reduced weight of the best path
+        raw = [NEG_INF] * self.n
+        heap = [(0.0, s, 0.0)]  # the empty path, which the row does not count
+        while heap:
+            c, x, r = heapq.heappop(heap)
+            if c > loss[x]:
+                continue
+            for (y, w, dc) in out[x]:
+                if c + dc < loss[y]:
+                    loss[y], raw[y] = c + dc, r + w
+                    heapq.heappush(heap, (c + dc, y, r + w))
+        self._rows[s] = raw
+        return raw
 
 
 def word_graph(pot: LocallyConstantPotential) -> WordGraph:
@@ -78,7 +114,7 @@ def word_graph(pot: LocallyConstantPotential) -> WordGraph:
 
 def mane_potential(g: WordGraph, u: int, v: int) -> float:
     """Maximum path weight from node u to node v (length >= 1); -inf if unreachable."""
-    return g.best_paths[u][v]
+    return g.paths_from(u)[v]
 
 
 @dataclass(frozen=True)
@@ -90,7 +126,6 @@ class AubryDecomposition:
     maximal entropy.
     """
 
-    graph: WordGraph
     components: tuple[tuple[int, ...], ...]
     entropies: tuple[float, ...]
     maximal_set: tuple[int, ...]
@@ -120,16 +155,11 @@ def _adjacency(comp, critical_pairs) -> tuple[tuple[int, ...], ...]:
 
 def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     """Critical subgraph, its components, entropies and the cost matrix."""
-    best = g.best_paths  # raises on positive cycles
-    crit_edges, comps = critical_graph(
-        g.weight_matrix(), best, lambda x: x >= -ZERO_CYCLE_TOL
-    )
+    # the potential raises on positive cycles
+    crit_edges, comps = critical_graph(g.potential, g.edges, lambda x: x >= -ZERO_CYCLE_TOL)
     if not comps:
         raise EmptyAubrySetError("no zero-weight cycle: potential not normalized")
-    node_comp = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            node_comp[v] = i
+    node_comp = {v: i for i, comp in enumerate(comps) for v in comp}
 
     crit_pairs = set(crit_edges)
     entropies = [adjacency_entropy(_adjacency(comp, crit_edges)) for comp in comps]
@@ -137,20 +167,20 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     maximal = tuple(i for i, hi in enumerate(entropies) if hi >= h - ZERO_CYCLE_TOL)
 
     # cost a_ij: edges u -> v entering Sigma_i that are not internal critical
-    # edges of Sigma_i, weighted by the best approach from Sigma_j to u.
+    # edges of Sigma_i, weighted by the best approach to u from the least node
+    # of Sigma_j (0 from inside Sigma_j)
     L = len(comps)
+    rows = [g.paths_from(comp[0]) for comp in comps]
     cost = [[NEG_INF] * L for _ in range(L)]
     for (u, v, w) in g.edges:
         i = node_comp.get(v)
-        if i is None or ((u, v) in crit_pairs and node_comp.get(u) == i):
+        if i is None or (u, v) in crit_pairs:  # critical edges stay inside a component
             continue
-        for j, comp in enumerate(comps):
-            # from the lexicographically least node of Sigma_j
-            approach = 0.0 if u in comp else best[comp[0]][u]
+        for j in range(L):
+            approach = 0.0 if node_comp.get(u) == j else rows[j][u]
             if approach != NEG_INF:
                 cost[i][j] = max(cost[i][j], w + approach)
     return AubryDecomposition(
-        graph=g,
         components=tuple(comps),
         entropies=tuple(entropies),
         maximal_set=maximal,
@@ -164,12 +194,9 @@ def max_plus_subaction(g: WordGraph, d: AubryDecomposition, offsets, anchor: int
     Sigma_j of d (S = 0 on Sigma_j itself), shifted to vanish at node
     ``anchor``: with the offsets a max-plus eigenvector of the maximal cost
     matrix, a calibrated subaction, max_u [A(u v) + V(u)] = V(v)."""
-    comps = [d.components[j] for j in d.maximal_set]
+    comps = [(set(d.components[j]), g.paths_from(d.components[j][0])) for j in d.maximal_set]
     v = [
-        max(
-            (o + (0.0 if x in c else mane_potential(g, c[0], x)) for o, c in zip(offsets, comps)),
-            default=NEG_INF,
-        )
+        max((o + (0.0 if x in c else row[x]) for o, (c, row) in zip(offsets, comps)), default=NEG_INF)
         for x in range(g.n)
     ]
     return tuple(x if x == NEG_INF else x - v[anchor] for x in v)

@@ -236,6 +236,12 @@ class _Run:
     def pressures(self) -> list[float]:
         return [walters_pressure(self.pot, b) for b in self.grid]
 
+    @cached_property
+    def ratios(self) -> list[tuple[float, float]]:
+        """(S0/S1, mu([0])) without perturbation at each beta."""
+        return [walters_cylinder_ratio(self.pot, 0.0, b, p)
+                for b, p in zip(self.grid, self.pressures)]
+
 
 def _report_lc_gamma(run):
     ge = estimate_gamma(run.analysis, run.grid)
@@ -311,17 +317,15 @@ def _report_walters_regime(run):
 
 def _report_walters_measure(run):
     header = ["beta", "pressure", "ratio", "mu_0"]
-    csv_rows = []
-    for beta, p in zip(run.grid, run.pressures):
-        ratio, mu0 = walters_cylinder_ratio(run.pot, 0.0, beta, p)
-        csv_rows.append((beta, p, ratio, mu0))
+    csv_rows = [(beta, p, *r) for beta, p, r in zip(run.grid, run.pressures, run.ratios)]
     summary = f"measure: mu([0]) at beta {run.grid[-1]:g} = {csv_rows[-1][3]:.7f}"
     return header, csv_rows, summary
 
 
 def _report_walters_stability(run):
     rep = perturbation_stability_experiment(
-        run.pot, run.pert["delta"], run.grid, run.pressures, run.pert["sign"]
+        run.pot, run.pert["delta"], run.grid, run.pressures, [mu0 for _, mu0 in run.ratios],
+        run.pert["sign"],
     )
     header = [
         "beta",

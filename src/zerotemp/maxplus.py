@@ -3,8 +3,10 @@
 The semiring operations are (max, +).  The eigenproblem M (x) v = lam (x) v
 is solved through the maximum cycle mean (Karp's dynamic program, run per
 strongly connected component) and the tropical Kleene closure of M - lam,
-whose columns at critical nodes span the eigenspace.  The same closure and
-critical graph give the Mane table and the Aubry components (``aubry``).
+whose columns at critical nodes span the eigenspace.  ``critical_graph``
+finds those nodes from a potential of the graph in O(n + E): ``aubry``
+passes the Bellman-Ford potential of a word graph, which is never closed,
+and ``mp_eigenvectors`` the best path weights into each node of M - lam.
 
 Entries may be floats or exact rationals (``fractions.Fraction`` / int);
 -inf is represented by ``float('-inf')`` in either mode, so exact mode stays
@@ -213,58 +215,37 @@ def mp_eigenvalue(m: MaxPlusMatrix):
 
 def _closure(b: MaxPlusMatrix) -> list[list[object]]:
     """All-pairs best path weights of B (no positive cycles assumed)."""
-    n = b.n
     d = [list(row) for row in b.entries]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
+    for k in range(b.n):
+        for i in range(b.n):
             dik = d[i][k]
-            if dik == NEG_INF:
-                continue
-            di = d[i]
-            for j in range(n):
-                if dk[j] == NEG_INF:
-                    continue
-                cand = dik + dk[j]
-                if cand > di[j]:
-                    di[j] = cand
+            if dik != NEG_INF:
+                d[i] = [max(x, dik + y) for x, y in zip(d[i], d[k])]
     return d
 
 
-def critical_graph(b: MaxPlusMatrix, d, is_zero):
-    """Edges of B on a zero-weight cycle, and the components they form.
+def critical_graph(u, edges, is_zero):
+    """Edges on a zero-weight cycle, and the components they form.
 
-    ``d`` is the closure of B and ``is_zero`` the caller's test for a zero
-    cycle weight.  Edge (i, j) is critical when B_ij + d[j][i] is zero, or
-    it is a self-loop of weight zero.  Returns the critical edges in
-    row-major order and the strongly connected components of the critical
-    graph, each a sorted tuple, ordered by least node.
+    ``u`` is a potential of the edge list ``edges`` of (i, j, w): every
+    reduced weight w + u[i] - u[j] is at most zero, so a cycle weighs zero
+    exactly when each of its edges is tight, and ``is_zero`` is the
+    caller's test for a tight reduced weight.  The critical edges are the
+    tight edges inside a strongly connected component of the tight
+    subgraph.  Returns them sorted, and the components that hold one, each
+    a sorted tuple, ordered by least node.  O(n + E).
     """
-    n = b.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            w = b.entries[i][j]
-            if w == NEG_INF:
-                continue
-            ret = d[j][i]
-            if (ret != NEG_INF and is_zero(w + ret)) or (i == j and is_zero(w)):
-                adj[i].append(j)
-                edges.append((i, j))
-    comps = [
-        tuple(sorted(c))
-        for c in _strongly_connected_components(adj)
-        if len(c) > 1 or c[0] in adj[c[0]]
-    ]
-    comps.sort(key=lambda c: c[0])
-    return edges, comps
-
-
-def _is_zero(x, exact: bool) -> bool:
-    if exact:
-        return x == 0
-    return x != NEG_INF and abs(x) <= DEDUP_TOL
+    adj: list[list[int]] = [[] for _ in u]
+    tight = []
+    for (i, j, w) in edges:
+        if is_zero(w + u[i] - u[j]):
+            adj[i].append(j)
+            tight.append((i, j))
+    sccs = _strongly_connected_components(adj)
+    scc_of = {v: c for c, scc in enumerate(sccs) for v in scc}
+    critical = sorted((i, j) for (i, j) in tight if scc_of[i] == scc_of[j])
+    comps = sorted(tuple(sorted(c)) for c in sccs if len(c) > 1 or c[0] in adj[c[0]])
+    return critical, comps
 
 
 def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
@@ -280,7 +261,10 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
     b = m.shifted(-lam)
     d = _closure(b)
     n = m.n
-    _, comps = critical_graph(b, d, lambda x: _is_zero(x, exact))
+    # the best path weight into each node, or 0: a potential of B
+    u = [max(0, *(d[i][j] for i in range(n))) for j in range(n)]
+    edges = [(i, j, w) for i, row in enumerate(b.entries) for j, w in enumerate(row) if w != NEG_INF]
+    _, comps = critical_graph(u, edges, (lambda x: x == 0) if exact else (lambda x: abs(x) <= DEDUP_TOL))
     if not comps:
         raise NoEigenvalueError("no critical cycle found")
 

@@ -235,7 +235,7 @@ def suite_theorem_b() -> list[CheckResult]:
             )
         # stability: perturbation exponentially below the gamma rate
         for sign in (1.0, -1.0):
-            row = perturbation_stability_experiment(w, gamma - 0.5, (beta,), [p], sign).rows[0]
+            row = perturbation_stability_experiment(w, gamma - 0.5, (beta,), [p], [mu0], sign).rows[0]
             mu_gap = abs(row.mu0_pert - row.mu0_unpert)
             v_gap = abs(row.vhat1_pert - row.vhat1_unpert)
             tag = "+" if sign > 0 else "-"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxplus import MaxPlusMatrix, mp_2x2_closed_form
+from .maxplus import mp_2x2_closed_form
 from .spectral import perron_core
 
 __all__ = [
@@ -93,23 +93,6 @@ class WaltersPotential:
             ok = self.b < 0 and self.d < 0
         if not (ok and self.a < 0 and self.c < 0):
             raise ValueError("potential values must be negative (or relaxed form)")
-
-    def a_n(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("a_n defined for n >= 2")
-        return self.a * (1.0 - self.rho) * self.rho ** (n - 2)
-
-    def partial_a(self, j: int) -> float:
-        """a_2 + ... + a_{1+j}."""
-        return self.a * (1.0 - self.rho**j)
-
-    def cost_matrix(self) -> MaxPlusMatrix:
-        return MaxPlusMatrix.from_rows(
-            [
-                [self.d + self.b + self.a, self.d + self.c],
-                [self.b + self.a, self.b + self.d + self.c],
-            ]
-        )
 
 
 def walters_gamma(w: WaltersPotential) -> float:
@@ -392,23 +375,23 @@ class StabilityReport:
 
 
 def perturbation_stability_experiment(w: WaltersPotential, delta: float, beta_grid,
-                                      pressures, sign: float = 1.0) -> StabilityReport:
+                                      pressures, masses, sign: float = 1.0) -> StabilityReport:
     """Compare mu([0]) and the V(1^inf) estimate with and without the
     perturbation a_beta = sign * e^{beta delta} along a beta grid.
 
     The perturbed pressure reuses the unperturbed one: it lies in the
     sandwich [P - |a_beta|, P + |a_beta|], and for delta < gamma the width
     is a vanishing fraction of P itself.  ``pressures`` are walters_pressure
-    at the grid points.
+    at the grid points, and ``masses`` the unperturbed mu([0]) there
+    (walters_cylinder_ratio with a_beta = 0).
     """
     grid = tuple(float(b) for b in beta_grid)
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
     rows = []
-    for beta, p in zip(grid, pressures, strict=True):
+    for beta, p, mu_unpert in zip(grid, pressures, masses, strict=True):
         a_beta = sign * math.exp(beta * delta)
         _, mu_pert = walters_cylinder_ratio(w, a_beta, beta, p)
-        _, mu_unpert = walters_cylinder_ratio(w, 0.0, beta, p)
         v_pert = subaction_offset_estimate(w, beta, p, a_beta)
         v_unpert = subaction_offset_estimate(w, beta, p, 0.0)
         rows.append(

@@ -1,5 +1,8 @@
 import gc
+import itertools
 import math
+import random
+import sys
 import weakref
 
 import pytest
@@ -18,6 +21,8 @@ from zerotemp import (
     mp_eigenvalue,
     word_graph,
 )
+from zerotemp import maxplus
+from zerotemp.asymptotics import Analysis
 from zerotemp.maxplus import NEG_INF
 from zerotemp.verify import lc1_potential, lc2_potential, three_symbol_potential, zero_potential
 
@@ -246,3 +251,97 @@ def test_planted_positive_cycle_is_rejected(pot, data):
     planted = LocallyConstantPotential(pot.sft, pot.depth, {**pot.values, word: 0.5 - rest})
     with pytest.raises(PositiveCycleError):
         decompose_aubry(word_graph(planted))
+
+
+def floyd_warshall(g):
+    """best[u][v] over paths u -> v of length >= 1, by the dense closure."""
+    best = [[NEG_INF] * g.n for _ in range(g.n)]
+    for u, v, w in g.edges:
+        best[u][v] = max(best[u][v], w)
+    for k in range(g.n):
+        for i in range(g.n):
+            if best[i][k] != NEG_INF:
+                best[i] = [max(b, best[i][k] + c) for b, c in zip(best[i], best[k])]
+    return best
+
+
+def seeded_potential(seed):
+    """A WEIGHTS table on a full shift with 16-128 states, zero on 1-3 random
+    periodic orbits of period <= 4, so that the Aubry set is not empty, plus
+    a dyadic coboundary g(x) - g(y) on each edge x -> y: the cycle weights
+    stay, but edges may weigh more than 0, so the analysis needs a
+    nonzero potential."""
+    rng = random.Random(seed)
+    d, depth = rng.choice([(1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (3, 2)])
+    sft = full_shift(d)
+    words = enumerate_words(sft, depth + 1)
+    values = {w: rng.choice(WEIGHTS) for w in words}
+    for _ in range(rng.randint(1, 3)):
+        orbit = [rng.randrange(d + 1) for _ in range(rng.randint(1, 4))]
+        for w in words:
+            if any(list(w) == (orbit * (depth + 2))[i : i + depth + 1] for i in range(len(orbit))):
+                values[w] = 0.0
+    g = {x: rng.choice((0.0, 0.5, 1.0, 2.0, 4.0)) for x in enumerate_words(sft, depth)}
+    values = {w: a + g[w[:-1]] - g[w[1:]] for w, a in values.items()}
+    return LocallyConstantPotential(sft, depth, values)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_analysis_matches_dense_closure(seed):
+    pot = seeded_potential(seed)
+    g = word_graph(pot)
+    assert 16 <= g.n <= 128
+    best = floyd_warshall(g)
+    assert [[mane_potential(g, u, v) for v in range(g.n)] for u in range(g.n)] == best
+
+    critical = sorted((u, v) for u, v, w in g.edges if w + (0.0 if u == v else best[v][u]) == 0.0)
+    aubry = sorted({u for u, _ in critical})
+    comps = []
+    for u in aubry:
+        if not any(u in c for c in comps):
+            comps.append(tuple(v for v in aubry if v == u or best[u][v] + best[v][u] == 0.0))
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    cost = [[NEG_INF] * len(comps) for _ in comps]
+    for u, v, w in g.edges:
+        i = comp_of.get(v)
+        if i is None or ((u, v) in critical and comp_of.get(u) == i):
+            continue
+        for j, c in enumerate(comps):
+            cost[i][j] = max(cost[i][j], w + (0.0 if u in c else best[c[0]][u]))
+
+    d = decompose_aubry(g)
+    assert d.components == tuple(comps)
+    assert d.critical_pairs == tuple(critical)
+    assert d.cost.entries == tuple(map(tuple, cost))
+
+
+def test_floor_returns_on_an_inexact_cycle_mean():
+    # the 3-cycle 0 -> 1 -> 2 -> 0 has mean 1.6 / 3, not a float: after the
+    # shift by Karp's m it weighs +1.1e-16, a rounding-sized positive cycle
+    table = {"".join(w): -1.0 for w in itertools.product("012", repeat=2)}
+    table.update({"01": 1.1, "12": 0.2, "20": 0.3})
+    pot = LocallyConstantPotential.from_table(full_shift(2), table)
+    m, adj, gamma, v = Analysis(pot).floor
+    assert (1.1 - m) + (0.2 - m) + (0.3 - m) > 0.0
+    assert m == pytest.approx(1.6 / 3, abs=1e-15)
+    assert adj == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    assert gamma == pytest.approx(-1.0 - m, abs=1e-15)
+    assert v == (0.0, 0.0, 0.0)
+
+
+def test_floor_closes_only_the_cost_matrix(monkeypatch):
+    original, sizes = maxplus._closure, []
+
+    def recorded(b):
+        sizes.append(b.n)
+        return original(b)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "zerotemp" or name.startswith("zerotemp."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorded)
+    an = Analysis(seeded_potential(0))
+    assert an.graph.n == 128
+    assert an.floor is not None
+    assert sizes and max(sizes) <= len(an.decomposition.components)

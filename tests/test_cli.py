@@ -113,8 +113,14 @@ def test_reports_share_one_analysis(tmp_path, monkeypatch):
 
 def test_walters_reports_share_one_pressure_per_beta(tmp_path, monkeypatch):
     pressure_calls = count_calls(monkeypatch, "walters", "walters_pressure")
+    ratio_calls = count_calls(monkeypatch, "walters", "walters_cylinder_ratio")
     run_csvs(tmp_path, W4_CONFIG, "w")
     assert sorted(args[1] for args in pressure_calls) == [50.0, 100.0, 150.0]
+    # measure and stability share the unperturbed mu([0]): one call per beta
+    # with a_beta = 0, one with the perturbation
+    unperturbed = [args[2] for args in ratio_calls if args[1] == 0.0]
+    perturbed = [args[2] for args in ratio_calls if args[1] != 0.0]
+    assert sorted(unperturbed) == sorted(perturbed) == [50.0, 100.0, 150.0]
 
 
 @pytest.mark.parametrize("cfg", [LC1_CONFIG, W4_CONFIG], ids=["lc", "walters"])

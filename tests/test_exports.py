@@ -35,5 +35,9 @@ def test_deleted_names_are_gone():
         assert not any(hasattr(m, name) for m in (zerotemp,) + MODULES), name
     assert not hasattr(aubry.AubryDecomposition, "flagged_edges")
     assert not hasattr(spectral.LocallyConstantPotential, "is_normalized_for_optimization")
+    assert not hasattr(aubry.WordGraph, "best_paths")
+    for name in ("a_n", "partial_a", "cost_matrix"):
+        assert not hasattr(walters.WaltersPotential, name), name
+    assert not hasattr(walters, "MaxPlusMatrix")
     assert "theta" not in {f.name for f in symbolic.Sft.__dataclass_fields__.values()}
     assert "theta" not in {f.name for f in walters.WaltersPotential.__dataclass_fields__.values()}

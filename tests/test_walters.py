@@ -13,6 +13,7 @@ from zerotemp import (
     GOLDEN_RATIO,
     BracketError,
     LocallyConstantPotential,
+    MaxPlusMatrix,
     SeriesDivergenceError,
     WaltersPotential,
     appendix_example,
@@ -34,6 +35,21 @@ from zerotemp.walters import _appendix_chains, _head_cap, _pressure_equation, _S
 W4 = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-3.0)
 
 
+def a_n(w, n):
+    """A|[0^n 1] = a (1-rho) rho^(n-2), n >= 2."""
+    return w.a * (1.0 - w.rho) * w.rho ** (n - 2)
+
+
+def partial_a(w, j):
+    """a_2 + ... + a_{1+j}."""
+    return w.a * (1.0 - w.rho**j)
+
+
+def cost_matrix(w):
+    """The 2x2 travelling-cost matrix between the fixed points 0^inf and 1^inf."""
+    return MaxPlusMatrix.from_rows([[w.d + w.b + w.a, w.d + w.c], [w.b + w.a, w.b + w.d + w.c]])
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0, rho=1.0)
@@ -49,13 +65,13 @@ def test_parameter_validation():
 
 def test_tail_rule():
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-2.0, rho=0.5)
-    assert w.a_n(2) == -0.5
-    assert w.a_n(3) == -0.25
-    assert sum(w.a_n(n) for n in range(2, 60)) == pytest.approx(w.a, abs=1e-15)
-    assert w.partial_a(3) == pytest.approx(w.a_n(2) + w.a_n(3) + w.a_n(4), abs=1e-15)
+    assert a_n(w, 2) == -0.5
+    assert a_n(w, 3) == -0.25
+    assert sum(a_n(w, n) for n in range(2, 60)) == pytest.approx(w.a, abs=1e-15)
+    assert partial_a(w, 3) == pytest.approx(a_n(w, 2) + a_n(w, 3) + a_n(w, 4), abs=1e-15)
     # partial sums squeezed between a and a + |a| rho^j
     for j in range(1, 40):
-        assert w.a <= w.partial_a(j) <= w.a + abs(w.a) * w.rho**j
+        assert w.a <= partial_a(w, j) <= w.a + abs(w.a) * w.rho**j
 
 
 def test_gamma_closed_form():
@@ -70,7 +86,7 @@ def test_gamma_closed_form():
 
 def test_gamma_is_cost_matrix_eigenvalue():
     for w in regime_potentials().values():
-        assert walters_gamma(w) == pytest.approx(float(mp_eigenvalue(w.cost_matrix())), abs=1e-14)
+        assert walters_gamma(w) == pytest.approx(float(mp_eigenvalue(cost_matrix(w))), abs=1e-14)
 
 
 def test_pressure_degenerate_tails_match_two_state_closed_form():
@@ -178,7 +194,7 @@ def test_series_small_terms_negligible():
     beta = 150.0
     p = walters_pressure(W4, beta)
     head = sum(
-        (j + 1) * math.exp(beta * W4.partial_a(j) - j * p) for j in range(1, 150)
+        (j + 1) * math.exp(beta * partial_a(W4, j) - j * p) for j in range(1, 150)
     )
     assert head < 1e-8
 
@@ -199,11 +215,11 @@ def test_log_series_against_direct_sum():
     # moderate parameters where the direct sum is representable
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-2.0)
     beta, z = 3.0, 0.25
-    direct = sum(math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000))
+    direct = sum(math.exp(beta * partial_a(w, j) - j * z) for j in range(1, 4000))
     log_s, log_s_w = _Series(w.a, w.rho, beta)(z)
     assert log_s == pytest.approx(math.log(direct), abs=1e-12)
     direct_w = sum(
-        (j + 1) * math.exp(beta * w.partial_a(j) - j * z) for j in range(1, 4000)
+        (j + 1) * math.exp(beta * partial_a(w, j) - j * z) for j in range(1, 4000)
     )
     assert log_s_w == pytest.approx(math.log(direct_w), abs=1e-12)
 
@@ -238,20 +254,22 @@ def test_stability_experiment():
     gamma = walters_gamma(W4)
     grid = (50.0, 100.0, 150.0)
     pressures = [walters_pressure(W4, beta) for beta in grid]
-    rep = perturbation_stability_experiment(W4, gamma - 0.5, grid, pressures)
+    masses = [walters_cylinder_ratio(W4, 0.0, beta, p)[1] for beta, p in zip(grid, pressures)]
+    rep = perturbation_stability_experiment(W4, gamma - 0.5, grid, pressures, masses)
     assert rep.mu_gap_tail <= 0.02
     assert rep.vhat_gap_tail <= 0.02
     assert rep.gaps_shrink
     # zero perturbation: gaps vanish identically
-    rep0 = perturbation_stability_experiment(W4, gamma - 0.5, grid[:2], pressures[:2], sign=0.0)
+    rep0 = perturbation_stability_experiment(W4, gamma - 0.5, grid[:2], pressures[:2], masses[:2], sign=0.0)
     assert rep0.mu_gap_tail == 0.0 and rep0.vhat_gap_tail == 0.0
 
 
 def test_instability_branch_signals_divergence():
     w = WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)  # gamma = -2
     pressures = [walters_pressure(w, beta) for beta in (50.0, 100.0)]
+    masses = [walters_cylinder_ratio(w, 0.0, beta, p)[1] for beta, p in zip((50.0, 100.0), pressures)]
     with pytest.raises(SeriesDivergenceError):
-        perturbation_stability_experiment(w, -1.0, (50.0, 100.0), pressures, sign=1.0)
+        perturbation_stability_experiment(w, -1.0, (50.0, 100.0), pressures, masses, sign=1.0)
 
 
 def test_subaction_offset_estimate_unperturbed_limit():
