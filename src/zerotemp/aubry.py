@@ -67,20 +67,34 @@ class WordGraph:
 
     @cached_property
     def potential(self) -> list[float]:
-        """u with w + u(x) - u(y) <= ZERO_CYCLE_TOL / n on every edge x -> y.
+        """u with w + u(x) - u(y) <= ZERO_CYCLE_TOL / n on every edge x -> y,
+        up to the weight of each near-zero positive cycle over its length.
 
         Bellman-Ford from every node at 0.  A relaxation counts only when it
-        gains more than ZERO_CYCLE_TOL / n, so a cycle heavier than
-        ZERO_CYCLE_TOL never settles: PositiveCycleError after n + 1 rounds.
+        gains more than ZERO_CYCLE_TOL / n, so the reduced weights along a
+        zero-weight cycle stay within ZERO_CYCLE_TOL of 0.  When a pass of
+        n + 1 rounds does not settle, the cycle it fails to settle (on the
+        relaxing edges) is judged by its own weight: PositiveCycleError
+        above ZERO_CYCLE_TOL, else its weight is spread off its edges, so
+        that it counts as a zero-weight cycle, and the pass starts again.
         """
-        gain, u = ZERO_CYCLE_TOL / self.n, [0.0] * self.n
-        for _ in range(self.n + 1):
-            settled = True
-            for (x, y, w) in self.edges:
-                if u[x] + w - u[y] > gain:
-                    u[y], settled = u[x] + w, False
-            if settled:
-                return u
+        n = self.n
+        gain, weights = ZERO_CYCLE_TOL / n, [w for (_, _, w) in self.edges]
+        for _ in range(n + 1):
+            u, pred = [0.0] * n, [None] * n
+            for _ in range(n + 1):
+                last = None
+                for e, (x, y, _) in enumerate(self.edges):
+                    if u[x] + weights[e] - u[y] > gain:
+                        u[y], pred[y], last = u[x] + weights[e], e, y
+                if last is None:
+                    return u
+            cycle = _pred_cycle(self.edges, pred, last)
+            if math.fsum(self.edges[e][2] for e in cycle) > ZERO_CYCLE_TOL:
+                break
+            excess = math.fsum(weights[e] for e in cycle) / len(cycle)
+            for e in cycle:
+                weights[e] -= excess
         raise PositiveCycleError("positive cycle: potential has m(A) != 0")
 
     def paths_from(self, s: int) -> list[float]:
@@ -106,6 +120,19 @@ class WordGraph:
                     heapq.heappush(heap, (c + dc, y, r + w))
         self._rows[s] = raw
         return raw
+
+
+def _pred_cycle(edges, pred, v) -> list[int]:
+    """The edges of the cycle that the predecessor edges pred[] reach from
+    node v: n steps back from v lie on it."""
+    for _ in range(len(pred)):
+        v = edges[pred[v]][0]
+    cycle, x = [], v
+    while True:
+        cycle.append(pred[x])
+        x = edges[pred[x]][0]
+        if x == v:
+            return cycle
 
 
 def word_graph(pot: LocallyConstantPotential) -> WordGraph:

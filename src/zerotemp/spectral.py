@@ -2,7 +2,8 @@
 
 The operator L_A(psi)(x) = sum_{sigma(z)=x} e^{A(z)} psi(z) acts on functions
 of k-word cylinders when A depends on k+1 coordinates.  All spectral data is
-produced in log-domain form.
+produced in log-domain form; the log transfer matrix is rows of floats, and
+every solve runs in mpmath or in plain floats.
 
 At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
@@ -20,6 +21,11 @@ at E + R + 30 digits, and takes H and nu by inverse iteration at its upper
 end.  The bracket is the certificate: both ends are probed again at twice
 the working precision, and when a probe disagrees the solve is repeated,
 from a cold search, at 2E + R + 30 digits.
+
+The floor's root e^h of a critical adjacency comes from Newton's method on
+det(x*I - adj), in floats and then at doubling precision: each step is one
+numeric pass of a sparse elimination, planned once, that carries d/dx next
+to each entry.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import mpmath
-import numpy as np
 
 from .symbolic import Sft, enumerate_words, is_admissible
 
@@ -132,18 +137,19 @@ class LocallyConstantPotential:
         )
 
 
-def transfer_matrix(pot: LocallyConstantPotential, beta: float) -> np.ndarray:
-    """Log-domain transfer matrix over k-words: entry (v, u) is beta times
-    the weight of the word-graph edge u -> v, -inf where there is none.
-    Row index is the target word, column the preimage word.
+def transfer_matrix(pot: LocallyConstantPotential, beta: float) -> tuple[tuple[float, ...], ...]:
+    """Log-domain transfer matrix over k-words, as rows of floats: entry
+    [v][u] is beta times the weight of the word-graph edge u -> v, -inf
+    where there is none.  Row index is the target word, column the
+    preimage word.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     n = len(pot.states)
-    m = np.full((n, n), -np.inf)
+    m = [[-math.inf] * n for _ in range(n)]
     for u, v, w in pot.edges:
-        m[v, u] = beta * w
-    return m
+        m[v][u] = beta * w
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,7 @@ class PerronData:
     log_H: tuple[float, ...]
     log_nu: tuple[float, ...]
     mass_k: tuple[float, ...]
-    log_matrix: np.ndarray
+    log_matrix: tuple[tuple[float, ...], ...]
     dps: int
     bracket: tuple
     certified_dps: int
@@ -263,13 +269,80 @@ def _shifted_lu(mat, mu):
     return passes, det, a
 
 
+def _elimination_plan(adj):
+    """The pattern of Gaussian elimination of x*I - adj without pivoting,
+    fixed once for every x: (size, diagonal slots, slots of the entries of
+    adj, steps).  Entries, fill-in included, live in numbered slots.  Each
+    step eliminates the remaining node of least in-degree times out-degree
+    in the filled graph (loops not counted; ties to the least index), as
+    (pivot slot, [(slot of b_ik, [(slot of b_ij, slot of b_kj), ...]), ...]).
+    x*I - adj is an M-matrix for x above the root, and so is every
+    symmetric permutation of it, so the order keeps every pivot positive.
+    """
+    n = len(adj)
+    out = [{j for j in range(n) if adj[i][j] and j != i} for i in range(n)]
+    into = [{i for i in range(n) if adj[i][j] and i != j} for j in range(n)]
+    slots: dict = {}
+
+    def slot(i, j):
+        return slots.setdefault((i, j), len(slots))
+
+    diag = [slot(i, i) for i in range(n)]
+    entries = [slot(i, j) for i in range(n) for j in range(n) if adj[i][j]]
+    remaining, steps = set(range(n)), []
+    while remaining:
+        k = min(remaining, key=lambda v: (len(into[v]) * len(out[v]), v))
+        remaining.remove(k)
+        rows, cols = sorted(into[k]), sorted(out[k])
+        for i in rows:
+            out[i].discard(k)
+        for j in cols:
+            into[j].discard(k)
+        updates = []
+        for i in rows:
+            for j in cols:
+                if i != j:
+                    out[i].add(j)
+                    into[j].add(i)
+            updates.append((slot(i, k), [(slot(i, j), slot(k, j)) for j in cols]))
+        steps.append((slot(k, k), updates))
+    return len(slots), diag, entries, steps
+
+
+def _newton_step(plan, x):
+    """det / (d/dx det) of x*I - adj, 0 when x is the root, in the
+    arithmetic of x (float or mpf), from one numeric pass of the
+    elimination plan: each entry carries its derivative in x, so the
+    pivots p_k come with p_k', and d/dx log det = sum p_k'/p_k."""
+    size, diag, entries, steps = plan
+    val, der = [0] * size, [0] * size
+    for s in diag:
+        val[s], der[s] = x, 1
+    for s in entries:
+        val[s] -= 1
+    log_slope = 0  # sum of p_k'/p_k over the pivots before the last
+    for pivot, updates in steps[:-1]:
+        p, dp = val[pivot], der[pivot]
+        if not p:  # a leading block is singular: x is the root
+            return 0
+        log_slope += dp / p
+        for ik, targets in updates:
+            f = val[ik] / p
+            df = (der[ik] - f * dp) / p
+            for ij, kj in targets:
+                val[ij] -= f * val[kj]
+                der[ij] -= df * val[kj] + f * der[kj]
+    p, dp = val[steps[-1][0]], der[steps[-1][0]]
+    return p / (dp + p * log_slope)
+
+
 def _adjacency_root(adj, dps: int | None = None):
     """Perron root of an irreducible 0/1 adjacency matrix, as a float, or
     as an mpf at dps digits.
 
     With equal out-degrees r the root is r exactly (a cycle gives 1).
-    Otherwise Newton's method on det(x I - adj), with d/dx log det =
-    trace((x I - adj)^-1), runs in floats from the largest out-degree: from
+    Otherwise Newton's method on det(x I - adj) (_newton_step, on one
+    elimination plan) runs in floats from the largest out-degree: from
     above the root its steps stay above it, so x falls monotonically onto
     it.  Given dps, each Newton step squares the error, so the steps run at
     precisions that double from the float's 53 bits up to dps digits, and
@@ -280,14 +353,10 @@ def _adjacency_root(adj, dps: int | None = None):
     if len(degrees) == 1:
         r = degrees.pop()
         return float(r) if dps is None else mpmath.mpf(r)
-    n = len(adj)
-    shift, a = np.eye(n), np.array(adj, dtype=float)
+    plan = _elimination_plan(adj)
     x = float(max(degrees))
-    for _ in range(_MAX_STEPS + 8 * n):
-        try:
-            step = 1.0 / np.trace(np.linalg.inv(x * shift - a))
-        except np.linalg.LinAlgError:  # x is the root
-            break
+    for _ in range(_MAX_STEPS + 8 * len(adj)):
+        step = _newton_step(plan, x)
         if not step > 0 or x - step == x:  # rounding reached the root
             break
         x -= step
@@ -295,13 +364,6 @@ def _adjacency_root(adj, dps: int | None = None):
         raise PerronError(f"Newton iteration for an adjacency root did not settle; {ITERATION_NOTE}")
     if dps is None:
         return x
-
-    def newton_step(x):
-        _, det, lu = _shifted_lu(adj, x)
-        if not det:  # x is the root at this precision
-            return mpmath.mpf(0)
-        return 1 / sum(_solve(lu, [int(j == i) for j in range(n)])[i] for i in range(n))
-
     with mpmath.workdps(dps):
         target = mpmath.mp.prec
     # 8 guard bits a level cover the constant in e_next = C e^2
@@ -311,11 +373,11 @@ def _adjacency_root(adj, dps: int | None = None):
     x = mpmath.mpf(x)
     for prec in reversed(precs):
         with mpmath.workprec(prec):
-            x -= newton_step(x)
+            x -= _newton_step(plan, x)
     with mpmath.workdps(dps):
         last = mpmath.inf
         for _ in range(_MAX_STEPS):
-            step = newton_step(x)
+            step = _newton_step(plan, x)
             x -= step
             if not step or abs(step) > abs(last) / 2 or abs(step) < x * mpmath.eps * 8:
                 return x
@@ -334,18 +396,16 @@ def adjacency_entropy(adj, dps: int | None = None):
         return mpmath.log(root)
 
 
-def _scaled_matrix(logm: np.ndarray, shift, w) -> list:
-    """exp(logm[i, j] - shift + w[j] - w[i]) at the working precision; 0
+def _scaled_matrix(logm, shift, w) -> list:
+    """exp(logm[i][j] - shift + w[j] - w[i]) at the working precision; 0
     where logm is -inf.  shift and w are mpf; the exponent is formed in
     mpf from the exact float entries, so the matrix is similar to
     exp(logm - shift) up to one rounding of each exponent at the working
     precision, however large w is."""
     cache = {}
-    n = logm.shape[0]
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            e = float(logm[i, j])
+    mat = [[0] * len(logm) for _ in logm]
+    for i, row in enumerate(logm):
+        for j, e in enumerate(row):
             if math.isfinite(e):
                 x = mpmath.mpf(e) - shift + w[j] - w[i]
                 if x not in cache:
@@ -498,7 +558,7 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     )
 
 
-def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
+def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     """The Perron pair of exp(logm), as the PerronData fields other than
     beta, pot and log_matrix, with H normalized to 1 at ``anchor``.
 
@@ -523,9 +583,9 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
     to lambda, and a solve that would need more than _MAX_DPS digits raises
     PerronError before it starts.
     """
-    n = logm.shape[0]
-    finite = logm[np.isfinite(logm)]
-    span = float(finite.max() - finite.min()) if finite.size else 0.0
+    n = len(logm)
+    finite = [x for row in logm for x in row if math.isfinite(x)]
+    span = max(finite) - min(finite) if finite else 0.0
     cycle_mean, adj, gamma, v = floor if floor is not None else (0.0, None, None, None)
     scaled = v is not None and all(math.isfinite(x) for x in v)
     rate = beta * abs(gamma) if gamma is not None else 0.0
@@ -575,7 +635,8 @@ def perron_core(logm: np.ndarray, beta: float, floor, anchor: int) -> dict:
         mass_k = tuple(float(x / z) for x in mass_raw)
         log_lambda_mp = mpmath.log(lam) + shift
         if shift:
-            lo, hi = (x * mpmath.exp(shift) for x in (lo, hi))
+            scale = mpmath.exp(shift)
+            lo, hi = lo * scale, hi * scale
         # log nu = log nu_S - w - log sum(nu_S e^{-w})
         log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
     with mpmath.workdps(_RESOLVED + _GUARD):
@@ -627,7 +688,7 @@ def equilibrium_cylinder_mass(p: PerronData, word) -> float:
         u = w[t : t + k]
         v = w[t + 1 : t + 1 + k]
         iu, iv = index[u], index[v]
-        e = p.log_matrix[iv, iu]
+        e = p.log_matrix[iv][iu]
         if not math.isfinite(e):
             return 0.0
         log_mass += e + p.log_nu[iv] - p.log_lambda - p.log_nu[iu]

@@ -10,21 +10,20 @@ B(x) = a_beta on [0].
 Series are evaluated in log domain: at large inverse temperature the terms
 span hundreds of orders of magnitude and the sums themselves overflow floats,
 so only their logarithms are ever materialized.  Each tail series
-sum_j (j+1)^w e^{beta A_j - jz} is a numpy head of at most a few thousand
-terms, whose z-free exponents are computed once per (total, rho, beta),
-plus an exact tail: past the head e^{beta A_j} is expanded in powers of
-rho^j, and each power is a geometric series in closed form.  One
-evaluation gives the plain and the (j+1)-weighted sum, so the pressure
-equation comes with its derivative and is solved by safeguarded Newton on
-log P.
+sum_j (j+1)^w e^{beta A_j - jz} is a head of at most a few thousand
+terms, summed in plain floats with math.fsum until its falling terms no
+longer count, plus an exact tail: past the head e^{beta A_j} is expanded
+in powers of rho^j, and each power is a geometric series in closed form.
+The z-free head exponents are computed once per (total, rho, beta), as
+far as a call reaches.  One evaluation gives the plain and the
+(j+1)-weighted sum, so the pressure equation comes with its derivative
+and is solved by safeguarded Newton on log P.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .maxplus import mp_2x2_closed_form
 from .spectral import perron_core
@@ -126,9 +125,9 @@ def _logaddexp(x: float, y: float) -> float:
 
 
 def _log_sum(exponents) -> float:
-    """log sum_i e^{exponents_i} for a nonempty array."""
-    top = float(exponents.max())
-    return top + math.log(float(np.exp(exponents - top).sum()))
+    """log sum_i e^{exponents_i} for a nonempty list."""
+    top = max(exponents)
+    return top + math.log(math.fsum(math.exp(x - top) for x in exponents))
 
 
 def _head_cap(rho: float) -> int:
@@ -149,9 +148,13 @@ class _Series:
     """S_w(z) = sum_{j>=1} (j+1)^w e^{beta A_j - j z}, w in {0, 1}, for one
     tail total: A_j = total (1 - rho^j).
 
-    The head j < J is summed term by term; its z-free exponents beta A_j
-    are one array, computed once.  The tail j >= J is exact: with
-    c = -beta total > 0, e^{beta A_j} = e^{-c} sum_m (c rho^j)^m / m!, so
+    The head j < J is summed term by term with math.fsum.  Its exponents
+    beta A_j - j z fall with j, so the sum stops at the first term below
+    2^-60 / J^2 of the first: the fewer than J terms from there on, each
+    weighted by at most J, add less than 2^-60 of the sum.  The z-free
+    exponents beta A_j are kept, computed as far as a call has reached.
+    The tail j >= J is exact: with c = -beta total > 0,
+    e^{beta A_j} = e^{-c} sum_m (c rho^j)^m / m!, so
     sum_{j>=J} = e^{-c} sum_m c^m/m! sum_{j>=J} (j+1)^w (rho^m e^{-z})^j,
     every term positive and every inner sum geometric.  J is the smallest
     J >= 8 with c rho^J <= 1 (capped by _head_cap), so the m-sum converges
@@ -170,10 +173,10 @@ class _Series:
         if c * rho**head_len > 1.0:
             head_len = math.ceil(math.log(c) / -log_rho)
         self._head_len = max(2, min(head_len, cap))
-        j = np.arange(1.0, self._head_len)
-        self._j = j
-        self._weights = j + 1.0
-        self._head = beta * total * (1.0 - rho**j)
+        self._beta_total, self._rho = beta * total, rho
+        self._head = [self._beta_total * (1.0 - rho)]  # beta A_j for j = 1, 2, ...
+        # log of 2^-60 / J^2
+        self._head_cut = -_TAIL_DIGITS - 2.0 * math.log(self._head_len)
         x = c * rho**self._head_len
         if x > TRUNC_CAP:
             raise SeriesDivergenceError(
@@ -189,9 +192,24 @@ class _Series:
             if m > x and t < top - _TAIL_DIGITS:
                 break
             coeffs.append(t)
-        m = np.arange(float(len(coeffs)))
-        self._m_log_rho = m * log_rho
-        self._tail = np.array(coeffs) - c
+        self._m_log_rho = [m * log_rho for m in range(len(coeffs))]
+        self._tail = [t - c for t in coeffs]
+
+    def _log_head(self, z: float) -> tuple[float, float]:
+        """(log, log of the (j+1)-weighted) head sum over j < J."""
+        head = self._head
+        top = head[0] - z
+        terms, weighted = [1.0], [2.0]
+        for j in range(2, self._head_len):
+            if j > len(head):
+                head.append(self._beta_total * (1.0 - self._rho ** float(j)))
+            e = head[j - 1] - z * j - top
+            if e < self._head_cut:
+                break
+            t = math.exp(e)
+            terms.append(t)
+            weighted.append((j + 1) * t)
+        return top + math.log(math.fsum(terms)), top + math.log(math.fsum(weighted))
 
     def __call__(self, z: float) -> tuple[float, float]:
         """(log S_0(z), log S_1(z))."""
@@ -199,17 +217,15 @@ class _Series:
             raise SeriesDivergenceError(
                 f"series exponent z = {z} is not positive (perturbation >= pressure)"
             )
-        head = self._head - z * self._j
-        top = float(head.max())
-        terms = np.exp(head - top)
-        log_head = top + math.log(float(terms.sum()))
-        log_head_w = top + math.log(float(terms @ self._weights))
+        log_head, log_head_w = self._log_head(z)
         # sum_{j>=J} y^j = y^J / (1-y); sum_{j>=J} (j+1) y^j = y^J (1 + J(1-y)) / (1-y)^2
-        log_y = self._m_log_rho - z
-        one_minus_y = -np.expm1(log_y)
-        log_q = np.log(one_minus_y)
-        tail = self._tail - self._head_len * z - log_q
-        tail_w = tail + np.log1p(self._head_len * one_minus_y) - log_q
+        tail, tail_w = [], []
+        for coeff, m_log_rho in zip(self._tail, self._m_log_rho):
+            one_minus_y = -math.expm1(m_log_rho - z)
+            log_q = math.log(one_minus_y)
+            t = coeff - self._head_len * z - log_q
+            tail.append(t)
+            tail_w.append(t + math.log1p(self._head_len * one_minus_y) - log_q)
         return (
             _logaddexp(log_head, _log_sum(tail)),
             _logaddexp(log_head_w, _log_sum(tail_w)),
@@ -455,8 +471,8 @@ def _appendix_chains(gamma_p: float, eta: float, beta: float):
     g = beta * gamma_p
     m = math.log1p(math.exp(beta * eta))
     return (
-        (np.array([[0.0, g], [g, m]]), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
-        (np.array([[0.0, g], [g, 0.0]]), (0.0, ((1,),), g, (0.0, 0.0))),
+        (((0.0, g), (g, m)), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
+        (((0.0, g), (g, 0.0)), (0.0, ((1,),), g, (0.0, 0.0))),
     )
 
 

@@ -30,7 +30,7 @@ def _reference_dps(logm) -> int:
 
 
 def reference_perron(pot, beta: float, dps: int | None = None) -> dict:
-    logm = transfer_matrix(pot, beta)
+    logm = np.array(transfer_matrix(pot, beta))
     n = logm.shape[0]
     if n > 9:
         raise ValueError("the dense reference is for at most 9 states")

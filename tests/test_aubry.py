@@ -73,6 +73,32 @@ def test_positive_cycle_rejected():
         mane_potential(word_graph(pot), 0, 1)
 
 
+def bumped(k, words, bump):
+    """Full 2-shift table on (k+1)-words: 0 on the fixed points, uniform
+    in [-4, -1] elsewhere, with ``words`` raised to ``bump``."""
+    rng = random.Random(1)
+    table = {w: 0.0 if len(set(w)) == 1 else -rng.uniform(1.0, 4.0)
+             for w in itertools.product((0, 1), repeat=k + 1)}
+    for w in words:
+        table[w] = bump
+    return LocallyConstantPotential(full_shift(1), k, table)
+
+
+@pytest.mark.parametrize("k, words, components", [
+    *((k, [(0,) * (k + 1)], ((0,), (2**k - 1,))) for k in (1, 4, 6, 7, 8)),
+    # the 2-cycle of the orbit 0101...
+    (8, [tuple((s + i) % 2 for i in range(9)) for s in (0, 1)], ((0,), (85, 170), (255,))),
+])
+def test_near_zero_cycle_is_judged_by_its_weight_not_by_n(k, words, components):
+    # a cycle of weight 1e-14 gains more than ZERO_CYCLE_TOL / n per lap
+    # from n = 128 on; it is still a zero-weight cycle at every n, and a
+    # cycle of weight 1e-11 is a positive one
+    d = decompose_aubry(word_graph(bumped(k, words, 1e-14 / len(words))))
+    assert d.components == components
+    with pytest.raises(PositiveCycleError):
+        decompose_aubry(word_graph(bumped(k, words, 1e-11 / len(words))))
+
+
 def test_empty_aubry_set_detected():
     sft = full_shift(1)
     pot = LocallyConstantPotential.from_table(

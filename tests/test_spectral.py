@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerotemp import (
     EmptyAubrySetError,
@@ -46,11 +48,11 @@ def test_golden_mean_table_excludes_forbidden():
 
 def test_transfer_matrix_orientation():
     m1 = transfer_matrix(lc1_potential(), 1.0)
-    assert np.allclose(m1, [[0.0, -1.0], [-1.0, 0.0]])
+    assert m1 == ((0.0, -1.0), (-1.0, 0.0))
     m2 = transfer_matrix(lc2_potential(), 1.0)
     # row = target first symbol, column = prepended symbol
-    assert m2[1, 0] == -1.0  # A(01)
-    assert m2[0, 1] == -2.0  # A(10)
+    assert m2[1][0] == -1.0  # A(01)
+    assert m2[0][1] == -2.0  # A(10)
 
 
 def test_transfer_matrix_rejects_nonpositive_beta():
@@ -244,7 +246,7 @@ def test_scaled_exponents_are_formed_in_mpmath():
     assert any(x * 2**20 != int(x * 2**20) for x in v)
     p = an.perron(beta)
     logm = transfer_matrix(pot, beta)
-    n = logm.shape[0]
+    n = len(logm)
     # every simple cycle of the word graph, by its least node
     cycles, graph = [], {u: [] for u in range(n)}
     for (u, t, _) in an.graph.edges:
@@ -265,14 +267,14 @@ def test_scaled_exponents_are_formed_in_mpmath():
         mat = spectral._scaled_matrix(logm, mpmath.mpf(0), w)
         # float exponents, the formation that mpmath replaces
         rounded = [
-            [mpmath.exp(float(logm[i, j]) + float(w[j]) - float(w[i])) if mat[i][j] else 0
+            [mpmath.exp(logm[i][j] + float(w[j]) - float(w[i])) if mat[i][j] else 0
              for j in range(n)]
             for i in range(n)
         ]
         tiny = mpmath.mpf(10) ** (10 - p.dps)
         seen_critical = off_by_rounding = 0
         for cycle in cycles:
-            weight = mpmath.exp(sum(mpmath.mpf(logm[t, u]) for u, t in zip(cycle, cycle[1:] + cycle[:1])))
+            weight = mpmath.exp(sum(mpmath.mpf(logm[t][u]) for u, t in zip(cycle, cycle[1:] + cycle[:1])))
             assert abs(_cycle_product(mat, cycle) / weight - 1) < tiny
             if all((u, t) in critical for u, t in zip(cycle, cycle[1:] + cycle[:1])):
                 seen_critical += 1
@@ -303,12 +305,12 @@ def test_adjacency_root_doubles_its_precision(monkeypatch):
     with mpmath.workdps(dps):
         full = mpmath.mp.prec
     calls = []
-    shifted_lu = spectral._shifted_lu
+    newton_step = spectral._newton_step
     monkeypatch.setattr(
-        spectral, "_shifted_lu", lambda mat, mu: calls.append(mpmath.mp.prec) or shifted_lu(mat, mu)
+        spectral, "_newton_step", lambda plan, x: calls.append(mpmath.mp.prec) or newton_step(plan, x)
     )
     root = spectral._adjacency_root(adj, dps)
-    assert sum(prec >= full for prec in calls) <= 2
+    assert 0 < sum(prec >= full for prec in calls) <= 2
     # Newton on the integer characteristic polynomial, at more digits
     coeffs = _charpoly(adj)
     with mpmath.workdps(dps + 20):
@@ -318,3 +320,59 @@ def test_adjacency_root_doubles_its_precision(monkeypatch):
                 [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])], x
             )
         assert abs(root - x) / x < mpmath.mpf(10) ** -3990
+
+
+@st.composite
+def cycle_unions(draw):
+    """A strongly connected 0/1 matrix on 2-40 states: a cycle through
+    every state, united with up to 4 random cycles (loops included)."""
+    n = draw(st.integers(2, 40))
+    adj = [[0] * n for _ in range(n)]
+    cycles = [draw(st.permutations(range(n)))]
+    cycles += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+                            max_size=4))
+    for cycle in cycles:
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[u][v] = 1
+    return tuple(map(tuple, adj))
+
+
+def _sparse_charpoly(adj):
+    """Integer coefficients of det(x I - adj), leading first, by
+    Faddeev-LeVerrier in integers, multiplying by adj one edge at a time."""
+    n = len(adj)
+    edges = [(i, j) for i in range(n) for j in range(n) if adj[i][j]]
+    m = [[0] * n for _ in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        am = [[0] * n for _ in range(n)]
+        for i, j in edges:
+            am[i] = [x + y for x, y in zip(am[i], m[j])]
+        for i in range(n):
+            am[i][i] += coeffs[-1]
+        m = am
+        trace = sum(m[j][i] for i, j in edges)
+        assert trace % k == 0
+        coeffs.append(-(trace // k))
+    return coeffs
+
+
+@given(cycle_unions())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_adjacency_root_against_eigvals_and_the_characteristic_polynomial(adj):
+    root = spectral._adjacency_root(adj)
+    dense = max(np.linalg.eigvals(np.array(adj, dtype=float)).real)
+    assert root == pytest.approx(dense, rel=1e-14, abs=0.0)
+    # mpmath reference: Newton on the integer characteristic polynomial
+    # at 100 digits, from the dense float root
+    coeffs = _sparse_charpoly(adj)
+    slope = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
+    with mpmath.workdps(100):
+        x = mpmath.mpf(dense)
+        for _ in range(100):
+            step = mpmath.polyval(coeffs, x) / mpmath.polyval(slope, x)
+            x -= step
+            if abs(step) < x * mpmath.mpf(10) ** -90:
+                break
+        assert abs(root - x) / x < 4 * 2.0**-53
+        assert abs(spectral._adjacency_root(adj, 50) - x) / x < mpmath.mpf(10) ** -50

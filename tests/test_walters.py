@@ -224,6 +224,31 @@ def test_log_series_against_direct_sum():
     assert log_s_w == pytest.approx(math.log(direct_w), abs=1e-12)
 
 
+def test_head_early_stop_matches_the_full_head():
+    # the head stops at the first term below 2^-60 / J^2 of the first; a
+    # full-length math.fsum over all J - 1 terms agrees to 4 ulp (of the
+    # result, or of 1: the log of the sum is accurate to an absolute error)
+    stopped = 0
+    for rho in (0.5, 0.9, 0.99, 0.999):
+        for beta in (1.0, 25.0, 150.0):
+            for total in (-0.5, -3.0):
+                w = dataclasses.replace(W4, a=total, rho=rho)
+                for z in (walters_pressure(w, beta), 1e-9, 2.0**-6, 0.25, 2.0):
+                    series = _Series(total, rho, beta)
+                    got = series._log_head(z)
+                    stopped += len(series._head) < series._head_len - 1
+                    exps = [beta * total * (1.0 - rho ** float(j)) - z * j
+                            for j in range(1, series._head_len)]
+                    terms = [math.exp(e - exps[0]) for e in exps]
+                    full = (
+                        exps[0] + math.log(math.fsum(terms)),
+                        exps[0] + math.log(math.fsum((j + 2) * t for j, t in enumerate(terms))),
+                    )
+                    for x, ref in zip(got, full):
+                        assert abs(x - ref) <= 4 * math.ulp(max(abs(ref), 1.0))
+    assert stopped > 0
+
+
 def test_classify_regime_cases():
     assert classify_regime(WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)).regime == "symmetric"
     rep2 = classify_regime(WaltersPotential(b=-2.0, d=-2.0, a=-1.0, c=-2.0))
@@ -310,8 +335,8 @@ def test_appendix_floors_match_critical_floor():
     for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
         for beta in (1.0, 2.0, 5.0, 10.0):
             for logm, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
-                # logm[v, u] is the weight of the edge u -> v
-                table = {(u, t): logm[t, u] for u in (0, 1) for t in (0, 1)}
+                # logm[v][u] is the weight of the edge u -> v
+                table = {(u, t): logm[t][u] for u in (0, 1) for t in (0, 1)}
                 m_ref, adj_ref, gamma_ref, v_ref = Analysis(
                     LocallyConstantPotential(sft, 1, table)
                 ).floor
