@@ -22,7 +22,9 @@ and is solved by safeguarded Newton on log P.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .maxplus import mp_2x2_closed_form
@@ -150,9 +152,10 @@ class _Series:
 
     The head j < J is summed term by term with math.fsum.  Its exponents
     beta A_j - j z fall with j, so the sum stops at the first term below
-    2^-60 / J^2 of the first: the fewer than J terms from there on, each
-    weighted by at most J, add less than 2^-60 of the sum.  The z-free
-    exponents beta A_j are kept, computed as far as a call has reached.
+    2^-60 / J^2 of the first, found by bisection: the fewer than J terms
+    from there on, each weighted by at most J, add less than 2^-60 of the
+    sum.  The z-free exponents beta A_j are kept, computed as far as a call
+    has reached, and so is each value by z.
     The tail j >= J is exact: with c = -beta total > 0,
     e^{beta A_j} = e^{-c} sum_m (c rho^j)^m / m!, so
     sum_{j>=J} = e^{-c} sum_m c^m/m! sum_{j>=J} (j+1)^w (rho^m e^{-z})^j,
@@ -194,22 +197,28 @@ class _Series:
             coeffs.append(t)
         self._m_log_rho = [m * log_rho for m in range(len(coeffs))]
         self._tail = [t - c for t in coeffs]
+        self._values = {}  # z -> (log S_0(z), log S_1(z))
 
     def _log_head(self, z: float) -> tuple[float, float]:
         """(log, log of the (j+1)-weighted) head sum over j < J."""
-        head = self._head
+        beta_total, rho, head = self._beta_total, self._rho, self._head
         top = head[0] - z
-        terms, weighted = [1.0], [2.0]
-        for j in range(2, self._head_len):
-            if j > len(head):
-                head.append(self._beta_total * (1.0 - self._rho ** float(j)))
-            e = head[j - 1] - z * j - top
-            if e < self._head_cut:
-                break
-            t = math.exp(e)
-            terms.append(t)
-            weighted.append((j + 1) * t)
-        return top + math.log(math.fsum(terms)), top + math.log(math.fsum(weighted))
+
+        def exponent(j):  # of term j over the first, as head[j - 1] gives it
+            return beta_total * (1.0 - rho ** float(j)) - z * j - top
+
+        # term lo counts; hi is J or the first term that does not
+        lo, hi = 1, self._head_len
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if exponent(mid) < self._head_cut:
+                hi = mid
+            else:
+                lo = mid
+        head += [beta_total * (1.0 - rho ** float(j)) for j in range(len(head) + 1, hi)]
+        terms = [math.exp(b - z * j - top) for j, b in zip(range(1, hi), head)]
+        weighted = math.fsum(map(operator.mul, range(2, hi + 1), terms))
+        return top + math.log(math.fsum(terms)), top + math.log(weighted)
 
     def __call__(self, z: float) -> tuple[float, float]:
         """(log S_0(z), log S_1(z))."""
@@ -217,6 +226,8 @@ class _Series:
             raise SeriesDivergenceError(
                 f"series exponent z = {z} is not positive (perturbation >= pressure)"
             )
+        if z in self._values:
+            return self._values[z]
         log_head, log_head_w = self._log_head(z)
         # sum_{j>=J} y^j = y^J / (1-y); sum_{j>=J} (j+1) y^j = y^J (1 + J(1-y)) / (1-y)^2
         tail, tail_w = [], []
@@ -226,10 +237,16 @@ class _Series:
             t = coeff - self._head_len * z - log_q
             tail.append(t)
             tail_w.append(t + math.log1p(self._head_len * one_minus_y) - log_q)
-        return (
-            _logaddexp(log_head, _log_sum(tail)),
-            _logaddexp(log_head_w, _log_sum(tail_w)),
-        )
+        value = _logaddexp(log_head, _log_sum(tail)), _logaddexp(log_head_w, _log_sum(tail_w))
+        self._values[z] = value
+        return value
+
+
+@functools.lru_cache(maxsize=16)
+def _series(w: WaltersPotential, beta: float) -> tuple[_Series, _Series]:
+    """The _Series of the A and C tails of w at beta, shared by the pressure
+    solve and the reports that evaluate them again at the same beta."""
+    return _Series(w.a, w.rho, beta), _Series(w.c, w.rho, beta)
 
 
 def _pressure_equation(w: WaltersPotential, beta: float):
@@ -239,8 +256,7 @@ def _pressure_equation(w: WaltersPotential, beta: float):
     d log S/dz = -(S_w/S - 1), so
     f'(t) = -P (sigma(log S_a)(S_w,a/S_a - 1) + sigma(log S_c)(S_w,c/S_c - 1) + 2).
     """
-    series_a = _Series(w.a, w.rho, beta)
-    series_c = _Series(w.c, w.rho, beta)
+    series_a, series_c = _series(w, beta)
     bd = beta * (w.b + w.d)
 
     def f(t: float) -> tuple[float, float]:
@@ -311,8 +327,9 @@ def walters_cylinder_ratio(w: WaltersPotential, a_beta: float, beta: float, p: f
     S1 the same with C_j and no perturbation term;
     mu([0]) = S0 / (S0 + S1).
     """
-    l0, l0_w = _Series(w.a, w.rho, beta)(p - a_beta)
-    l1, l1_w = _Series(w.c, w.rho, beta)(p)
+    series_a, series_c = _series(w, beta)
+    l0, l0_w = series_a(p - a_beta)
+    l1, l1_w = series_c(p)
     t = (_softplus(l0_w) - _softplus(l0)) - (_softplus(l1_w) - _softplus(l1))
     ratio = math.exp(t) if t < 709.0 else math.inf
     # mu0 = S0 / (S0 + S1) = 1 / (1 + e^{-t})

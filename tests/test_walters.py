@@ -249,6 +249,20 @@ def test_head_early_stop_matches_the_full_head():
     assert stopped > 0
 
 
+def test_shared_series_matches_a_fresh_one():
+    # the pressure solve and the reports at one beta share a _Series: a head
+    # grown by an earlier call, or a value kept from one, gives what a fresh
+    # series gives
+    for rho in (0.9, 0.999):
+        w = dataclasses.replace(W4, rho=rho)
+        p = walters_pressure(w, 25.0)
+        series_a, series_c = walters._series(w, 25.0)
+        assert walters._series(w, 25.0)[0] is series_a
+        for z in (1e-9, p, 2.0, p):
+            assert series_a(z) == _Series(w.a, rho, 25.0)(z)
+            assert series_c(z) == _Series(w.c, rho, 25.0)(z)
+
+
 def test_classify_regime_cases():
     assert classify_regime(WaltersPotential(b=-1.0, d=-1.0, a=-1.0, c=-1.0)).regime == "symmetric"
     rep2 = classify_regime(WaltersPotential(b=-2.0, d=-2.0, a=-1.0, c=-2.0))
