@@ -15,17 +15,20 @@ of A - m: every entry of S is at most 1 and the critical ones equal 1, so
 the precision follows the excess, E = beta*|gamma|/ln10 + 15 digits, not
 the spread of the matrix.  It brackets s = log(rho - floor), where the
 cluster is spread out, with the M-matrix test (mu > rho exactly when
-elimination of mu*I - S without pivoting has only positive pivots), narrows
-the bracket by regula falsi on det(mu*I - S) to R = 60 digits of the excess
-at E + R + 30 digits, and takes H and nu by inverse iteration at its upper
-end.  The bracket is the certificate: both ends are probed again at twice
-the working precision, and when a probe disagrees the solve is repeated,
-from a cold search, at 2E + R + 30 digits.
+elimination of mu*I - S without pivoting, in any symmetric order, has only
+positive pivots), narrows the bracket by regula falsi on det(mu*I - S) to
+R = 60 digits of the excess at E + R + 30 digits, and takes H and nu by
+inverse iteration at its upper end.  The bracket is the certificate: both
+ends are probed again at twice the working precision, and when a probe
+disagrees the solve is repeated, from a cold search, at 2E + R + 30
+digits.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
-det(x*I - adj), in floats and then at doubling precision: each step is one
-numeric pass of a sparse elimination, planned once, that carries d/dx next
-to each entry.
+det(x*I - adj), in floats and then at doubling precision.  One sparse
+elimination, planned once per matrix in a fill-reducing order, serves both:
+each perron probe is one numeric pass of it over mu*I - S, the solves of
+inverse iteration run on its factors, and each Newton step is one pass
+over x*I - adj that carries d/dx next to each entry.
 """
 
 from __future__ import annotations
@@ -174,7 +177,6 @@ class PerronData:
     log_H: tuple[float, ...]
     log_nu: tuple[float, ...]
     mass_k: tuple[float, ...]
-    log_matrix: tuple[tuple[float, ...], ...]
     dps: int
     bracket: tuple
     certified_dps: int
@@ -206,89 +208,30 @@ class PerronData:
             return float(mpmath.log(self.log_lambda_mp - h_mp))
 
 
-def _lu(a) -> int:
-    """In-place LU of a without pivoting (L below the diagonal, U on and above).
-
-    Returns the number of leading pivots that are positive.  For a
-    nonnegative M, mu > rho(M) exactly when mu*I - M is a nonsingular
-    M-matrix, that is when all its leading principal minors, and so all n
-    pivots, are positive.  Elimination goes on past a negative pivot, so
-    that the product of the pivots is det(mu*I - M), and stops at a zero
-    one.  Zero entries are skipped, so the cost follows the fill-in.
+def _elimination_plan(pattern):
+    """The pattern of Gaussian elimination of x*I - a without pivoting, for
+    every a whose nonzero entries lie where ``pattern`` is true, fixed once
+    for every x: (size, entries, steps).  Entries, fill-in included, live in
+    numbered slots; slot i holds the diagonal entry (i, i), and ``entries``
+    lists (slot, i, j) for each (i, j) of the pattern.  Each step eliminates
+    the remaining node k of least in-degree times out-degree in the filled
+    graph (loops not counted; ties to the least index), as
+    (k, [(i, slot of b_ik, [(slot of b_ij, slot of b_kj), ...]), ...],
+    [(j, slot of b_kj), ...]).  After a numeric pass, slot (i, k) holds
+    the multiplier of L and slot (k, j) the entry of U.  One plan of a
+    pattern serves every pass over it: the perron probes (_shifted_lu) and
+    solves (_solve) on S, and the Newton steps (_newton_step) on an
+    adjacency.
     """
-    n = len(a)
-    positive = None
-    for k in range(n):
-        row_k = a[k]
-        pivot = row_k[k]
-        if pivot <= 0 and positive is None:
-            positive = k
-        if not pivot:
-            break
-        cols = [j for j in range(k + 1, n) if row_k[j]]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            if row_i[k]:
-                f = row_i[k] = row_i[k] / pivot
-                for j in cols:
-                    row_i[j] -= f * row_k[j]
-    return n if positive is None else positive
-
-
-def _solve(lu, b, transpose=False) -> list:
-    """x with (LU) x = b, or (LU)^T x = b, from the factors of _lu."""
-    n = len(lu)
-    x = list(b)
-    if not transpose:
-        for i in range(n):
-            x[i] -= sum(lu[i][j] * x[j] for j in range(i) if lu[i][j])
-        for i in reversed(range(n)):
-            x[i] = (x[i] - sum(lu[i][j] * x[j] for j in range(i + 1, n) if lu[i][j])) / lu[i][i]
-    else:  # U^T z = b, then L^T x = z
-        for i in range(n):
-            x[i] = (x[i] - sum(lu[j][i] * x[j] for j in range(i) if lu[j][i])) / lu[i][i]
-        for i in reversed(range(n)):
-            x[i] -= sum(lu[j][i] * x[j] for j in range(i + 1, n) if lu[j][i])
-    return x
-
-
-def _shifted_lu(mat, mu):
-    """(passes, det, factors) of the M-matrix test of mu*I - mat.  det is
-    det(mu*I - mat) as the product of the pivots; None when elimination
-    stopped at a zero pivot before the last."""
-    n = len(mat)
-    a = [[-x for x in row] for row in mat]
-    for i in range(n):
-        a[i][i] += mu
-    passes = _lu(a) == n
-    det = 1
-    for i in range(n):
-        if not a[i][i] and i < n - 1:
-            return passes, None, a
-        det *= a[i][i]
-    return passes, det, a
-
-
-def _elimination_plan(adj):
-    """The pattern of Gaussian elimination of x*I - adj without pivoting,
-    fixed once for every x: (size, diagonal slots, slots of the entries of
-    adj, steps).  Entries, fill-in included, live in numbered slots.  Each
-    step eliminates the remaining node of least in-degree times out-degree
-    in the filled graph (loops not counted; ties to the least index), as
-    (pivot slot, [(slot of b_ik, [(slot of b_ij, slot of b_kj), ...]), ...]).
-    x*I - adj is an M-matrix for x above the root, and so is every
-    symmetric permutation of it, so the order keeps every pivot positive.
-    """
-    n = len(adj)
-    out = [{j for j in range(n) if adj[i][j] and j != i} for i in range(n)]
-    into = [{i for i in range(n) if adj[i][j] and i != j} for j in range(n)]
-    slots: dict = {}
+    n = len(pattern)
+    out = [{j for j in range(n) if pattern[i][j] and j != i} for i in range(n)]
+    into = [{i for i in range(n) if pattern[i][j] and i != j} for j in range(n)]
+    slots = {(i, i): i for i in range(n)}
 
     def slot(i, j):
         return slots.setdefault((i, j), len(slots))
 
-    diag = [slot(i, i) for i in range(n)]
-    entries = [slot(i, j) for i in range(n) for j in range(n) if adj[i][j]]
+    entries = [(slot(i, j), i, j) for i in range(n) for j in range(n) if pattern[i][j]]
     remaining, steps = set(range(n)), []
     while remaining:
         k = min(remaining, key=lambda v: (len(into[v]) * len(out[v]), v))
@@ -304,9 +247,60 @@ def _elimination_plan(adj):
                 if i != j:
                     out[i].add(j)
                     into[j].add(i)
-            updates.append((slot(i, k), [(slot(i, j), slot(k, j)) for j in cols]))
-        steps.append((slot(k, k), updates))
-    return len(slots), diag, entries, steps
+            updates.append((i, slot(i, k), [(slot(i, j), slot(k, j)) for j in cols]))
+        steps.append((k, updates, [(j, slot(k, j)) for j in cols]))
+    return len(slots), entries, steps
+
+
+def _shifted_lu(plan, a, mu):
+    """(passes, det, factors) of the M-matrix test of mu*I - a, a
+    nonnegative, in one numeric pass of the plan; the factors are its
+    slots.  mu > rho(a) exactly when mu*I - a is a nonsingular M-matrix,
+    that is when all its leading principal minors, and so all the pivots,
+    are positive.  A symmetric permutation P (mu*I - a) P^T = mu*I - P a P^T
+    is the same test on a matrix with the same spectrum, so the plan's
+    order is as valid as the natural one.  Elimination goes on past a
+    negative pivot, so that det is det(mu*I - a) as the product of the
+    pivots; it stops at a zero one, and det is None when that is not the
+    last.
+    """
+    size, entries, steps = plan
+    val = [mu] * len(steps) + [0] * (size - len(steps))
+    for s, i, j in entries:
+        val[s] -= a[i][j]
+    passes, det = True, 1
+    for k, updates, _ in steps:
+        p = val[k]
+        passes = passes and p > 0
+        det *= p
+        if not p and k != steps[-1][0]:
+            return False, None, val
+        for _, ik, targets in updates:
+            f = val[ik] = val[ik] / p
+            for ij, kj in targets:
+                val[ij] -= f * val[kj]
+    return passes, det, val
+
+
+def _solve(plan, lu, b, transpose=False) -> list:
+    """x with (LU) x = b, or (LU)^T x = b, from the factors of _shifted_lu,
+    in the plan's order."""
+    steps = plan[2]
+    x = list(b)
+    if not transpose:  # L y = b, then U x = y
+        for k, updates, _ in steps:
+            for i, ik, _ in updates:
+                x[i] -= lu[ik] * x[k]
+        for k, _, cols in reversed(steps):
+            x[k] = (x[k] - sum(lu[kj] * x[j] for j, kj in cols)) / lu[k]
+    else:  # U^T z = b, then L^T x = z
+        for k, _, cols in steps:
+            x[k] /= lu[k]
+            for j, kj in cols:
+                x[j] -= lu[kj] * x[k]
+        for k, updates, _ in reversed(steps):
+            x[k] -= sum(lu[ik] * x[i] for i, ik, _ in updates)
+    return x
 
 
 def _newton_step(plan, x):
@@ -314,19 +308,18 @@ def _newton_step(plan, x):
     arithmetic of x (float or mpf), from one numeric pass of the
     elimination plan: each entry carries its derivative in x, so the
     pivots p_k come with p_k', and d/dx log det = sum p_k'/p_k."""
-    size, diag, entries, steps = plan
-    val, der = [0] * size, [0] * size
-    for s in diag:
-        val[s], der[s] = x, 1
-    for s in entries:
+    size, entries, steps = plan
+    n = len(steps)
+    val, der = [x] * n + [0] * (size - n), [1] * n + [0] * (size - n)
+    for s, _, _ in entries:
         val[s] -= 1
     log_slope = 0  # sum of p_k'/p_k over the pivots before the last
-    for pivot, updates in steps[:-1]:
-        p, dp = val[pivot], der[pivot]
+    for k, updates, _ in steps[:-1]:
+        p, dp = val[k], der[k]
         if not p:  # a leading block is singular: x is the root
             return 0
         log_slope += dp / p
-        for ik, targets in updates:
+        for _, ik, targets in updates:
             f = val[ik] / p
             df = (der[ik] - f * dp) / p
             for ij, kj in targets:
@@ -414,8 +407,9 @@ def _scaled_matrix(logm, shift, w) -> list:
     return mat
 
 
-def _bracket_root(mat, floor, guess, digits: int, rel_width):
-    """Certified bracket of the Perron root of mat, narrowed around it.
+def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
+    """Certified bracket of the Perron root of mat, narrowed around it, by
+    the M-matrix test on the elimination plan of its pattern.
 
     ``floor`` is a lower estimate of the root (its max-plus floor, or None)
     and ``guess`` an estimate of root - floor (or None).  The search works
@@ -444,15 +438,15 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width):
         floor = low
     x_min = floor * mpmath.mpf(10) ** -digits
     x_max = max(2 * (top - floor), 2 * x_min)
-    found = _search(mat, floor, guess or x_max, x_min, x_max)
+    found = _search(plan, mat, floor, guess or x_max, x_min, x_max)
     if found is None:  # the test passes at floor + x_min
         lo = floor - x_min
-        if not _shifted_lu(mat, lo)[0]:
+        if not _shifted_lu(plan, mat, lo)[0]:
             hi = floor + x_min
-            return lo, hi, floor, _shifted_lu(mat, hi)[2]
+            return lo, hi, floor, _shifted_lu(plan, mat, hi)[2]
         # the floor lies above the root; low lies below it by low * 10^-digits
         floor, x_min = low, low * mpmath.mpf(10) ** -digits
-        found = _search(mat, floor, lo - floor, x_min, lo - floor)
+        found = _search(plan, mat, floor, lo - floor, x_min, lo - floor)
         if found is None:
             raise PerronError(f"no root above the lower Collatz-Wielandt bound; {ITERATION_NOTE}")
     lo, f_lo, hi, f_hi, lu_hi = found
@@ -475,7 +469,7 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width):
         mu = floor + x
         if mu == lo or mu == hi:  # no point left between the ends
             return lo, hi, hi, lu_hi
-        passes, f, lu = _shifted_lu(mat, mu)
+        passes, f, lu = _shifted_lu(plan, mat, mu)
         # Anderson-Bjorck: when one end is replaced twice in a row, scale
         # the value kept at the other end down, so that both ends move
         if passes:
@@ -493,18 +487,18 @@ def _bracket_root(mat, floor, guess, digits: int, rel_width):
     raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
 
 
-def _search(mat, floor, x, x_min, x_max):
+def _search(plan, mat, floor, x, x_min, x_max):
     """Bracket the root in x = mu - floor from a first x in [x_min, x_max],
     by factors 2, 4, 16, ...: down while the test passes, up while it fails
     (up to x_max, where it passes).  Returns (lo, det at lo, hi, det at hi,
     factors at hi), or None if the test still passes at floor + x_min."""
     x = min(max(x, x_min), x_max)
-    passes, f, lu = _shifted_lu(mat, floor + x)
+    passes, f, lu = _shifted_lu(plan, mat, floor + x)
     step = 1
     if passes:
         while x > x_min:
             x_next = max(x / mpmath.mpf(2) ** step, x_min)
-            passes_next, f_next, lu_next = _shifted_lu(mat, floor + x_next)
+            passes_next, f_next, lu_next = _shifted_lu(plan, mat, floor + x_next)
             if not passes_next:
                 return floor + x_next, f_next, floor + x, f, lu
             x, f, lu = x_next, f_next, lu_next
@@ -512,7 +506,7 @@ def _search(mat, floor, x, x_min, x_max):
         return None
     while x < x_max:
         x_next = min(x * mpmath.mpf(2) ** step, x_max)
-        passes_next, f_next, lu_next = _shifted_lu(mat, floor + x_next)
+        passes_next, f_next, lu_next = _shifted_lu(plan, mat, floor + x_next)
         if passes_next:
             return floor + x, f, floor + x_next, f_next, lu_next
         x, f = x_next, f_next
@@ -520,15 +514,15 @@ def _search(mat, floor, x, x_min, x_max):
     raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
 
 
-def _inverse_iteration(lu, settle):
+def _inverse_iteration(plan, lu, settle):
     """Right and left Perron vectors from the factors of mu*I - M, mu just
     above the root, iterated until no component of either vector moves by
     more than ``settle`` relative."""
-    n = len(lu)
+    n = len(plan[2])
     right, left = [mpmath.mpf(1)] * n, [mpmath.mpf(1)] * n
     for _ in range(_MAX_STEPS):
-        new_right = _solve(lu, right)
-        new_left = _solve(lu, left, transpose=True)
+        new_right = _solve(plan, lu, right)
+        new_left = _solve(plan, lu, left, transpose=True)
         top_r, top_l = max(new_right), max(new_left)
         new_right = [x / top_r for x in new_right]
         new_left = [x / top_l for x in new_left]
@@ -552,15 +546,12 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
     logm = transfer_matrix(pot, beta)
-    return PerronData(
-        beta=beta, pot=pot, log_matrix=logm,
-        **perron_core(logm, beta, floor, pot.states.index(zero)),
-    )
+    return PerronData(beta=beta, pot=pot, **perron_core(logm, beta, floor, pot.states.index(zero)))
 
 
 def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     """The Perron pair of exp(logm), as the PerronData fields other than
-    beta, pot and log_matrix, with H normalized to 1 at ``anchor``.
+    beta and pot, with H normalized to 1 at ``anchor``.
 
     ``floor`` is (m, adj, gamma, V), or None: the maximum cycle mean of the
     word graph, the 0/1 critical adjacency of a component of largest
@@ -581,9 +572,11 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
     unscaling.  The eigen-residual must stay below _MAX_RESIDUAL relative
     to lambda, and a solve that would need more than _MAX_DPS digits raises
-    PerronError before it starts.
+    PerronError before it starts.  Every probe, every escalation and the
+    confirmation run on one elimination plan of the finite pattern of logm.
     """
     n = len(logm)
+    plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
     finite = [x for row in logm for x in row if math.isfinite(x)]
     span = max(finite) - min(finite) if finite else 0.0
     cycle_mean, adj, gamma, v = floor if floor is not None else (0.0, None, None, None)
@@ -611,8 +604,10 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
                     with mpmath.workprec(53):
                         guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
             resolution = mpmath.mpf(10) ** -_RESOLVED
-            lo, hi, lam, lu = _bracket_root(mat, base, guess, excess_digits + _RESOLVED, resolution)
-        if _confirmed(logm, shift, w, lo, hi, 2 * dps):
+            lo, hi, lam, lu = _bracket_root(
+                plan, mat, base, guess, excess_digits + _RESOLVED, resolution
+            )
+        if _confirmed(logm, shift, w, lo, hi, 2 * dps, plan):
             break
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
@@ -621,7 +616,7 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
             )
         excess_digits *= 2
     with mpmath.workdps(dps):
-        h_vec, nu_vec = _inverse_iteration(lu, resolution)
+        h_vec, nu_vec = _inverse_iteration(plan, lu, resolution)
         if any(x <= 0 for x in h_vec + nu_vec):
             raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
         res = max(
@@ -657,12 +652,14 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     )
 
 
-def _confirmed(logm, shift, w, lo, hi, dps: int) -> bool:
+def _confirmed(logm, shift, w, lo, hi, dps: int, plan=None) -> bool:
     """The M-matrix test of the scaled matrix, formed again at dps digits,
-    still fails at lo and passes at hi."""
+    still fails at lo and passes at hi; on the elimination plan of the
+    finite pattern of logm, built here unless given."""
     with mpmath.workdps(dps):
         mat = _scaled_matrix(logm, shift, w)
-        return not _shifted_lu(mat, lo)[0] and _shifted_lu(mat, hi)[0]
+        plan = plan or _elimination_plan(mat)
+        return not _shifted_lu(plan, mat, lo)[0] and _shifted_lu(plan, mat, hi)[0]
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:
@@ -688,8 +685,6 @@ def equilibrium_cylinder_mass(p: PerronData, word) -> float:
         u = w[t : t + k]
         v = w[t + 1 : t + 1 + k]
         iu, iv = index[u], index[v]
-        e = p.log_matrix[iv][iu]
-        if not math.isfinite(e):
-            return 0.0
+        e = p.beta * pot.value(w[t : t + k + 1])  # the entry of transfer_matrix
         log_mass += e + p.log_nu[iv] - p.log_lambda - p.log_nu[iu]
     return math.exp(log_mass)

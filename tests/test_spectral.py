@@ -186,29 +186,37 @@ def test_normalization_uses_the_aubry_rule():
 
 def _lifted_tables():
     """One potential on the full 2-shift as a depth-3 table (8 states) and
-    as the same values read off depth-4 words (16 states); the fixed points
-    0 and 1 weigh 0, and the other values are not dyadic."""
+    as the same values read off depth-4, 5 and 6 words (16, 32 and 64
+    states); the fixed points 0 and 1 weigh 0, and the other values are not
+    dyadic."""
     words3 = list(itertools.product((0, 1), repeat=4))
     table3 = {
         w: 0.0 if len(set(w)) == 1 else -1.0 - 0.37 * ((5 * int("".join(map(str, w)), 2)) % 9)
         for w in words3
     }
-    table4 = {w: table3[w[:4]] for w in itertools.product((0, 1), repeat=5)}
     sft = full_shift(1)
-    return LocallyConstantPotential(sft, 3, table3), LocallyConstantPotential(sft, 4, table4)
+    return [
+        LocallyConstantPotential(
+            sft, depth, {w: table3[w[:4]] for w in itertools.product((0, 1), repeat=depth + 1)}
+        )
+        for depth in (3, 4, 5, 6)
+    ]
 
 
 def test_precision_follows_the_excess_not_the_state_count():
-    pot8, pot16 = _lifted_tables()
+    pot8, *lifted = _lifted_tables()
     beta = 128.0
-    an8, an16 = Analysis(pot8), Analysis(pot16)
-    gamma = an16.gamma_maxplus
-    assert an8.gamma_maxplus == pytest.approx(gamma, rel=1e-12)
-    p8, p16 = an8.perron(beta), an16.perron(beta)
-    assert p16.dps <= beta * abs(gamma) / math.log(10) + 120
-    assert abs(p16.dps - p8.dps) < 10
-    assert p16.certified_dps == 2 * p16.dps
-    assert p16.log_lambda == pytest.approx(p8.log_lambda, rel=1e-13)
+    an8 = Analysis(pot8)
+    p8 = an8.perron(beta)
+    for pot in lifted:
+        an = Analysis(pot)
+        gamma = an.gamma_maxplus
+        assert an8.gamma_maxplus == pytest.approx(gamma, rel=1e-12)
+        p = an.perron(beta)
+        assert p.dps <= beta * abs(gamma) / math.log(10) + 120
+        assert abs(p.dps - p8.dps) < 10
+        assert p.certified_dps == 2 * p.dps
+        assert p.log_lambda == pytest.approx(p8.log_lambda, rel=1e-13)
 
 
 def test_unscaled_floors_give_the_same_pair():
@@ -376,3 +384,67 @@ def test_adjacency_root_against_eigvals_and_the_characteristic_polynomial(adj):
                 break
         assert abs(root - x) / x < 4 * 2.0**-53
         assert abs(spectral._adjacency_root(adj, 50) - x) / x < mpmath.mpf(10) ** -50
+
+
+def _perron_root(mat):
+    """Largest |eigenvalue| over the strongly connected blocks of a
+    nonnegative matrix, from mpmath.eig: in each block the Perron root is
+    simple, so it is resolved to the working precision even where the
+    whole matrix has Jordan blocks."""
+    n = len(mat)
+    reach = [[i == j or bool(mat[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    blocks = {tuple(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)}
+    return max(
+        abs(mat[bl[0]][bl[0]]) if len(bl) == 1 else
+        max(abs(x) for x in mpmath.eig(mpmath.matrix([[mat[a][b] for b in bl] for a in bl]),
+                                       left=False, right=False))
+        for bl in blocks
+    )
+
+
+@st.composite
+def shifted_matrices(draw):
+    """(M, rho, mu, b): a nonnegative M on 1-12 states with a random zero
+    pattern and dyadic or non-dyadic mpf entries, a shift mu above or below
+    its Perron root rho by a relative gap, and a right-hand side b.  Drawn
+    inside mpmath.workdps(50), it takes rho from mpmath.eig at 50 digits."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    unit = mpmath.mpf(1) / draw(st.sampled_from([8, 3]))
+    cells = draw(st.lists(st.tuples(st.floats(0, 1), st.integers(1, 64)), min_size=n * n,
+                          max_size=n * n))
+    mat = [[c * unit if u < density else mpmath.mpf(0) for u, c in cells[i * n:(i + 1) * n]]
+           for i in range(n)]
+    rho = _perron_root(mat)
+    gap = draw(st.floats(1e-6, 1.0)) * max(rho, 1)
+    mu = rho + gap if draw(st.booleans()) else rho - gap
+    b = [mpmath.mpf(x) for x in draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))]
+    return mat, rho, mu, b
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_planned_elimination_against_dense_references(data):
+    with mpmath.workdps(50):
+        mat, rho, mu, b = data.draw(shifted_matrices())
+        n = len(mat)
+        plan = spectral._elimination_plan(mat)
+        passes, det, lu = spectral._shifted_lu(plan, mat, mu)
+        assert passes == (mu > rho)
+        if det is None:  # a leading block is singular, so mu <= rho
+            assert mu < rho
+            return
+        a = mpmath.matrix([[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)])
+        scale = (abs(mu) + max(sum(row) for row in mat)) ** n
+        assert abs(det - mpmath.det(a)) <= mpmath.mpf(10) ** -40 * scale
+        if not det:
+            return
+        for transpose, dense in ((False, a), (True, a.T)):
+            x = spectral._solve(plan, lu, b, transpose)
+            ref = mpmath.lu_solve(dense, mpmath.matrix(b))
+            tol = mpmath.mpf(10) ** -30 * max(max(abs(y) for y in ref), 1)
+            assert all(abs(x[i] - ref[i]) <= tol for i in range(n))
