@@ -18,10 +18,10 @@ cluster is spread out, with the M-matrix test (mu > rho exactly when
 elimination of mu*I - S without pivoting, in any symmetric order, has only
 positive pivots), narrows the bracket by regula falsi on det(mu*I - S) to
 R = 60 digits of the excess at E + R + 30 digits, and takes H and nu by
-inverse iteration at its upper end.  The bracket is the certificate: both
-ends are probed again at twice the working precision, and when a probe
-disagrees the solve is repeated, from a cold search, at 2E + R + 30
-digits.
+inverse iteration at its upper end.  The bracket is the certificate: S is
+formed once per precision at twice the working one, the solve runs on its
+rounding, and both ends are probed again on S as formed; when a probe
+disagrees the solve is repeated, from a cold search, at 2E + R + 30 digits.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
@@ -394,7 +394,8 @@ def _scaled_matrix(logm, shift, w) -> list:
     where logm is -inf.  shift and w are mpf; the exponent is formed in
     mpf from the exact float entries, so the matrix is similar to
     exp(logm - shift) up to one rounding of each exponent at the working
-    precision, however large w is."""
+    precision, however large w is.  perron_core forms it once per level,
+    at the certificate precision, and rounds it to the working one."""
     cache = {}
     mat = [[0] * len(logm) for _ in logm]
     for i, row in enumerate(logm):
@@ -462,9 +463,10 @@ def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
         elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
             x = (x_lo + x_hi) / 2
         else:
-            # keep half the target width from either end, so that a step
-            # that lands next to one end still closes the bracket
-            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            # keep half the target width from either end, so that a step that
+            # lands next to one end still closes the bracket, and aim a quarter
+            # of it low, so that no probe lands within rounding of the root
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo) - width / 4
             x = min(max(x, x_lo + width / 2), x_hi - width / 2)
         mu = floor + x
         if mu == lo or mu == hi:  # no point left between the ends
@@ -565,9 +567,9 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     digits, E = beta*|gamma|/ln10 + 15 for the excess, the bracket resolves
     R = 60 digits of it, and G = 30 digits guard against rounding.  Without
     V (or with a -inf entry in it) w = 0, and E starts from the rate bound
-    beta*span, span the spread of A.  The bracket is confirmed by probing
-    both ends again at twice the working precision.  When a probe
-    disagrees, E doubles and the solve starts again.
+    beta*span, span the spread of A.  S is formed once per precision, at
+    twice the working one, to probe both ends of the bracket again, and the
+    solve runs on its rounding; a disagreement doubles E and restarts it.
     H and nu settle by inverse iteration to R digits; they are unscaled as
     H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
     unscaling.  The eigen-residual must stay below _MAX_RESIDUAL relative
@@ -593,10 +595,12 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
                 f"the solve at beta {beta:g} needs {float(dps):.3g} digits, "
                 f"more than the cap of {_MAX_DPS}"
             )
-        with mpmath.workdps(dps):
+        with mpmath.workdps(2 * dps):
             shift = mpmath.mpf(beta) * cycle_mean
             w = [mpmath.mpf(beta) * x for x in v]
-            mat = _scaled_matrix(logm, shift, w)
+            exact = _scaled_matrix(logm, shift, w)
+        with mpmath.workdps(dps):
+            mat = [[+x for x in row] for row in exact]
             base = guess = None
             if adj is not None:
                 base = _adjacency_root(adj, dps)
@@ -607,7 +611,7 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
             lo, hi, lam, lu = _bracket_root(
                 plan, mat, base, guess, excess_digits + _RESOLVED, resolution
             )
-        if _confirmed(logm, shift, w, lo, hi, 2 * dps, plan):
+        if _confirmed(plan, exact, lo, hi, 2 * dps):
             break
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
@@ -629,12 +633,10 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
         z = sum(mass_raw)
         mass_k = tuple(float(x / z) for x in mass_raw)
         log_lambda_mp = mpmath.log(lam) + shift
-        if shift:
-            scale = mpmath.exp(shift)
-            lo, hi = lo * scale, hi * scale
+        lo, hi = (x * mpmath.exp(shift) for x in (lo, hi))
+    with mpmath.workdps(_RESOLVED + _GUARD):
         # log nu = log nu_S - w - log sum(nu_S e^{-w})
         log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
-    with mpmath.workdps(_RESOLVED + _GUARD):
         log_h0 = mpmath.log(h_vec[anchor]) + w[anchor]
         # + 0.0: a log H of -1e-400 rounds to -0.0, not 0
         log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_vec, w))
@@ -652,13 +654,10 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     )
 
 
-def _confirmed(logm, shift, w, lo, hi, dps: int, plan=None) -> bool:
-    """The M-matrix test of the scaled matrix, formed again at dps digits,
-    still fails at lo and passes at hi; on the elimination plan of the
-    finite pattern of logm, built here unless given."""
+def _confirmed(plan, mat, lo, hi, dps: int) -> bool:
+    """The M-matrix test of mat, formed at dps digits, fails at lo and
+    passes at hi when run at dps digits."""
     with mpmath.workdps(dps):
-        mat = _scaled_matrix(logm, shift, w)
-        plan = plan or _elimination_plan(mat)
         return not _shifted_lu(plan, mat, lo)[0] and _shifted_lu(plan, mat, hi)[0]
 
 

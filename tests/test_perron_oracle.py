@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron
 from zerotemp.asymptotics import Analysis
 from zerotemp.maxplus import _strongly_connected_components
-from zerotemp.spectral import _confirmed, adjacency_entropy, transfer_matrix
+from zerotemp.spectral import (
+    _confirmed,
+    _elimination_plan,
+    _scaled_matrix,
+    adjacency_entropy,
+    transfer_matrix,
+)
 from zerotemp.verify import zero_potential
 
 from conftest import two_zero_blocks_potential
@@ -163,16 +169,39 @@ def test_adjacency_entropy():
 
 
 def test_two_zero_blocks_escalates_and_still_matches():
-    # the O(1)-coupled block {1, 2} leaves a pivot the size of the excess,
-    # so the first precision fails the doubled-precision probe
+    # half the true rate sizes the excess at half its digits: the first
+    # precision cannot resolve the bracket, the doubled-precision probe
+    # disagrees, and the solve repeats at 2E + R + G digits
     pot = two_zero_blocks_potential()
     an = Analysis(pot)
-    p = an.perron(128.0)
+    m, adj, gamma, v = an.floor
+    p = perron(pot, 128.0, (m, adj, gamma / 2, v))
     assert p.escalations >= 1
     assert p.certified_dps == 2 * p.dps
     ref = reference_perron(pot, 128.0)
     assert_matches_reference(p, ref)
-    assert_excess_matches(p, an.entropy(128.0), ref)
+    assert_excess_matches(p, adjacency_entropy(adj, p.dps), ref)
+
+
+def test_a_probe_next_to_the_root_does_not_escalate():
+    # a golden-mean table whose regula-falsi estimate lands within one unit
+    # in the last place of the root, where the test cannot tell the side
+    sft = Sft(2, ((True, True), (True, False)))
+    table = {
+        "0000": 0.0,
+        "0001": -1.12,
+        "0010": -3.95,
+        "0100": -4.0,
+        "0101": 0.0,
+        "1000": -1.04,
+        "1001": -1.17,
+        "1010": 0.0,
+    }
+    pot = LocallyConstantPotential.from_table(sft, table)
+    p = Analysis(pot).perron(16.0)
+    assert p.escalations == 0
+    assert p.certified_dps == 2 * p.dps
+    assert_matches_reference(p, reference_perron(pot, 16.0))
 
 
 def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
@@ -183,14 +212,18 @@ def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
     logm = transfer_matrix(pot, beta)
     root = reference_perron(pot, beta, dps=3 * p.dps)["lambda"]
     with mpmath.workdps(p.dps):
-        w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
         below = +root  # rounded to the working precision
         ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(below, 2)) + 1 - mpmath.mp.prec)
         if below > root:
             below -= ulp
         above = below + ulp
         assert below < root < above
-    confirmed = functools.partial(_confirmed, logm, mpmath.mpf(0), w, dps=p.certified_dps)
+    # the matrix of the confirmation, formed once at the certificate precision
+    with mpmath.workdps(p.certified_dps):
+        w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
+        exact = _scaled_matrix(logm, mpmath.mpf(0), w)
+    plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
+    confirmed = functools.partial(_confirmed, plan, exact, dps=p.certified_dps)
     assert confirmed(below, above)
     assert not confirmed(above, above + ulp)  # lo nudged past the root
     assert not confirmed(below - ulp, below)  # hi nudged below it
