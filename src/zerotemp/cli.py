@@ -8,7 +8,8 @@ CSV carries a comment line with the sha256 digest of the config it came from.
 
 The reports of one config share its solves: the Perron pair at each beta,
 the Aubry decomposition, h and the Walters pressure at each beta are each
-computed once per config and kept until the run ends.
+computed once per config and kept until the run ends.  H and nu of a
+Perron pair are solved only when a report reads them: gamma never does.
 
 Exit codes: 0 success, 2 malformed config or arguments, 3 numerical failure.
 """
@@ -22,7 +23,7 @@ import json
 import math
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 from .asymptotics import Analysis, estimate_gamma, estimate_subaction, limit_measure_estimate
 from .aubry import EmptyAubrySetError, PositiveCycleError
@@ -446,6 +447,7 @@ def _cmd_verify(suite: str) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
 
 
+@cache  # parse_args leaves the parser as it is, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zerotemp",

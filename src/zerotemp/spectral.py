@@ -16,12 +16,12 @@ the precision follows the excess, E = beta*|gamma|/ln10 + 15 digits, not
 the spread of the matrix.  It brackets s = log(rho - floor), where the
 cluster is spread out, with the M-matrix test (mu > rho exactly when
 elimination of mu*I - S without pivoting, in any symmetric order, has only
-positive pivots), narrows the bracket by regula falsi on det(mu*I - S) to
-R = 60 digits of the excess at E + R + 30 digits, and takes H and nu by
-inverse iteration at its upper end.  The bracket is the certificate: S is
-formed once per precision at twice the working one, the solve runs on its
-rounding, and both ends are probed again on S as formed; when a probe
+positive pivots), and narrows it by regula falsi on det(mu*I - S) to R = 60
+digits of the excess at E + R + 30 digits.  The bracket is the certificate:
+S is formed once per precision at twice the working one, the solve runs on
+its rounding, and both ends are probed again on S as formed; when a probe
 disagrees the solve is repeated, from a cold search, at 2E + R + 30 digits.
+H and nu, by inverse iteration at its upper end, are solved on first read.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
@@ -94,10 +94,12 @@ class LocallyConstantPotential:
             raise ValueError("depth must be >= 0")
         table = {tuple(w): float(v) for w, v in self.values.items()}
         object.__setattr__(self, "values", table)
+        words = enumerate_words(self.sft, self.depth + 1)
+        admissible = set(words)
         for w in table:
-            if not is_admissible(self.sft, w) or len(w) != self.depth + 1:
+            if w not in admissible:
                 raise ValueError(f"table key {w} is not an admissible (k+1)-word")
-        for w in enumerate_words(self.sft, self.depth + 1):
+        for w in words:
             if w not in table:
                 raise ValueError(f"table misses admissible word {w}")
 
@@ -161,7 +163,8 @@ class PerronData:
 
     H is the eigenfunction (right eigenvector, H(0^k) = 1) and nu the
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
-    equilibrium-measure masses of the k-word cylinders.  ``bracket`` is the
+    equilibrium-measure masses of the k-word cylinders, all three solved on
+    first read by ``vectors``, which is then dropped.  ``bracket`` is the
     certificate (lo, hi) of the Perron root, both at ``dps`` digits: the
     M-matrix test fails at lo and passes at hi, so lo <= root < hi, and it
     gave the same answers again at ``certified_dps`` digits.
@@ -174,13 +177,21 @@ class PerronData:
     pot: LocallyConstantPotential
     log_lambda: float
     log_lambda_mp: object  # mpmath.mpf, keeps the tiny excess over e^h resolvable
-    log_H: tuple[float, ...]
-    log_nu: tuple[float, ...]
-    mass_k: tuple[float, ...]
     dps: int
     bracket: tuple
     certified_dps: int
     escalations: int
+    vectors: object = field(compare=False, repr=False)  # () -> (log_H, log_nu, mass_k)
+
+    @cached_property
+    def _solved(self) -> tuple:
+        solved = self.vectors()
+        object.__setattr__(self, "vectors", None)  # frees the factors it holds
+        return solved
+
+    log_H = property(lambda self: self._solved[0])
+    log_nu = property(lambda self: self._solved[1])
+    mass_k = property(lambda self: self._solved[2])
 
     @property
     def words(self) -> list[tuple[int, ...]]:
@@ -570,12 +581,14 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     beta*span, span the spread of A.  S is formed once per precision, at
     twice the working one, to probe both ends of the bracket again, and the
     solve runs on its rounding; a disagreement doubles E and restarts it.
-    H and nu settle by inverse iteration to R digits; they are unscaled as
-    H = H_S e^{w} and nu = nu_S e^{-w}, and the masses H_S nu_S need no
-    unscaling.  The eigen-residual must stay below _MAX_RESIDUAL relative
-    to lambda, and a solve that would need more than _MAX_DPS digits raises
-    PerronError before it starts.  Every probe, every escalation and the
-    confirmation run on one elimination plan of the finite pattern of logm.
+    A solve that would need more than _MAX_DPS digits raises PerronError
+    before it starts.  Every probe, escalation and confirmation runs on one
+    elimination plan of the finite pattern of logm.  H and nu are left to
+    ``vectors``, which returns (log_H, log_nu, mass_k) when called: they
+    settle by inverse iteration on the factors at hi to R digits and are
+    unscaled as H = H_S e^{w}, nu = nu_S e^{-w}; the masses H_S nu_S need
+    no unscaling.  Its eigen-residual must stay below _MAX_RESIDUAL
+    relative to lambda, or it raises PerronError.
     """
     n = len(logm)
     plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
@@ -620,37 +633,40 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
             )
         excess_digits *= 2
     with mpmath.workdps(dps):
-        h_vec, nu_vec = _inverse_iteration(plan, lu, resolution)
-        if any(x <= 0 for x in h_vec + nu_vec):
-            raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
-        res = max(
-            abs(sum(mat[i][j] * h_vec[j] for j in range(n) if mat[i][j]) - lam * h_vec[i])
-            for i in range(n)
-        )
-        if res > _MAX_RESIDUAL * lam * max(h_vec):
-            raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
-        mass_raw = [h * nu for h, nu in zip(h_vec, nu_vec)]
-        z = sum(mass_raw)
-        mass_k = tuple(float(x / z) for x in mass_raw)
         log_lambda_mp = mpmath.log(lam) + shift
         lo, hi = (x * mpmath.exp(shift) for x in (lo, hi))
-    with mpmath.workdps(_RESOLVED + _GUARD):
-        # log nu = log nu_S - w - log sum(nu_S e^{-w})
-        log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
-        log_h0 = mpmath.log(h_vec[anchor]) + w[anchor]
-        # + 0.0: a log H of -1e-400 rounds to -0.0, not 0
-        log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_vec, w))
-        log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_vec, w))
+
+    def vectors():
+        with mpmath.workdps(dps):
+            h_vec, nu_vec = _inverse_iteration(plan, lu, resolution)
+            if any(x <= 0 for x in h_vec + nu_vec):
+                raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
+            res = max(
+                abs(sum(mat[i][j] * h_vec[j] for j in range(n) if mat[i][j]) - lam * h_vec[i])
+                for i in range(n)
+            )
+            if res > _MAX_RESIDUAL * lam * max(h_vec):
+                raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
+            mass_raw = [h * nu for h, nu in zip(h_vec, nu_vec)]
+            z = sum(mass_raw)
+            mass_k = tuple(float(x / z) for x in mass_raw)
+        with mpmath.workdps(_RESOLVED + _GUARD):
+            # log nu = log nu_S - w - log sum(nu_S e^{-w})
+            log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
+            log_h0 = mpmath.log(h_vec[anchor]) + w[anchor]
+            # + 0.0: a log H of -1e-400 rounds to -0.0, not 0
+            log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_vec, w))
+            log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_vec, w))
+        return log_H, log_nu, mass_k
+
     return dict(
         log_lambda=float(log_lambda_mp),
         log_lambda_mp=log_lambda_mp,
-        log_H=log_H,
-        log_nu=log_nu,
-        mass_k=mass_k,
         dps=dps,
         bracket=(lo, hi),
         certified_dps=2 * dps,
         escalations=escalations,
+        vectors=vectors,
     )
 
 

@@ -511,13 +511,14 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
 
     pert, unpert = (perron_core(logm, 1.0, floor, 0)
                     for logm, floor in _appendix_chains(gamma_p, eta, beta))
+    (pert_h, _, pert_mass), (unpert_h, _, unpert_mass) = pert["vectors"](), unpert["vectors"]()
     errs = [
         _rel_err(math.exp(pert["log_lambda"]), lambda_tilde),
-        _rel_err(math.exp(pert["log_H"][1]), h1_pert),
-        _rel_err(pert["mass_k"][0], p0),
-        _rel_err(math.exp(unpert["log_H"][1]), 1.0),
+        _rel_err(math.exp(pert_h[1]), h1_pert),
+        _rel_err(pert_mass[0], p0),
+        _rel_err(math.exp(unpert_h[1]), 1.0),
         _rel_err(unpert["log_lambda"], p_unpert),
-        _rel_err(unpert["mass_k"][0], 0.5),
+        _rel_err(unpert_mass[0], 0.5),
     ]
     return AppendixExample(
         beta=beta,
@@ -526,8 +527,8 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
         lambda_tilde=lambda_tilde,
         h1_pert=h1_pert,
         p0=p0,
-        h1_unpert=math.exp(unpert["log_H"][1]),
+        h1_unpert=math.exp(unpert_h[1]),
         p_unpert=p_unpert,
-        mu0_unpert=unpert["mass_k"][0],
+        mu0_unpert=unpert_mass[0],
         max_rel_err=max(errs),
     )

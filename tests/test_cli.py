@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import zerotemp
-from zerotemp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+from zerotemp import spectral
+from zerotemp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, build_parser, main
 
 LC1_CONFIG = {
     "potential": {
@@ -394,3 +398,58 @@ def test_configs_that_override_themselves_exit_2(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""
+
+
+def test_one_process_answers_as_separate_ones(tmp_path, capsys):
+    # one parser serves every call of main in a process
+    argvs = [
+        ["run", write_config(tmp_path, dict(LC1_CONFIG, reports=["gamma", "bogus"]), "bad.json")],
+        ["gamma", write_config(tmp_path, LC1_CONFIG, "lc.json")],
+        ["walters", write_config(tmp_path, W4_CONFIG, "w.json")],
+    ]
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [EXIT_SCHEMA, EXIT_OK, EXIT_OK]
+    assert build_parser() is build_parser()
+    src = str(Path(zerotemp.__file__).resolve().parent.parent)
+    for argv, got in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zerotemp.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == got
+
+
+# the golden-mean component has unequal out-degrees, so no residual of S H
+# = lambda H comes out exactly 0
+GOLDEN_CONFIG = {
+    "potential": {
+        "kind": "locally-constant",
+        "alphabet_size": 3,
+        "table": {
+            "00": 0, "01": 0, "10": 0, "11": -1, "02": -1,
+            "20": -1, "12": -1, "21": -1, "22": -0.5,
+        },
+    },
+    "beta_grid": [4, 8],
+    "reports": ["gamma", "subaction"],
+}
+
+
+def test_a_failed_vector_solve_fails_only_the_reports_that_read_it(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, GOLDEN_CONFIG)
+    assert main(["gamma", cfg]) == EXIT_OK
+    gamma_csv = capsys.readouterr().out
+    monkeypatch.setattr(spectral, "_MAX_RESIDUAL", 0)  # no eigen-residual passes
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "numerical failure in run: eigen-residual" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # the rate never reads H or nu, so it does not fail with them
+    assert main(["gamma", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == gamma_csv

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron
-from zerotemp.asymptotics import Analysis
+from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron, spectral
+from zerotemp.asymptotics import Analysis, estimate_gamma
 from zerotemp.maxplus import _strongly_connected_components
 from zerotemp.spectral import (
     _confirmed,
@@ -20,7 +20,7 @@ from zerotemp.spectral import (
     adjacency_entropy,
     transfer_matrix,
 )
-from zerotemp.verify import zero_potential
+from zerotemp.verify import three_symbol_potential, zero_potential
 
 from conftest import two_zero_blocks_potential
 from perron_reference import reference_perron
@@ -183,9 +183,9 @@ def test_two_zero_blocks_escalates_and_still_matches():
     assert_excess_matches(p, adjacency_entropy(adj, p.dps), ref)
 
 
-def test_a_probe_next_to_the_root_does_not_escalate():
-    # a golden-mean table whose regula-falsi estimate lands within one unit
-    # in the last place of the root, where the test cannot tell the side
+def golden_mean_potential() -> LocallyConstantPotential:
+    """A golden-mean table whose regula-falsi estimate at beta 16 lands
+    within one unit in the last place of the root."""
     sft = Sft(2, ((True, True), (True, False)))
     table = {
         "0000": 0.0,
@@ -197,7 +197,12 @@ def test_a_probe_next_to_the_root_does_not_escalate():
         "1001": -1.17,
         "1010": 0.0,
     }
-    pot = LocallyConstantPotential.from_table(sft, table)
+    return LocallyConstantPotential.from_table(sft, table)
+
+
+def test_a_probe_next_to_the_root_does_not_escalate():
+    # there the test cannot tell the side of the root
+    pot = golden_mean_potential()
     p = Analysis(pot).perron(16.0)
     assert p.escalations == 0
     assert p.certified_dps == 2 * p.dps
@@ -227,3 +232,68 @@ def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
     assert confirmed(below, above)
     assert not confirmed(above, above + ulp)  # lo nudged past the root
     assert not confirmed(below - ulp, below)  # hi nudged below it
+
+
+def count_inverse_iterations(monkeypatch) -> list:
+    calls = []
+    original = spectral._inverse_iteration
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", counted)
+    return calls
+
+
+def test_vectors_are_solved_on_first_read_only(monkeypatch):
+    calls = count_inverse_iterations(monkeypatch)
+    an = Analysis(golden_mean_potential())
+    grid = (4.0, 16.0, 64.0)
+    estimate_gamma(an, grid)
+    assert calls == []  # the rate reads lambda only
+    for beta in grid:
+        assert an.perron(beta).log_H[0] == 0.0
+    assert len(calls) == len(grid)
+    for beta in grid:
+        p = an.perron(beta)
+        assert len(p.log_H) == len(p.log_nu) == len(p.mass_k)
+        assert p.vectors is None  # dropped with the factors it held
+    assert len(calls) == len(grid)
+
+
+# (log_H, log_nu, mass_k) as the solve gave them before it was deferred
+EAGER_VECTORS = {
+    ("two zero blocks", 16.0): (
+        (0.0, 15.30685281944008, 15.30685281944008),
+        (-16.000000112535194, -0.6931472930951137, -0.6931472930951137),
+        (2.5328331098186426e-14, 0.49999999999998734, 0.49999999999998734),
+    ),
+    ("two zero blocks", 256.0): (
+        (0.0, 255.30685281944005, 255.30685281944005),
+        (-256.0, -0.6931471805599453, -0.6931471805599453),
+        (8.754982074106102e-223, 0.5, 0.5),
+    ),
+    ("three symbols", 16.0): (
+        (0.0, 8.197664210041083e-107, 8.197664210041083e-107),
+        (-1.0986122886681098,) * 3,
+        (0.3333333333333333,) * 3,
+    ),
+    ("three symbols", 256.0): (
+        (0.0, 9.973679516524927e-107, 9.973679516524927e-107),
+        (-1.0986122886681098,) * 3,
+        (0.3333333333333333,) * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, pot", [
+    ("two zero blocks", two_zero_blocks_potential()),
+    ("three symbols", three_symbol_potential()),
+])
+def test_vectors_read_late_are_the_eager_ones(name, pot):
+    an = Analysis(pot)
+    estimate_gamma(an, (16.0, 256.0))  # both pairs solved before either is read
+    for beta in (16.0, 256.0):
+        p = an.perron(beta)
+        assert (p.log_H, p.log_nu, p.mass_k) == EAGER_VECTORS[name, beta]

@@ -38,6 +38,23 @@ def test_table_validation():
         LocallyConstantPotential(sft, 1, {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0})
 
 
+@pytest.mark.parametrize("sft, keys, message", [
+    (full_shift(1), [(0, 0), (0, 2), (0, 1), (1, 0), (1, 1)],
+     "table key (0, 2) is not an admissible (k+1)-word"),  # symbol out of range
+    (full_shift(1), [(0, 0), (0, 1), (1, 0, 1), (1, 0), (1, 1)],
+     "table key (1, 0, 1) is not an admissible (k+1)-word"),  # wrong length
+    (GOLDEN, [(0, 0), (1, 1), (0, 1), (1, 0)],
+     "table key (1, 1) is not an admissible (k+1)-word"),  # forbidden transition
+    (GOLDEN, [(0, 0), (1, 0)], "table misses admissible word (0, 1)"),
+    # a bad key is reported before a missing word, and the first bad key first
+    (full_shift(1), [(2, 0), (0, 0), (0, 0, 0)], "table key (2, 0) is not an admissible (k+1)-word"),
+])
+def test_table_validation_names_the_first_bad_key(sft, keys, message):
+    with pytest.raises(ValueError) as info:
+        LocallyConstantPotential(sft, 1, dict.fromkeys(keys, 0.0))
+    assert str(info.value) == message
+
+
 def test_golden_mean_table_excludes_forbidden():
     sft = GOLDEN
     pot = LocallyConstantPotential.from_table(sft, {"00": 0.0, "01": -1.0, "10": -1.0})
