@@ -15,6 +15,7 @@ exact on all finite arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,7 +255,8 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
     B = M - lam has maximum cycle mean 0; columns of its Kleene closure at
     critical nodes (nodes on a zero-weight cycle of B) are eigenvectors, one
     basis vector per strongly connected component of the critical graph.
-    Basis vectors are normalized with first component 0.
+    Basis vectors are normalized with first component 0.  NoEigenvalueError
+    unless the potential and a critical cycle certify lam (below).
     """
     lam = mp_eigenvalue(m)
     exact = isinstance(lam, (int, Fraction))
@@ -264,9 +266,19 @@ def mp_eigenvectors(m: MaxPlusMatrix) -> MaxPlusEigenData:
     # the best path weight into each node, or 0: a potential of B
     u = [max(0, *(d[i][j] for i in range(n))) for j in range(n)]
     edges = [(i, j, w) for i, row in enumerate(b.entries) for j, w in enumerate(row) if w != NEG_INF]
-    _, comps = critical_graph(u, edges, (lambda x: x == 0) if exact else (lambda x: abs(x) <= DEDUP_TOL))
+    critical, comps = critical_graph(u, edges, (lambda x: x == 0) if exact else (lambda x: abs(x) <= DEDUP_TOL))
     if not comps:
         raise NoEigenvalueError("no critical cycle found")
+    # lam's certificate (LP duality): u leaves no reduced weight above 0, and
+    # the cycle that critical edges trace from a critical node has mean lam
+    tol = 0 if exact else 1e-12 * max(1, abs(lam))
+    succ, walk = dict(critical), [comps[0][0]]
+    while succ[walk[-1]] not in walk:
+        walk.append(succ[walk[-1]])
+    weights = [m.entries[i][succ[i]] for i in walk[walk.index(succ[walk[-1]]):]]
+    mean = Fraction(sum(weights), len(weights)) if exact else math.fsum(weights) / len(weights)
+    if max(w + u[i] - u[j] for i, j, w in edges) > tol or abs(mean - lam) > tol:
+        raise NoEigenvalueError(f"eigenvalue {lam} is not certified by a potential and a critical cycle")
 
     vectors: list[tuple] = []
     for comp in comps:

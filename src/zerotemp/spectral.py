@@ -18,9 +18,10 @@ cluster is spread out, with the M-matrix test (mu > rho exactly when
 elimination of mu*I - S without pivoting, in any symmetric order, has only
 positive pivots), and narrows it by regula falsi on det(mu*I - S) to R = 60
 digits of the excess at E + R + 30 digits.  The bracket is the certificate:
-S is formed once per precision at twice the working one, the solve runs on
-its rounding, and both ends are probed again on S as formed; when a probe
-disagrees the solve is repeated, from a cold search, at 2E + R + 30 digits.
+S is formed once per precision, at the working one plus guard digits, and
+rounded to it; both ends, moved inward by the bound u on that rounding, are
+probed again at twice the precision, and when a probe disagrees the solve
+is repeated, from a cold search, at 2E + R + 30 digits.
 H and nu, by inverse iteration at its upper end, are solved on first read.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
@@ -64,6 +65,8 @@ _MAX_ESCALATIONS = 6
 _EXCESS_SLACK = 15
 _RESOLVED = 60
 _GUARD = 30
+# digits past the working precision at which S is formed, then rounded
+_ENTRY_GUARD = 10
 # the most digits one solve may ask for: the benchmark ladder peaks below
 # 2,000, a 2-state solve at 10^5 digits takes about a minute, and far
 # enough past it mpmath cannot even set the precision up
@@ -167,7 +170,8 @@ class PerronData:
     first read by ``vectors``, which is then dropped.  ``bracket`` is the
     certificate (lo, hi) of the Perron root, both at ``dps`` digits: the
     M-matrix test fails at lo and passes at hi, so lo <= root < hi, and it
-    gave the same answers again at ``certified_dps`` digits.
+    did so again at ``certified_dps`` digits with both ends moved inward by
+    the bound u on the rounding of an entry of S to ``dps`` digits.
     ``escalations`` counts the solves that a disagreeing probe sent to a
     higher precision.  lambda is hi, or the max-plus floor when the root
     lies within the resolution of it (zero excess).
@@ -404,19 +408,21 @@ def _scaled_matrix(logm, shift, w) -> list:
     """exp(logm[i][j] - shift + w[j] - w[i]) at the working precision; 0
     where logm is -inf.  shift and w are mpf; the exponent is formed in
     mpf from the exact float entries, so the matrix is similar to
-    exp(logm - shift) up to one rounding of each exponent at the working
-    precision, however large w is.  perron_core forms it once per level,
-    at the certificate precision, and rounds it to the working one."""
+    exp(logm - shift) up to one rounding of each exponent.  Each distinct
+    exponential is formed once at _ENTRY_GUARD more digits and rounded, so
+    an entry is within 2^(1-prec) of exact, and equal to the rounding of a
+    formation at any higher precision unless within 10^-10 of a tie."""
     cache = {}
     mat = [[0] * len(logm) for _ in logm]
-    for i, row in enumerate(logm):
-        for j, e in enumerate(row):
-            if math.isfinite(e):
-                x = mpmath.mpf(e) - shift + w[j] - w[i]
-                if x not in cache:
-                    cache[x] = mpmath.exp(x)
-                mat[i][j] = cache[x]
-    return mat
+    with mpmath.workdps(mpmath.mp.dps + _ENTRY_GUARD):
+        for i, row in enumerate(logm):
+            for j, e in enumerate(row):
+                if math.isfinite(e):
+                    x = mpmath.mpf(e) - shift + w[j] - w[i]
+                    if x not in cache:
+                        cache[x] = mpmath.exp(x)
+                    mat[i][j] = cache[x]
+    return [[+x for x in row] for row in mat]
 
 
 def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
@@ -579,8 +585,9 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     R = 60 digits of it, and G = 30 digits guard against rounding.  Without
     V (or with a -inf entry in it) w = 0, and E starts from the rate bound
     beta*span, span the spread of A.  S is formed once per precision, at
-    twice the working one, to probe both ends of the bracket again, and the
-    solve runs on its rounding; a disagreement doubles E and restarts it.
+    the working one plus guard digits, and rounded to it; both ends of the
+    bracket, moved inward by the bound u on that rounding, are probed again
+    at twice the precision, and a disagreement doubles E and restarts it.
     A solve that would need more than _MAX_DPS digits raises PerronError
     before it starts.  Every probe, escalation and confirmation runs on one
     elimination plan of the finite pattern of logm.  H and nu are left to
@@ -608,12 +615,10 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
                 f"the solve at beta {beta:g} needs {float(dps):.3g} digits, "
                 f"more than the cap of {_MAX_DPS}"
             )
-        with mpmath.workdps(2 * dps):
+        with mpmath.workdps(dps):
             shift = mpmath.mpf(beta) * cycle_mean
             w = [mpmath.mpf(beta) * x for x in v]
-            exact = _scaled_matrix(logm, shift, w)
-        with mpmath.workdps(dps):
-            mat = [[+x for x in row] for row in exact]
+            mat = _scaled_matrix(logm, shift, w)
             base = guess = None
             if adj is not None:
                 base = _adjacency_root(adj, dps)
@@ -624,7 +629,7 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
             lo, hi, lam, lu = _bracket_root(
                 plan, mat, base, guess, excess_digits + _RESOLVED, resolution
             )
-        if _confirmed(plan, exact, lo, hi, 2 * dps):
+        if _confirmed(plan, mat, lo, hi, dps):
             break
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
@@ -671,10 +676,16 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
 
 
 def _confirmed(plan, mat, lo, hi, dps: int) -> bool:
-    """The M-matrix test of mat, formed at dps digits, fails at lo and
-    passes at hi when run at dps digits."""
+    """lo <= rho < hi, rho the Perron root of the exact matrix that mat
+    rounds to dps digits (_scaled_matrix): each entry is within u =
+    2^(1-prec), so (1 - u) exact <= mat <= (1 + u) exact, and as rho grows
+    with the entries of a nonnegative matrix, rho(mat) / (1 + u) <= rho <=
+    rho(mat) / (1 - u).  So the M-matrix test of mat, run at 2*dps digits,
+    must fail at lo (1 + u) and pass at hi (1 - u)."""
     with mpmath.workdps(dps):
-        return not _shifted_lu(plan, mat, lo)[0] and _shifted_lu(plan, mat, hi)[0]
+        u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
+    with mpmath.workdps(2 * dps):
+        return not _shifted_lu(plan, mat, lo * (1 + u))[0] and _shifted_lu(plan, mat, hi * (1 - u))[0]
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -11,8 +12,12 @@ from zerotemp import (
     mp_eigenvalue,
     mp_eigenvectors,
 )
+from zerotemp import maxplus
+from zerotemp.cli import EXIT_NUMERICAL, EXIT_OK, main
 from zerotemp.maxplus import NEG_INF
 from zerotemp.verify import _brute_best_cycle_mean
+
+from conftest import TABLES
 
 F = Fraction
 
@@ -147,3 +152,46 @@ def test_restrict_and_shift():
     r = m.restrict((0, 2))
     assert r.entries == ((0.0, -2.0), (-6.0, -8.0))
     assert m.shifted(1.0)[0, 1] == 0.0
+
+
+def shift_eigenvalue(monkeypatch, shift):
+    """mp_eigenvectors then works from Karp's eigenvalue plus shift."""
+    monkeypatch.setattr(maxplus, "mp_eigenvalue", lambda m, karp=mp_eigenvalue: karp(m) + shift)
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9, F(1, 10**30), F(-1, 10**30)])
+def test_a_shifted_eigenvalue_raises(monkeypatch, shift):
+    exact = isinstance(shift, Fraction)
+    m = MaxPlusMatrix.from_rows([[F(x) if exact else float(x) for x in row] for row in ((-3, -2), (-1, -3))])
+    assert mp_eigenvectors(m).eigenvalue == -1.5
+    shift_eigenvalue(monkeypatch, shift)
+    with pytest.raises(NoEigenvalueError):
+        mp_eigenvectors(m)
+
+
+@pytest.mark.parametrize("shift", [1e-10, -1e-10, 1e-11, -1e-11])
+@pytest.mark.parametrize("rows", [((-3.0, -2.0), (-1.0, -3.0)), ((-1.0, -3.0), (-3.0, -2.0))])
+def test_a_shift_within_the_zero_tolerance_fails_the_certificate(monkeypatch, rows, shift):
+    # each critical edge still looks tight, so only the certificate sees it
+    m = MaxPlusMatrix.from_rows(rows)
+    mp_eigenvectors(m)
+    shift_eigenvalue(monkeypatch, shift)
+    with pytest.raises(NoEigenvalueError, match="not certified"):
+        mp_eigenvectors(m)
+
+
+@pytest.mark.parametrize("shift", [1e-10, -1e-10])
+def test_gamma_exits_3_on_an_uncertified_eigenvalue(monkeypatch, tmp_path, capsys, shift):
+    trans, table = TABLES["golden5"]
+    cfg = {
+        "potential": {"kind": "locally-constant", "alphabet_size": 2, "transitions": trans, "table": table},
+        "beta_grid": [1.0, 2.0],
+        "reports": ["gamma"],
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["gamma", str(tmp_path / "cfg.json")]
+    assert main(argv) == EXIT_OK
+    shift_eigenvalue(monkeypatch, shift)
+    capsys.readouterr()
+    assert main(argv) == EXIT_NUMERICAL
+    assert "not certified" in capsys.readouterr().err

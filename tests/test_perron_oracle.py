@@ -22,7 +22,7 @@ from zerotemp.spectral import (
 )
 from zerotemp.verify import three_symbol_potential, zero_potential
 
-from conftest import two_zero_blocks_potential
+from conftest import table_potential, two_zero_blocks_potential
 from perron_reference import reference_perron
 
 # dyadic weights of span <= 1 keep the dense reference below a second at
@@ -210,6 +210,10 @@ def test_a_probe_next_to_the_root_does_not_escalate():
 
 
 def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
+    # each entry of the working matrix is within u = 2^(1-prec) of the
+    # exactly formed one, so the confirmation moves both ends inward by u:
+    # ends a few u outside the root confirm, an end within root (1 +- u)
+    # does not
     pot = two_zero_blocks_potential()
     beta = 128.0
     an = Analysis(pot)
@@ -217,21 +221,52 @@ def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
     logm = transfer_matrix(pot, beta)
     root = reference_perron(pot, beta, dps=3 * p.dps)["lambda"]
     with mpmath.workdps(p.dps):
-        below = +root  # rounded to the working precision
-        ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(below, 2)) + 1 - mpmath.mp.prec)
-        if below > root:
-            below -= ulp
-        above = below + ulp
-        assert below < root < above
-    # the matrix of the confirmation, formed once at the certificate precision
-    with mpmath.workdps(p.certified_dps):
+        u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
         w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
-        exact = _scaled_matrix(logm, mpmath.mpf(0), w)
+        mat = _scaled_matrix(logm, mpmath.mpf(0), w)
     plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
-    confirmed = functools.partial(_confirmed, plan, exact, dps=p.certified_dps)
-    assert confirmed(below, above)
-    assert not confirmed(above, above + ulp)  # lo nudged past the root
-    assert not confirmed(below - ulp, below)  # hi nudged below it
+    confirmed = functools.partial(_confirmed, plan, mat, dps=p.dps)
+    with mpmath.workdps(3 * p.dps):
+        assert confirmed(root * (1 - 3 * u), root * (1 + 3 * u))
+        assert not confirmed(root * (1 - u / 2), root * (1 + 3 * u))  # lo within u
+        assert not confirmed(root * (1 - 3 * u), root * (1 + u / 2))  # hi within u
+
+
+@pytest.mark.parametrize("name, beta", [
+    ("n2", 512.0), ("n4", 512.0), ("golden5", 256.0), ("golden8", 32.0), ("two zero blocks", 512.0),
+])
+def test_the_working_matrix_is_the_doubled_precision_one_rounded(monkeypatch, name, beta):
+    formed = []
+    original = spectral._scaled_matrix
+
+    def recorded(logm, shift, w):
+        mat = original(logm, shift, w)
+        formed.append((mpmath.mp.dps, logm, shift, w, mat))
+        return mat
+
+    monkeypatch.setattr(spectral, "_scaled_matrix", recorded)
+    p = Analysis(table_potential(name)).perron(beta)
+    [(dps, logm, shift, w, mat)] = formed  # once, at the working precision
+    assert dps == p.dps
+    with mpmath.workdps(2 * dps):
+        doubled = [
+            [mpmath.exp(mpmath.mpf(e) - shift + w[j] - w[i]) if math.isfinite(e) else 0
+             for j, e in enumerate(row)]
+            for i, row in enumerate(logm)
+        ]
+    with mpmath.workdps(dps):
+        assert mat == [[+x for x in row] for row in doubled]
+
+
+def test_the_guard_digits_round_each_entry_correctly():
+    # mpmath's exp at 120 digits rounds each of these the wrong way
+    logm = ((-9.06640625, -16.80859375), (-21.671875, -23.73046875))
+    with mpmath.workdps(360):
+        exact = [[mpmath.exp(e) for e in row] for row in logm]
+    with mpmath.workdps(120):
+        assert _scaled_matrix(logm, mpmath.mpf(0), [mpmath.mpf(0)] * 2) == [
+            [+x for x in row] for row in exact
+        ]
 
 
 def count_inverse_iterations(monkeypatch) -> list:
