@@ -22,7 +22,7 @@ from .aubry import (
     max_plus_subaction,
     word_graph,
 )
-from .maxplus import NEG_INF, NoEigenvalueError, mp_eigenvalue, mp_eigenvectors
+from .maxplus import NEG_INF, NoEigenvalueError, howard_cycle_mean, mp_eigenvectors
 from .spectral import LocallyConstantPotential, PerronData, PerronError, adjacency_entropy
 from .spectral import equilibrium_cylinder_mass, perron
 
@@ -90,16 +90,16 @@ class Analysis:
     def floor(self):
         """(m, adjacency of a largest-entropy component, gamma, max-plus
         subaction) for ``perron``: m = 0 when the potential is normalized;
-        otherwise m is the maximum cycle mean of the word graph and the rest
-        is read off the analysis of A - m.  gamma and the subaction are None
-        when the cost matrix has no eigenvector; the floor is None when A - m
-        has no Aubry decomposition either (rounding of m), and perron finds
-        its own."""
+        otherwise m is the maximum cycle mean of the word graph's edges, the
+        fsum mean of one cycle (howard_cycle_mean), and the rest is read off
+        the analysis of A - m.  gamma and the subaction are None when the cost
+        matrix has no eigenvector; the floor is None when A - m has no Aubry
+        decomposition either (rounding of m), and perron finds its own."""
         an, m = self, 0.0
         try:
             d = self.decomposition
         except (PositiveCycleError, EmptyAubrySetError):
-            m = mp_eigenvalue(self.graph.weight_matrix())
+            m = howard_cycle_mean(self.graph.n, self.graph.edges)
             pot = self.pot
             shifted = {w: a - m for w, a in pot.values.items()}
             an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, shifted))

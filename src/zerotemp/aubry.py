@@ -3,9 +3,9 @@
 For a locally constant potential the dynamics at cylinder granularity is a
 weighted digraph on k-words (the word graph); the Mane potential S(u, v) is
 then the maximum total weight of a directed path u -> v, the Aubry set is the
-union of zero-weight cycles, and the cost a_ij of travelling into component
-Sigma_i from component Sigma_j drives the max-plus eigenproblem of the
-pressure's zero-temperature speed.
+union of zero-weight cycles, and the cost a_ij of travelling from the base of
+component Sigma_j to the base of Sigma_i drives the max-plus eigenproblem of
+the pressure's zero-temperature speed.
 
 The word graph has E = O(n) edges and is never closed.  Bellman-Ford gives
 it a potential u (w + u(x) - u(y) <= 0 on every edge), and the Aubry
@@ -58,12 +58,6 @@ class WordGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def weight_matrix(self) -> MaxPlusMatrix:
-        rows = [[NEG_INF] * self.n for _ in range(self.n)]
-        for (u, v, w) in self.edges:
-            rows[u][v] = w
-        return MaxPlusMatrix.from_rows(rows)
 
     @cached_property
     def potential(self) -> list[float]:
@@ -148,9 +142,9 @@ def mane_potential(g: WordGraph, u: int, v: int) -> float:
 class AubryDecomposition:
     """Irreducible components of the Aubry set with entropies and costs.
 
-    ``cost`` is the full L x L matrix (a_ij), a_ij = best way to enter
-    Sigma_i coming from Sigma_j; ``maximal_set`` indexes the components of
-    maximal entropy.
+    ``cost`` is the full L x L matrix (a_ij), a_ij = best path from the base
+    (least node) of Sigma_j into Sigma_i and along it back to its base;
+    ``maximal_set`` indexes the components of maximal entropy.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -194,8 +188,9 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
     maximal = tuple(i for i, hi in enumerate(entropies) if hi >= h - ZERO_CYCLE_TOL)
 
     # cost a_ij: edges u -> v entering Sigma_i that are not internal critical
-    # edges of Sigma_i, weighted by the best approach to u from the least node
-    # of Sigma_j (0 from inside Sigma_j)
+    # edges of Sigma_i, weighted by the best approach to u from the base
+    # x_j = least node of Sigma_j (0 at x_j) and by the critical leg from v
+    # back to x_i, S(v, x_i) = -S(x_i, v) inside Sigma_i (0 at x_i)
     L = len(comps)
     rows = [g.paths_from(comp[0]) for comp in comps]
     cost = [[NEG_INF] * L for _ in range(L)]
@@ -203,10 +198,11 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
         i = node_comp.get(v)
         if i is None or (u, v) in crit_pairs:  # critical edges stay inside a component
             continue
+        back = 0.0 if v == comps[i][0] else -rows[i][v]
         for j in range(L):
-            approach = 0.0 if node_comp.get(u) == j else rows[j][u]
+            approach = 0.0 if u == comps[j][0] else rows[j][u]
             if approach != NEG_INF:
-                cost[i][j] = max(cost[i][j], w + approach)
+                cost[i][j] = max(cost[i][j], approach + w + back)
     return AubryDecomposition(
         components=tuple(comps),
         entropies=tuple(entropies),
@@ -217,13 +213,13 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
 
 
 def max_plus_subaction(g: WordGraph, d: AubryDecomposition, offsets, anchor: int) -> tuple[float, ...]:
-    """V(x) = max_j [offsets_j + S(Sigma_j, x)] over the maximal components
-    Sigma_j of d (S = 0 on Sigma_j itself), shifted to vanish at node
-    ``anchor``: with the offsets a max-plus eigenvector of the maximal cost
-    matrix, a calibrated subaction, max_u [A(u v) + V(u)] = V(v)."""
-    comps = [(set(d.components[j]), g.paths_from(d.components[j][0])) for j in d.maximal_set]
+    """V(x) = max_j [offsets_j + S(x_j, x)] over the maximal components
+    Sigma_j of d, x_j the least node of Sigma_j and S(x_j, x_j) = 0, shifted
+    to vanish at ``anchor``: with the offsets a max-plus eigenvector of the
+    maximal cost matrix, a calibrated subaction, max_u [A(u v) + V(u)] = V(v)."""
+    bases = [(d.components[j][0], g.paths_from(d.components[j][0])) for j in d.maximal_set]
     v = [
-        max((o + (0.0 if x in c else row[x]) for o, (c, row) in zip(offsets, comps)), default=NEG_INF)
+        max((o + (0.0 if x == b else row[x]) for o, (b, row) in zip(offsets, bases)), default=NEG_INF)
         for x in range(g.n)
     ]
     return tuple(x if x == NEG_INF else x - v[anchor] for x in v)

@@ -1,8 +1,8 @@
 """Max-plus (tropical) linear algebra over R u {-inf}.
 
 The semiring operations are (max, +).  The eigenproblem M (x) v = lam (x) v
-is solved through the maximum cycle mean (Karp's dynamic program, run per
-strongly connected component) and the tropical Kleene closure of M - lam,
+is solved through the maximum cycle mean (Howard's policy iteration on the
+edge list, ``howard_cycle_mean``) and the tropical Kleene closure of M - lam,
 whose columns at critical nodes span the eigenspace.  ``critical_graph``
 finds those nodes from a potential of the graph in O(n + E): ``aubry``
 passes the Bellman-Ford potential of a word graph, which is never closed,
@@ -33,6 +33,9 @@ NEG_INF = float("-inf")
 
 # float tolerance for a zero cycle weight, and for a tie in mp_2x2_closed_form
 DEDUP_TOL = 1e-9
+
+# rounds of policy iteration before howard_cycle_mean gives up
+HOWARD_ROUNDS = 1000
 
 
 class NoEigenvalueError(ValueError):
@@ -149,69 +152,68 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _karp_scc(m: MaxPlusMatrix, comp: list[int]):
-    """Maximum cycle mean inside one strongly connected component.
+def howard_cycle_mean(n: int, edges):
+    """Maximum cycle mean of the digraph on nodes 0..n-1 with edges (i, j, w),
+    by Howard's policy iteration (Cochet-Terrasson et al., IFAC SSC 1998).
 
-    Karp: lam = max_v min_{0<=k<n} (D_n(v) - D_k(v)) / (n - k), with D_k the
-    best walk weight of length k from an arbitrary source in the component.
+    A policy picks one edge out of each node that reaches a cycle.  A node
+    takes the mean eta of the policy cycle it reaches (exact, or the fsum
+    over the length) and the bias x(i) = w - eta + x(j) along the policy,
+    kept from the round before at a cycle's first node.  A node moves to an
+    edge into a larger eta, or else into the same eta where that raises x
+    by more than tol: 0 with exact (Fraction / int) weights, 1e-12 * max(1,
+    max |w|) in floats.  Each move raises (eta, x) in lexicographic order,
+    so no policy comes back.  Raises NoEigenvalueError when there is no
+    cycle, or after HOWARD_ROUNDS rounds.
     """
-    nodes = comp
-    n = len(nodes)
-    pos = {v: t for t, v in enumerate(nodes)}
-    edges = [
-        (pos[u], pos[v], m.entries[u][v])
-        for u in nodes
-        for v in nodes
-        if m.entries[u][v] != NEG_INF
-    ]
-    if not edges:
-        return None
-    if n == 1:
-        # single node: the only cycles are iterates of the self-loop
-        return edges[0][2]
-    D = [[NEG_INF] * n for _ in range(n + 1)]
-    D[0][0] = 0
-    for k in range(1, n + 1):
-        prev, cur = D[k - 1], D[k]
-        for (i, j, w) in edges:
-            if prev[i] != NEG_INF:
-                cand = prev[i] + w
-                if cand > cur[j]:
-                    cur[j] = cand
-    exact = isinstance(edges[0][2], (int, Fraction))
-    best = None
-    for v in range(n):
-        if D[n][v] == NEG_INF:
-            continue
-        worst = None
-        for k in range(n):
-            if D[k][v] == NEG_INF:
-                continue
-            num = D[n][v] - D[k][v]
-            ratio = Fraction(num, n - k) if exact else num / (n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+    out: list[list] = [[] for _ in range(n)]
+    for (i, j, w) in edges:
+        out[i].append((j, w))
+    adj = [[j for (j, _) in o] for o in out]
+    alive: set[int] = set()  # the nodes that reach a cycle
+    for comp in _strongly_connected_components(adj):  # successors first
+        if len(comp) > 1 or comp[0] in adj[comp[0]] or any(j in alive for v in comp for j in adj[v]):
+            alive.update(comp)
+    out = [[e for e in o if e[0] in alive] for o in out]
+    policy = {v: max(out[v], key=lambda e: e[1]) for v in range(n) if v in alive}
+    if not policy:
+        raise NoEigenvalueError("graph has no cycle")
+    weights = [w for (_, _, w) in edges]
+    exact = all(isinstance(w, (int, Fraction)) for w in weights)
+    tol = 0 if exact else 1e-12 * max(1.0, *map(abs, weights))
+    x = [0] * n
+    for _ in range(HOWARD_ROUNDS):
+        eta: list = [None] * n
+        seen = [False] * n
+        for s in policy:
+            path, v = [], s
+            while not seen[v]:
+                seen[v] = True
+                path.append(v)
+                v = policy[v][0]
+            if eta[v] is None:  # the walk closed a new policy cycle at v
+                cycle = [policy[u][1] for u in path[path.index(v):]]
+                eta[v] = Fraction(sum(cycle), len(cycle)) if exact else math.fsum(cycle) / len(cycle)
+            for u in reversed(path):
+                if u != v:
+                    j, w = policy[u]
+                    eta[u], x[u] = eta[j], w - eta[j] + x[j]
+        settled = True
+        for v in policy:  # eta and x stay those of the policy before the moves
+            j, w = max(out[v], key=lambda e: (eta[e[0]], e[1] - eta[e[0]] + x[e[0]]))
+            if eta[j] > eta[v] or w - eta[v] + x[j] > x[v] + tol:
+                policy[v], settled = (j, w), False
+        if settled:
+            return max(eta[v] for v in policy)
+    raise NoEigenvalueError(f"policy iteration did not settle in {HOWARD_ROUNDS} rounds")
 
 
 def mp_eigenvalue(m: MaxPlusMatrix):
-    """Maximum cycle mean of the weighted digraph of finite entries.
-
-    For irreducible matrices this is the unique max-plus eigenvalue.  Raises
-    NoEigenvalueError when the graph has no cycle at all.
-    """
-    n = m.n
-    adj = [[j for j in range(n) if m.entries[i][j] != NEG_INF] for i in range(n)]
-    best = None
-    for comp in _strongly_connected_components(adj):
-        lam = _karp_scc(m, comp)
-        if lam is not None and (best is None or lam > best):
-            best = lam
-    if best is None:
-        raise NoEigenvalueError("matrix has no finite cycle")
-    return best
+    """Maximum cycle mean of the weighted digraph of finite entries, by
+    howard_cycle_mean: for irreducible matrices the unique max-plus
+    eigenvalue.  Raises NoEigenvalueError when the graph has no cycle."""
+    edges = [(i, j, w) for i, row in enumerate(m.entries) for j, w in enumerate(row) if w != NEG_INF]
+    return howard_cycle_mean(m.n, edges)
 
 
 def _closure(b: MaxPlusMatrix) -> list[list[object]]:

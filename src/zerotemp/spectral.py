@@ -583,9 +583,10 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     root lies above the floor e^h by about e^{beta*gamma}; at E + R + G
     digits, E = beta*|gamma|/ln10 + 15 for the excess, the bracket resolves
     R = 60 digits of it, and G = 30 digits guard against rounding.  Without
-    V (or with a -inf entry in it) w = 0, and E starts from the rate bound
-    beta*span, span the spread of A.  S is formed once per precision, at
-    the working one plus guard digits, and rounded to it; both ends of the
+    gamma, E starts from the rate bound n*beta*span, span the spread of A (a
+    cycle of A - m has at most n edges); without V (or with a -inf entry in
+    it) w = 0, and from at least beta*span.  S is formed once per precision,
+    at the working one plus guard digits, and rounded to it; both ends of the
     bracket, moved inward by the bound u on that rounding, are probed again
     at twice the precision, and a disagreement doubles E and restarts it.
     A solve that would need more than _MAX_DPS digits raises PerronError
@@ -603,7 +604,7 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     span = max(finite) - min(finite) if finite else 0.0
     cycle_mean, adj, gamma, v = floor if floor is not None else (0.0, None, None, None)
     scaled = v is not None and all(math.isfinite(x) for x in v)
-    rate = beta * abs(gamma) if gamma is not None else 0.0
+    rate = beta * abs(gamma) if gamma is not None else n * span
     if not scaled:
         v, rate = (0.0,) * n, max(rate, span)
     excess_digits = int(rate / math.log(10)) + _EXCESS_SLACK

@@ -302,7 +302,7 @@ def _brute_best_cycle_mean(m: MaxPlusMatrix):
 
 
 def suite_maxplus_oracle() -> list[CheckResult]:
-    """Karp eigenvalue vs brute-force simple cycles, and the 2x2 closed form
+    """Howard eigenvalue vs brute-force simple cycles, and the 2x2 closed form
     vs the general machinery, on seeded random matrices."""
     out = []
     rng = random.Random(20240817)
@@ -340,7 +340,7 @@ def suite_maxplus_oracle() -> list[CheckResult]:
                     identity_bad += 1
                     break
     out.append(
-        CheckResult("Karp vs brute-force simple cycles (500 exact matrices)", mismatches == 0, float(mismatches), 0.0, 0.0)
+        CheckResult("Howard vs brute-force simple cycles (500 exact matrices)", mismatches == 0, float(mismatches), 0.0, 0.0)
     )
     out.append(
         CheckResult("exact eigen-identity on finite matrices", identity_bad == 0, float(identity_bad), 0.0, 0.0)
@@ -358,7 +358,7 @@ def suite_maxplus_oracle() -> list[CheckResult]:
         lhs = mp_apply(m, list(v))
         worst_ident = max(worst_ident, max(abs(x - (lam + y)) for x, y in zip(lhs, v)))
     out.append(
-        CheckResult("2x2 closed-form eigenvalue vs Karp (1000 matrices)", worst_lam <= 1e-12, worst_lam, 0.0, 1e-12)
+        CheckResult("2x2 closed-form eigenvalue vs Howard (1000 matrices)", worst_lam <= 1e-12, worst_lam, 0.0, 1e-12)
     )
     out.append(
         CheckResult("2x2 closed-form offset vs eigenvector", worst_off <= 1e-12, worst_off, 0.0, 1e-12)

@@ -39,7 +39,8 @@ def test_word_graph_shape():
 
 def test_max_cycle_mean_zero_for_normalized():
     for pot in (lc1_potential(), lc2_potential(), three_symbol_potential()):
-        assert mp_eigenvalue(word_graph(pot).weight_matrix()) == 0.0
+        g = word_graph(pot)
+        assert maxplus.howard_cycle_mean(g.n, g.edges) == 0.0
 
 
 def test_mane_values():
@@ -291,12 +292,13 @@ def floyd_warshall(g):
     return best
 
 
-def seeded_potential(seed):
+def seeded_potential(seed, coboundary=True):
     """A WEIGHTS table on a full shift with 16-128 states, zero on 1-3 random
     periodic orbits of period <= 4, so that the Aubry set is not empty, plus
     a dyadic coboundary g(x) - g(y) on each edge x -> y: the cycle weights
     stay, but edges may weigh more than 0, so the analysis needs a
-    nonzero potential."""
+    nonzero potential, and critical edges need not weigh 0.  Returns the
+    potential and g by state; without ``coboundary``, g = 0."""
     rng = random.Random(seed)
     d, depth = rng.choice([(1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (3, 2)])
     sft = full_shift(d)
@@ -307,14 +309,14 @@ def seeded_potential(seed):
         for w in words:
             if any(list(w) == (orbit * (depth + 2))[i : i + depth + 1] for i in range(len(orbit))):
                 values[w] = 0.0
-    g = {x: rng.choice((0.0, 0.5, 1.0, 2.0, 4.0)) for x in enumerate_words(sft, depth)}
+    g = {x: rng.choice((0.0, 0.5, 1.0, 2.0, 4.0)) * coboundary for x in enumerate_words(sft, depth)}
     values = {w: a + g[w[:-1]] - g[w[1:]] for w, a in values.items()}
-    return LocallyConstantPotential(sft, depth, values)
+    return LocallyConstantPotential(sft, depth, values), g
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sparse_analysis_matches_dense_closure(seed):
-    pot = seeded_potential(seed)
+    pot, _ = seeded_potential(seed)
     g = word_graph(pot)
     assert 16 <= g.n <= 128
     best = floyd_warshall(g)
@@ -328,12 +330,15 @@ def test_sparse_analysis_matches_dense_closure(seed):
             comps.append(tuple(v for v in aubry if v == u or best[u][v] + best[v][u] == 0.0))
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     cost = [[NEG_INF] * len(comps) for _ in comps]
+    # from the base c[0] of Sigma_j to u, then u -> v, then back to the base
+    # of Sigma_i: the critical edges need not weigh 0
     for u, v, w in g.edges:
         i = comp_of.get(v)
         if i is None or ((u, v) in critical and comp_of.get(u) == i):
             continue
+        back = 0.0 if v == comps[i][0] else best[v][comps[i][0]]
         for j, c in enumerate(comps):
-            cost[i][j] = max(cost[i][j], w + (0.0 if u in c else best[c[0]][u]))
+            cost[i][j] = max(cost[i][j], (0.0 if u == c[0] else best[c[0]][u]) + w + back)
 
     d = decompose_aubry(g)
     assert d.components == tuple(comps)
@@ -343,7 +348,9 @@ def test_sparse_analysis_matches_dense_closure(seed):
 
 def test_floor_returns_on_an_inexact_cycle_mean():
     # the 3-cycle 0 -> 1 -> 2 -> 0 has mean 1.6 / 3, not a float: after the
-    # shift by Karp's m it weighs +1.1e-16, a rounding-sized positive cycle
+    # shift by the fsum mean m it weighs +1.1e-16, a rounding-sized positive
+    # cycle.  Its edges weigh 1.1 - m, 0.2 - m and 0.3 - m, so the best
+    # return to the base 0 is 0 -> 1 -> 0, of weight 0.1 - 2m, and V is S(0, x)
     table = {"".join(w): -1.0 for w in itertools.product("012", repeat=2)}
     table.update({"01": 1.1, "12": 0.2, "20": 0.3})
     pot = LocallyConstantPotential.from_table(full_shift(2), table)
@@ -351,8 +358,8 @@ def test_floor_returns_on_an_inexact_cycle_mean():
     assert (1.1 - m) + (0.2 - m) + (0.3 - m) > 0.0
     assert m == pytest.approx(1.6 / 3, abs=1e-15)
     assert adj == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    assert gamma == pytest.approx(-1.0 - m, abs=1e-15)
-    assert v == (0.0, 0.0, 0.0)
+    assert gamma == pytest.approx(0.1 - 2 * m, abs=1e-15)
+    assert v == pytest.approx((0.0, 1.1 - m, 1.3 - 2 * m), abs=1e-15)
 
 
 def test_floor_closes_only_the_cost_matrix(monkeypatch):
@@ -367,7 +374,50 @@ def test_floor_closes_only_the_cost_matrix(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, recorded)
-    an = Analysis(seeded_potential(0))
+    an = Analysis(seeded_potential(0)[0])
     assert an.graph.n == 128
     assert an.floor is not None
     assert sizes and max(sizes) <= len(an.decomposition.components)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_coboundary_keeps_gamma_and_shifts_the_subaction_by_minus_g(seed):
+    # A + g(x) - g(y) has the cycles of A, so the same gamma, and V - g is
+    # calibrated for it; g moves the weights of the critical edges off 0
+    (pot, _), (shifted, g) = seeded_potential(seed, coboundary=False), seeded_potential(seed)
+    an, an_g = Analysis(pot), Analysis(shifted)
+    assert an_g.gamma_maxplus == pytest.approx(an.gamma_maxplus, abs=1e-12)
+    zero = (0,) * pot.word_length
+    expected = [v - g[x] + g[zero] for v, x in zip(an.subaction_maxplus, an.graph.nodes)]
+    assert an_g.subaction_maxplus == pytest.approx(expected, abs=1e-12)
+
+
+def random_potential(k, low, high):
+    """Full 2-shift table on (k+1)-words, uniform in [low, high]."""
+    rng = random.Random(3)
+    table = {w: rng.uniform(low, high) for w in itertools.product((0, 1), repeat=k + 1)}
+    return LocallyConstantPotential(full_shift(1), k, table)
+
+
+@pytest.mark.parametrize("low, high, error", [(-4.0, -1.0, EmptyAubrySetError), (-1.0, 3.0, PositiveCycleError)])
+def test_floor_shifts_by_the_mean_of_a_critical_cycle(monkeypatch, low, high, error):
+    # and, as in test_floor_closes_only_the_cost_matrix, builds no matrix
+    # larger than the cost matrix of A - m
+    sizes, check = [], maxplus.MaxPlusMatrix.__post_init__
+    monkeypatch.setattr(maxplus.MaxPlusMatrix, "__post_init__", lambda mat: sizes.append(mat.n) or check(mat))
+    pot = random_potential(8, low, high)
+    an = Analysis(pot)
+    assert an.graph.n == 256
+    with pytest.raises(error):
+        an.decomposition
+    m, built = an.floor[0], list(sizes)
+    shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a - m for w, a in pot.values.items()})
+    d = decompose_aubry(word_graph(shifted))
+    assert built and max(built) <= len(d.components)
+    succ, walk = dict(d.critical_pairs), [d.components[0][0]]
+    while succ[walk[-1]] not in walk:
+        walk.append(succ[walk[-1]])
+    cycle = walk[walk.index(succ[walk[-1]]):]
+    weight = {(x, y): w for x, y, w in an.graph.edges}
+    mean = math.fsum(weight[x, succ[x]] for x in cycle) / len(cycle)
+    assert m == pytest.approx(mean, rel=1e-15, abs=0.0)

@@ -36,6 +36,9 @@ def test_deleted_names_are_gone():
     assert not hasattr(aubry.AubryDecomposition, "flagged_edges")
     assert not hasattr(spectral.LocallyConstantPotential, "is_normalized_for_optimization")
     assert not hasattr(aubry.WordGraph, "best_paths")
+    assert not hasattr(aubry.WordGraph, "weight_matrix")
+    assert not hasattr(maxplus, "_karp_scc")
+    assert "howard_cycle_mean" not in DELETED and hasattr(maxplus, "howard_cycle_mean")
     for name in ("a_n", "partial_a", "cost_matrix"):
         assert not hasattr(walters.WaltersPotential, name), name
     assert not hasattr(walters, "MaxPlusMatrix")

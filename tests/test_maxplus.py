@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -127,24 +128,63 @@ def test_closed_form_matches_general_machinery():
         assert v[1] - v[0] == pytest.approx(off, abs=1e-12)
 
 
-def test_karp_vs_brute_force_exact():
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        rows = [
-            [
-                NEG_INF if rng.random() < 0.3 else F(rng.randint(-12, 6), rng.randint(1, 3))
-                for _ in range(n)
-            ]
-            for _ in range(n)
+def first_policy_mean(m):
+    """Best cycle mean of the first policy of howard_cycle_mean: each node
+    takes its heaviest out-edge (the first of equal ones), after the nodes
+    from which every walk ends are pruned."""
+    live = set(range(m.n))
+    while any(all(m[i, j] == NEG_INF or j not in live for j in range(m.n)) for i in live):
+        live = {i for i in live if any(m[i, j] != NEG_INF and j in live for j in range(m.n))}
+    succ = {i: max((j for j in range(m.n) if j in live and m[i, j] != NEG_INF), key=lambda j: m[i, j]) for i in live}
+    means = []
+    for i in live:
+        walk = [i]
+        while succ[walk[-1]] not in walk:
+            walk.append(succ[walk[-1]])
+        cycle = walk[walk.index(succ[walk[-1]]):]
+        means.append(F(sum(m[u, succ[u]] for u in cycle), len(cycle)))
+    return max(means, default=None)
+
+
+def random_exact(rng, n, p_missing, min_step=-math.inf):
+    """n x n Fraction matrix, each entry -inf with probability p_missing,
+    and entry (i, j) -inf whenever j - i < min_step: with min_step 0 the
+    only cycles are self-loops, with 1 there is none."""
+    return MaxPlusMatrix.from_rows([
+        [
+            NEG_INF if rng.random() < p_missing or j - i < min_step else F(rng.randint(-12, 6), rng.randint(1, 3))
+            for j in range(n)
         ]
-        m = MaxPlusMatrix.from_rows(rows)
+        for i in range(n)
+    ])
+
+
+def test_howard_vs_brute_force_exact():
+    rng = random.Random(11)
+    matrices = [random_exact(rng, rng.randint(1, 5), 0.3) for _ in range(100)]
+    # reducible ones: several components, and nodes that start no cycle
+    matrices += [random_exact(rng, rng.randint(2, 6), 0.75) for _ in range(100)]
+    # ones whose only cycles are self-loops, and acyclic ones
+    matrices += [random_exact(rng, rng.randint(1, 6), 0.2, min_step) for min_step in (0, 1) for _ in range(20)]
+    # ones where the heaviest out-edges miss the best cycle: 0 -> 0 and
+    # 1 -> 0 close a cycle of mean 0, and 0 -> 1 -> 0 has mean 1
+    misled = [MaxPlusMatrix.from_rows([[F(0), F(-1)], [F(3), F(-5)]])]
+    while len(misled) < 50:
+        m = random_exact(rng, rng.randint(2, 6), 0.3)
+        best = _brute_best_cycle_mean(m)
+        if best is not None and first_policy_mean(m) < best:
+            misled.append(m)
+    matrices += misled
+    acyclic = 0
+    for m in matrices:
         expected = _brute_best_cycle_mean(m)
         if expected is None:
+            acyclic += 1
             with pytest.raises(NoEigenvalueError):
                 mp_eigenvalue(m)
         else:
             assert mp_eigenvalue(m) == expected
+    assert acyclic >= 20
 
 
 def test_restrict_and_shift():
@@ -155,8 +195,8 @@ def test_restrict_and_shift():
 
 
 def shift_eigenvalue(monkeypatch, shift):
-    """mp_eigenvectors then works from Karp's eigenvalue plus shift."""
-    monkeypatch.setattr(maxplus, "mp_eigenvalue", lambda m, karp=mp_eigenvalue: karp(m) + shift)
+    """mp_eigenvectors then works from the maximum cycle mean plus shift."""
+    monkeypatch.setattr(maxplus, "mp_eigenvalue", lambda m, mean=mp_eigenvalue: mean(m) + shift)
 
 
 @pytest.mark.parametrize("shift", [1e-9, -1e-9, F(1, 10**30), F(-1, 10**30)])
@@ -195,3 +235,24 @@ def test_gamma_exits_3_on_an_uncertified_eigenvalue(monkeypatch, tmp_path, capsy
     capsys.readouterr()
     assert main(argv) == EXIT_NUMERICAL
     assert "not certified" in capsys.readouterr().err
+
+
+def test_run_exits_3_when_policy_iteration_does_not_settle(monkeypatch, tmp_path, capsys):
+    # not normalized, so perron's floor takes the maximum cycle mean of the
+    # word graph: its heaviest out-edges 0 -> 0 and 1 -> 0 close a cycle of
+    # mean 0, and a second round finds 0 -> 1 -> 0, of mean 1
+    cfg = {
+        "potential": {
+            "kind": "locally-constant", "alphabet_size": 2, "transitions": [[1, 1], [1, 1]],
+            "table": {"00": 0.0, "01": -1.0, "10": 3.0, "11": -5.0},
+        },
+        "beta_grid": [1.0, 2.0],
+        "reports": ["measure"],
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["run", str(tmp_path / "cfg.json")]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(maxplus, "HOWARD_ROUNDS", 1)
+    capsys.readouterr()
+    assert main(argv) == EXIT_NUMERICAL
+    assert "did not settle in 1 rounds" in capsys.readouterr().err

@@ -150,6 +150,19 @@ def test_wrong_floor_and_guess_are_caught_by_the_test():
         assert p.log_lambda == expected.log_lambda
 
 
+@pytest.mark.parametrize("beta, dps", [(16.0, 243), (32.0, 382)])
+def test_an_unscaled_solve_without_gamma_sizes_the_excess_from_n_span(beta, dps):
+    # golden5: 5 states, span 4, gamma -6.645 beyond the span; the 132 and
+    # 160 digits that beta*span alone gives cannot resolve P - h
+    an = Analysis(table_potential("golden5"))
+    m, adj, _, _ = an.floor
+    p = perron(an.pot, beta, (m, adj, None, None))
+    assert p.dps == dps
+    assert p.log_lambda == an.perron(beta).log_lambda
+    h = an.entropy(beta)
+    assert p.pressure_excess_log(h) == an.perron(beta).pressure_excess_log(h)
+
+
 def test_missing_zero_state_still_raises():
     sft = Sft(2, ((False, True), (True, True)))
     table = {"010": -1.0, "011": -1.0, "101": -1.0, "110": -1.0, "111": 0.0}

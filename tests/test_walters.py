@@ -340,9 +340,9 @@ def test_appendix_selection_flip():
 
 def test_appendix_floors_match_critical_floor():
     # the closed-form floors that appendix_example hands to perron_core agree
-    # with the ones perron would derive (Analysis.floor: Karp, Aubry
-    # decomposition of A - m, Karp, subaction),
-    # up to Karp's rounding of m; the betas keep the perturbed loop weight
+    # with the ones perron would derive (Analysis.floor: howard_cycle_mean,
+    # Aubry decomposition of A - m, howard_cycle_mean, subaction),
+    # up to the rounding of m; the betas keep the perturbed loop weight
     # m = log(1 + e^{beta eta}) above ZERO_CYCLE_TOL, below which the Aubry
     # rule counts the loop at 0 as critical too
     sft = full_shift(1)
