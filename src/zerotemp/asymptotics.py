@@ -90,19 +90,18 @@ class Analysis:
     def floor(self):
         """(m, adjacency of a largest-entropy component, gamma, max-plus
         subaction) for ``perron``: m = 0 when the potential is normalized;
-        otherwise m is the maximum cycle mean of the word graph's edges, the
-        fsum mean of one cycle (howard_cycle_mean), and the rest is read off
-        the analysis of A - m.  gamma and the subaction are None when the cost
+        otherwise m is the maximum cycle mean of the word graph's edges (from
+        PositiveCycleError, or howard_cycle_mean), and the rest is read off the
+        analysis of A - m.  gamma and the subaction are None when the cost
         matrix has no eigenvector; the floor is None when A - m has no Aubry
-        decomposition either (rounding of m), and perron finds its own."""
+        decomposition, m's certificate, and perron finds its own."""
         an, m = self, 0.0
         try:
             d = self.decomposition
-        except (PositiveCycleError, EmptyAubrySetError):
-            m = howard_cycle_mean(self.graph.n, self.graph.edges)
-            pot = self.pot
-            shifted = {w: a - m for w, a in pot.values.items()}
-            an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, shifted))
+        except (PositiveCycleError, EmptyAubrySetError) as e:
+            m = e.mean if isinstance(e, PositiveCycleError) else howard_cycle_mean(self.graph.n, self.graph.edges)
+            shifted = {w: a - m for w, a in self.pot.values.items()}
+            an = Analysis(LocallyConstantPotential(self.pot.sft, self.pot.depth, shifted))
             try:
                 d = an.decomposition
             except (PositiveCycleError, EmptyAubrySetError):

@@ -7,12 +7,12 @@ union of zero-weight cycles, and the cost a_ij of travelling from the base of
 component Sigma_j to the base of Sigma_i drives the max-plus eigenproblem of
 the pressure's zero-temperature speed.
 
-The word graph has E = O(n) edges and is never closed.  Bellman-Ford gives
-it a potential u (w + u(x) - u(y) <= 0 on every edge), and the Aubry
-components are the components of the critical graph read off u.  The cost
-matrix, the max-plus subaction and the Mane potential read single-source
-rows of S, each a Dijkstra run on the reduced weights (Johnson's
-reweighting), kept on the graph: O(nE + L E log n) for L components.
+The word graph has E = O(n) edges and is never closed.  The bias of
+Howard's policy iteration gives it a potential u (w + u(x) - u(y) <= 0 on
+every edge), and the Aubry components are those of the critical graph read
+off u.  The cost matrix, the max-plus subaction and the Mane potential read
+single-source rows of S, each a Dijkstra run on the reduced weights
+(Johnson's reweighting), kept on the graph: O(nE + L E log n) for L components.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
-from .maxplus import NEG_INF, MaxPlusMatrix, critical_graph
+from .maxplus import NEG_INF, MaxPlusMatrix, critical_graph, policy_iteration
 from .spectral import LocallyConstantPotential, adjacency_entropy
 
 __all__ = [
@@ -40,7 +41,11 @@ ZERO_CYCLE_TOL = 1e-12
 
 
 class PositiveCycleError(ValueError):
-    """The word graph has a positive-weight cycle, i.e. m(A) != 0."""
+    """The word graph has a positive-weight cycle, of mean ``mean``."""
+
+    def __init__(self, mean: float):
+        super().__init__("positive cycle: potential has m(A) != 0")
+        self.mean = mean
 
 
 class EmptyAubrySetError(ValueError):
@@ -64,32 +69,32 @@ class WordGraph:
         """u with w + u(x) - u(y) <= ZERO_CYCLE_TOL / n on every edge x -> y,
         up to the weight of each near-zero positive cycle over its length.
 
-        Bellman-Ford from every node at 0.  A relaxation counts only when it
-        gains more than ZERO_CYCLE_TOL / n, so the reduced weights along a
-        zero-weight cycle stay within ZERO_CYCLE_TOL of 0.  When a pass of
-        n + 1 rounds does not settle, the cycle it fails to settle (on the
-        relaxing edges) is judged by its own weight: PositiveCycleError
-        above ZERO_CYCLE_TOL, else its weight is spread off its edges, so
-        that it counts as a zero-weight cycle, and the pass starts again.
+        0 when no edge weighs more.  Else -x, x the bias of policy_iteration with
+        a 0-weight exit from every node to a sink (reducible shifts too).  While
+        the top mean m > ZERO_CYCLE_TOL / n, its cycle raises PositiveCycleError
+        if heavier than ZERO_CYCLE_TOL, else m is taken off its edges; then the
+        sink's loop weighs m.  Where the float bias (to 1e-12 * max |w|) misses
+        the bound, the exact one meets it, up to rounding.
         """
-        n = self.n
-        gain, weights = ZERO_CYCLE_TOL / n, [w for (_, _, w) in self.edges]
-        for _ in range(n + 1):
-            u, pred = [0.0] * n, [None] * n
+        n, gain = self.n, ZERO_CYCLE_TOL / self.n
+        if all(w <= gain for (_, _, w) in self.edges):
+            return [0.0] * n
+        for num in (float, Fraction):
+            weights = {(x, y): num(w) for (x, y, w) in self.edges}
+            weights.update({(x, n): 0 for x in range(n + 1)})  # the exits, and the sink's loop
             for _ in range(n + 1):
-                last = None
-                for e, (x, y, _) in enumerate(self.edges):
-                    if u[x] + weights[e] - u[y] > gain:
-                        u[y], pred[y], last = u[x] + weights[e], e, y
-                if last is None:
-                    return u
-            cycle = _pred_cycle(self.edges, pred, last)
-            if math.fsum(self.edges[e][2] for e in cycle) > ZERO_CYCLE_TOL:
-                break
-            excess = math.fsum(weights[e] for e in cycle) / len(cycle)
-            for e in cycle:
-                weights[e] -= excess
-        raise PositiveCycleError("positive cycle: potential has m(A) != 0")
+                m, x, cycle = policy_iteration(n + 1, [(a, b, w) for (a, b), w in weights.items()])
+                if m <= gain or m * len(cycle) > ZERO_CYCLE_TOL:
+                    break
+                for (a, b, w) in cycle:
+                    weights[a, b] = w - m
+            if m > gain:
+                raise PositiveCycleError(float(m))
+            if m > 0:
+                weights[n, n] = m
+                _, x, _ = policy_iteration(n + 1, [(a, b, w) for (a, b), w in weights.items()])
+            if num is Fraction or all(weights[a, b] - x[a] + x[b] <= gain for (a, b, _) in self.edges):
+                return [float(-v) for v in x[:n]]
 
     def paths_from(self, s: int) -> list[float]:
         """row[v] = max weight over paths s -> v of length >= 1, -inf when
@@ -114,19 +119,6 @@ class WordGraph:
                     heapq.heappush(heap, (c + dc, y, r + w))
         self._rows[s] = raw
         return raw
-
-
-def _pred_cycle(edges, pred, v) -> list[int]:
-    """The edges of the cycle that the predecessor edges pred[] reach from
-    node v: n steps back from v lie on it."""
-    for _ in range(len(pred)):
-        v = edges[pred[v]][0]
-    cycle, x = [], v
-    while True:
-        cycle.append(pred[x])
-        x = edges[pred[x]][0]
-        if x == v:
-            return cycle
 
 
 def word_graph(pot: LocallyConstantPotential) -> WordGraph:

@@ -5,8 +5,8 @@ is solved through the maximum cycle mean (Howard's policy iteration on the
 edge list, ``howard_cycle_mean``) and the tropical Kleene closure of M - lam,
 whose columns at critical nodes span the eigenspace.  ``critical_graph``
 finds those nodes from a potential of the graph in O(n + E): ``aubry``
-passes the Bellman-Ford potential of a word graph, which is never closed,
-and ``mp_eigenvectors`` the best path weights into each node of M - lam.
+passes the ``policy_iteration`` bias of a word graph, never closed, and
+``mp_eigenvectors`` the best path weights into each node of M - lam.
 
 Entries may be floats or exact rationals (``fractions.Fraction`` / int);
 -inf is represented by ``float('-inf')`` in either mode, so exact mode stays
@@ -34,7 +34,7 @@ NEG_INF = float("-inf")
 # float tolerance for a zero cycle weight, and for a tie in mp_2x2_closed_form
 DEDUP_TOL = 1e-9
 
-# rounds of policy iteration before howard_cycle_mean gives up
+# rounds of policy_iteration before it gives up
 HOWARD_ROUNDS = 1000
 
 
@@ -153,8 +153,13 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
 
 
 def howard_cycle_mean(n: int, edges):
-    """Maximum cycle mean of the digraph on nodes 0..n-1 with edges (i, j, w),
-    by Howard's policy iteration (Cochet-Terrasson et al., IFAC SSC 1998).
+    """Maximum cycle mean of the digraph on nodes 0..n-1 with edges (i, j, w)."""
+    return policy_iteration(n, edges)[0]
+
+
+def policy_iteration(n: int, edges):
+    """Howard's policy iteration (Cochet-Terrasson et al., IFAC SSC 1998): the
+    maximum cycle mean m, the final bias x and a heaviest cycle of mean m.
 
     A policy picks one edge out of each node that reaches a cycle.  A node
     takes the mean eta of the policy cycle it reaches (exact, or the fsum
@@ -163,8 +168,8 @@ def howard_cycle_mean(n: int, edges):
     edge into a larger eta, or else into the same eta where that raises x
     by more than tol: 0 with exact (Fraction / int) weights, 1e-12 * max(1,
     max |w|) in floats.  Each move raises (eta, x) in lexicographic order,
-    so no policy comes back.  Raises NoEigenvalueError when there is no
-    cycle, or after HOWARD_ROUNDS rounds.
+    so no policy comes back; w + x(j) - x(i) <= eta + tol on edges keeping
+    eta.  Raises NoEigenvalueError with no cycle or after HOWARD_ROUNDS rounds.
     """
     out: list[list] = [[] for _ in range(n)]
     for (i, j, w) in edges:
@@ -185,6 +190,7 @@ def howard_cycle_mean(n: int, edges):
     for _ in range(HOWARD_ROUNDS):
         eta: list = [None] * n
         seen = [False] * n
+        top = (-math.inf, 0, [])  # (eta, weight, edges (i, j, w)) of the heaviest policy cycle of largest mean
         for s in policy:
             path, v = [], s
             while not seen[v]:
@@ -192,8 +198,10 @@ def howard_cycle_mean(n: int, edges):
                 path.append(v)
                 v = policy[v][0]
             if eta[v] is None:  # the walk closed a new policy cycle at v
-                cycle = [policy[u][1] for u in path[path.index(v):]]
-                eta[v] = Fraction(sum(cycle), len(cycle)) if exact else math.fsum(cycle) / len(cycle)
+                cycle = [(u, *policy[u]) for u in path[path.index(v):]]
+                weight = (sum if exact else math.fsum)(w for (_, _, w) in cycle)
+                eta[v] = Fraction(weight, len(cycle)) if exact else weight / len(cycle)
+                top = max(top, (eta[v], weight, cycle), key=lambda t: t[:2])
             for u in reversed(path):
                 if u != v:
                     j, w = policy[u]
@@ -204,7 +212,7 @@ def howard_cycle_mean(n: int, edges):
             if eta[j] > eta[v] or w - eta[v] + x[j] > x[v] + tol:
                 policy[v], settled = (j, w), False
         if settled:
-            return max(eta[v] for v in policy)
+            return top[0], x, top[2]
     raise NoEigenvalueError(f"policy iteration did not settle in {HOWARD_ROUNDS} rounds")
 
 

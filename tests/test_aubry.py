@@ -21,12 +21,12 @@ from zerotemp import (
     mp_eigenvalue,
     word_graph,
 )
-from zerotemp import maxplus
+from zerotemp import asymptotics, aubry, maxplus
 from zerotemp.asymptotics import Analysis
 from zerotemp.maxplus import NEG_INF
 from zerotemp.verify import lc1_potential, lc2_potential, three_symbol_potential, zero_potential
 
-from conftest import two_zero_blocks_potential
+from conftest import TABLES, table_potential, two_zero_blocks_potential
 
 
 def test_word_graph_shape():
@@ -91,13 +91,60 @@ def bumped(k, words, bump):
     (8, [tuple((s + i) % 2 for i in range(9)) for s in (0, 1)], ((0,), (85, 170), (255,))),
 ])
 def test_near_zero_cycle_is_judged_by_its_weight_not_by_n(k, words, components):
-    # a cycle of weight 1e-14 gains more than ZERO_CYCLE_TOL / n per lap
-    # from n = 128 on; it is still a zero-weight cycle at every n, and a
-    # cycle of weight 1e-11 is a positive one
+    # from n = 128 on, the bumped edges weigh more than ZERO_CYCLE_TOL / n,
+    # so the potential comes from policy iteration and its top cycle is
+    # judged by its weight: a cycle of weight 1e-14 is still a zero-weight
+    # cycle at every n, and a cycle of weight 1e-11 is a positive one
     d = decompose_aubry(word_graph(bumped(k, words, 1e-14 / len(words))))
     assert d.components == components
     with pytest.raises(PositiveCycleError):
         decompose_aubry(word_graph(bumped(k, words, 1e-11 / len(words))))
+
+
+def orbit_words(seq, k):
+    """The (k+1)-words along the periodic orbit of the 0/1 string seq."""
+    return [tuple(int(seq[(i + t) % len(seq)]) for t in range(k + 1)) for i in range(len(seq))]
+
+
+# m-sequences: every nonzero 4-word (5-word) once per period, so their
+# orbits are simple cycles that miss the all-zero word at depth 4 to 8
+M4, M5 = "000100110101111", "0000100101100111110001101110101"
+
+
+@pytest.mark.parametrize("k, seq, mean, components", [
+    (4, M4, 8e-14, None),
+    (4, M4, 6.6e-14, ((0,), tuple(range(1, 16)))),
+    (8, M5, 9.9e-14, None),
+])
+def test_each_near_zero_cycle_is_judged_by_its_own_weight(k, seq, mean, components):
+    # the loop at 0...0, of weight 1e-13, holds the top mean and counts as
+    # a zero-weight cycle; the orbit of seq has a lower mean, and is judged
+    # by its own weight too: 15 * 8e-14 and 31 * 9.9e-14 are above
+    # ZERO_CYCLE_TOL, 15 * 6.6e-14 is below
+    table = {w: -1.0 for w in itertools.product((0, 1), repeat=k + 1)}
+    table[(0,) * (k + 1)] = 1e-13
+    for w in orbit_words(seq, k):
+        table[w] = mean
+    g = word_graph(LocallyConstantPotential(full_shift(1), k, table))
+    if components is None:
+        with pytest.raises(PositiveCycleError):
+            decompose_aubry(g)
+    else:
+        assert decompose_aubry(g).components == components
+
+
+@pytest.mark.parametrize("loop, components", [(3e-12, None), (8e-13, ((0,), (1,)))])
+def test_a_cycle_below_the_float_tolerance_is_judged_on_exact_weights(loop, components):
+    # the loop at 0 gains less over the edge 0 -> 1 than the float
+    # tolerance 4e-12 of policy iteration, which so misses it; it leaves a
+    # reduced weight above ZERO_CYCLE_TOL / n, so the exact weights decide:
+    # a positive cycle at 3e-12, a zero-weight one at 8e-13
+    pot = LocallyConstantPotential.from_table(full_shift(1), {"00": loop, "01": 4.0, "10": -4.5, "11": 0.0})
+    if components is None:
+        with pytest.raises(PositiveCycleError):
+            decompose_aubry(word_graph(pot))
+    else:
+        assert decompose_aubry(word_graph(pot)).components == components
 
 
 def test_empty_aubry_set_detected():
@@ -314,6 +361,32 @@ def seeded_potential(seed, coboundary=True):
     return LocallyConstantPotential(sft, depth, values), g
 
 
+def test_the_sink_exit_gives_a_reducible_shift_its_potential():
+    # no path leads from 1 or 2 back to 0, so the loops 0, 1 and 2 (means 0,
+    # -1.5 and -3.5) each hold a policy of their own unless every node has
+    # an exit to one common cycle, and a bias of such policies would not
+    # bound the edge 1 -> 2, which weighs more than 0
+    trans = ((True, True, True), (False, True, True), (False, False, True))
+    table = {"00": 0.0, "01": -3.5, "02": -3.25, "11": -1.5, "12": 1.25, "22": -3.5}
+    g = word_graph(LocallyConstantPotential.from_table(Sft(3, trans), table))
+    assert [[mane_potential(g, u, v) for v in range(g.n)] for u in range(g.n)] == floyd_warshall(g)
+    assert mane_potential(g, 0, 2) == -2.25  # 0 -> 1 -> 2
+
+
+def test_a_near_zero_loop_out_of_reach_takes_the_sink_loop_with_it():
+    # the loop at 0, of mean 1e-13 <= ZERO_CYCLE_TOL / n, is out of reach of
+    # 1 and 2, whose best cycle is the exit to the sink: unless the sink's
+    # loop weighs 1e-13 too, 0 keeps its loop, 1 and 2 their exits, and
+    # their biases leave the edge 0 -> 1 a reduced weight of 1.25 - 1
+    trans = ((True, True, True), (False, True, True), (False, False, True))
+    table = {"00": 1e-13, "01": -1.0, "02": -3.25, "11": -1.5, "12": 1.25, "22": -3.5}
+    g = word_graph(LocallyConstantPotential.from_table(Sft(3, trans), table))
+    u = g.potential
+    assert all(w + u[x] - u[y] <= aubry.ZERO_CYCLE_TOL / g.n for x, y, w in g.edges)
+    assert decompose_aubry(g).components == ((0,),)
+    assert mane_potential(g, 0, 2) == 0.25  # 0 -> 1 -> 2
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_sparse_analysis_matches_dense_closure(seed):
     pot, _ = seeded_potential(seed)
@@ -346,15 +419,20 @@ def test_sparse_analysis_matches_dense_closure(seed):
     assert d.cost.entries == tuple(map(tuple, cost))
 
 
-def test_floor_returns_on_an_inexact_cycle_mean():
-    # the 3-cycle 0 -> 1 -> 2 -> 0 has mean 1.6 / 3, not a float: after the
-    # shift by the fsum mean m it weighs +1.1e-16, a rounding-sized positive
-    # cycle.  Its edges weigh 1.1 - m, 0.2 - m and 0.3 - m, so the best
-    # return to the base 0 is 0 -> 1 -> 0, of weight 0.1 - 2m, and V is S(0, x)
+def inexact_mean_potential():
+    """Full 3-shift table: -1 but on the 3-cycle 0 -> 1 -> 2 -> 0, whose
+    edges weigh 1.1, 0.2 and 0.3."""
     table = {"".join(w): -1.0 for w in itertools.product("012", repeat=2)}
     table.update({"01": 1.1, "12": 0.2, "20": 0.3})
-    pot = LocallyConstantPotential.from_table(full_shift(2), table)
-    m, adj, gamma, v = Analysis(pot).floor
+    return LocallyConstantPotential.from_table(full_shift(2), table)
+
+
+def test_floor_returns_on_an_inexact_cycle_mean():
+    # the 3-cycle has mean 1.6 / 3, not a float: after the shift by the
+    # fsum mean m it weighs +1.1e-16, a rounding-sized positive cycle.  Its
+    # edges weigh 1.1 - m, 0.2 - m and 0.3 - m, so the best return to the
+    # base 0 is 0 -> 1 -> 0, of weight 0.1 - 2m, and V is S(0, x)
+    m, adj, gamma, v = Analysis(inexact_mean_potential()).floor
     assert (1.1 - m) + (0.2 - m) + (0.3 - m) > 0.0
     assert m == pytest.approx(1.6 / 3, abs=1e-15)
     assert adj == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
@@ -362,22 +440,57 @@ def test_floor_returns_on_an_inexact_cycle_mean():
     assert v == pytest.approx((0.0, 1.1 - m, 1.3 - 2 * m), abs=1e-15)
 
 
-def test_floor_closes_only_the_cost_matrix(monkeypatch):
-    original, sizes = maxplus._closure, []
+@pytest.mark.parametrize("shift, error", [(1e-9, EmptyAubrySetError), (-1e-9, PositiveCycleError)])
+def test_a_wrong_cycle_mean_never_reaches_perron(monkeypatch, shift, error):
+    # the decomposition of A - m is the certificate of m: off by 1e-9, A - m
+    # has no zero cycle or a positive one, so there is no floor, and perron
+    # finds its own root
+    pot = inexact_mean_potential()
+    log_lambda = Analysis(pot).perron(8.0).log_lambda
+    decompose = asymptotics.decompose_aubry
 
-    def recorded(b):
-        sizes.append(b.n)
-        return original(b)
+    def wrong_mean(g):  # m comes with the PositiveCycleError of A
+        try:
+            return decompose(g)
+        except PositiveCycleError as e:
+            raise PositiveCycleError(e.mean + shift) from None
+
+    monkeypatch.setattr(asymptotics, "decompose_aubry", wrong_mean)
+    an = Analysis(pot)
+    with pytest.raises(PositiveCycleError) as raised:
+        an.decomposition
+    m = raised.value.mean
+    assert m - shift == pytest.approx(1.6 / 3, abs=1e-15)
+    shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a - m for w, a in pot.values.items()})
+    with pytest.raises(error):
+        decompose(word_graph(shifted))
+    assert an.floor is None
+    assert an.perron(8.0).log_lambda == log_lambda == 4.266817706773091
+
+
+def recorded(monkeypatch, original):
+    """Wrap ``original`` in every zerotemp module that holds it; returns the
+    list of the argument tuples of its calls."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "zerotemp" or name.startswith("zerotemp."):
             for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, recorded)
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_floor_closes_only_the_cost_matrix(monkeypatch):
+    calls = recorded(monkeypatch, maxplus._closure)
     an = Analysis(seeded_potential(0)[0])
     assert an.graph.n == 128
     assert an.floor is not None
-    assert sizes and max(sizes) <= len(an.decomposition.components)
+    assert calls and max(b.n for (b,) in calls) <= len(an.decomposition.components)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -421,3 +534,17 @@ def test_floor_shifts_by_the_mean_of_a_critical_cycle(monkeypatch, low, high, er
     weight = {(x, y): w for x, y, w in an.graph.edges}
     mean = math.fsum(weight[x, succ[x]] for x in cycle) / len(cycle)
     assert m == pytest.approx(mean, rel=1e-15, abs=0.0)
+
+
+def test_policy_iteration_runs_only_when_an_edge_weighs_above_zero(monkeypatch):
+    # every bench table weighs at most 0 on each edge: its potential is 0,
+    # with no cycle routine run
+    calls = recorded(monkeypatch, maxplus.policy_iteration)
+    for name in TABLES:
+        decompose_aubry(word_graph(table_potential(name)))
+    for seed in range(6):
+        decompose_aubry(word_graph(seeded_potential(seed, coboundary=False)[0]))
+    assert calls == []
+    with pytest.raises(PositiveCycleError):
+        decompose_aubry(word_graph(random_potential(8, -1.0, 3.0)))
+    assert len(calls) == 1

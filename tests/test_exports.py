@@ -1,5 +1,7 @@
 """The package exports exactly the ``__all__`` of its computing modules."""
 
+from fractions import Fraction
+
 import pytest
 
 import zerotemp
@@ -38,7 +40,10 @@ def test_deleted_names_are_gone():
     assert not hasattr(aubry.WordGraph, "best_paths")
     assert not hasattr(aubry.WordGraph, "weight_matrix")
     assert not hasattr(maxplus, "_karp_scc")
-    assert "howard_cycle_mean" not in DELETED and hasattr(maxplus, "howard_cycle_mean")
+    assert not hasattr(aubry, "_pred_cycle")
+    assert "howard_cycle_mean" not in DELETED
+    # the bare mean: the bias and the top cycle stay with policy_iteration
+    assert maxplus.howard_cycle_mean(2, [(0, 1, 1), (1, 0, 2), (1, 1, 1)]) == Fraction(3, 2)
     for name in ("a_n", "partial_a", "cost_matrix"):
         assert not hasattr(walters.WaltersPotential, name), name
     assert not hasattr(walters, "MaxPlusMatrix")
