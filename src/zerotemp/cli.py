@@ -137,7 +137,7 @@ def _parse_potential(cfg: dict):
                 not isinstance(trans, list)
                 or len(trans) != n
                 or any(not isinstance(r, list) or len(r) != n for r in trans)
-                or any(v not in (0, 1) for r in trans for v in r)
+                or any(isinstance(v, bool) or v not in (0, 1) for r in trans for v in r)
             ):
                 raise ConfigError("transitions must be an n x n 0/1 matrix")
             rows = tuple(tuple(bool(v) for v in r) for r in trans)
@@ -210,7 +210,7 @@ def _parse_config(cfg: dict):
         if p_kind != "first-coord":
             raise ConfigError("perturbation.kind must be 'first-coord'")
         sign_raw = pert_cfg.get("sign", "+")
-        if sign_raw in ("+", 1, 1.0):
+        if sign_raw in ("+", 1, 1.0) and not isinstance(sign_raw, bool):
             sign = 1.0
         elif sign_raw in ("-", -1, -1.0):
             sign = -1.0
@@ -503,7 +503,11 @@ def main(argv=None) -> int:
     summaries = "".join(f"{s}\n" for _, (_, _, s) in results)
     # all computation done; only now touch the filesystem
     if args.verb == "run":
-        _write_outputs(args.config, args.output_dir, results, summaries, digest)
+        try:
+            _write_outputs(args.config, args.output_dir, results, summaries, digest)
+        except OSError as exc:
+            print(f"argument error: cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
     else:
         for _, (header, rows, _) in results:
             sys.stdout.write(_render_csv(header, rows, digest))

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import mpmath
 
-from .symbolic import Sft, enumerate_words, is_admissible
+from .symbolic import Sft, enumerate_words
 
 __all__ = [
     "LocallyConstantPotential",
@@ -61,7 +61,7 @@ _MAX_STEPS = 100
 _MAX_ESCALATIONS = 6
 
 # digits of the excess beyond beta*|gamma|/ln10, digits of the excess that
-# the bracket resolves, and guard digits (E, R and G of perron_core)
+# the bracket resolves, and guard digits (E, R and G of perron)
 _EXCESS_SLACK = 15
 _RESOLVED = 60
 _GUARD = 30
@@ -113,6 +113,8 @@ class LocallyConstantPotential:
         for key, v in table.items():
             w = tuple(int(ch) for ch in key) if isinstance(key, str) else tuple(key)
             conv[w] = v
+        if not conv:
+            raise ValueError("table is empty")
         depth = len(next(iter(conv))) - 1
         return cls(sft, depth, conv)
 
@@ -557,26 +559,15 @@ def _inverse_iteration(plan, lu, settle):
 
 def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
-    of the transfer matrix of ``pot`` at ``beta``; see perron_core for
-    ``floor`` (None when no floor is known).  Analysis(pot).perron(beta),
-    in asymptotics, passes the floor of the potential.
-    """
-    zero = tuple([0] * pot.word_length)
-    if zero not in pot.states:
-        raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
-    logm = transfer_matrix(pot, beta)
-    return PerronData(beta=beta, pot=pot, **perron_core(logm, beta, floor, pot.states.index(zero)))
-
-
-def perron_core(logm, beta: float, floor, anchor: int) -> dict:
-    """The Perron pair of exp(logm), as the PerronData fields other than
-    beta and pot, with H normalized to 1 at ``anchor``.
+    of logm = transfer_matrix(pot, beta), with H normalized to 1 at the
+    all-zeros state.  Analysis(pot).perron(beta), in asymptotics, passes
+    the floor of the potential.
 
     ``floor`` is (m, adj, gamma, V), or None: the maximum cycle mean of the
     word graph, the 0/1 critical adjacency of a component of largest
     entropy h of A - m, the max-plus rate gamma of the excess (None if
-    unknown) and a max-plus subaction V of A - m by state, vanishing at
-    ``anchor`` (None if unknown).  logm = beta*A.
+    unknown) and a max-plus subaction V of A - m by state, vanishing at the
+    all-zeros state (None if unknown).
 
     The solve runs on S = e^{-beta*m} D^-1 exp(logm) D, D = diag(e^{w}),
     w = beta*V, whose exponents are formed in mpf (_scaled_matrix).  The
@@ -598,6 +589,11 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
     no unscaling.  Its eigen-residual must stay below _MAX_RESIDUAL
     relative to lambda, or it raises PerronError.
     """
+    zero = tuple([0] * pot.word_length)
+    if zero not in pot.states:
+        raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
+    anchor = pot.states.index(zero)
+    logm = transfer_matrix(pot, beta)
     n = len(logm)
     plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
     finite = [x for row in logm for x in row if math.isfinite(x)]
@@ -665,7 +661,9 @@ def perron_core(logm, beta: float, floor, anchor: int) -> dict:
             log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_vec, w))
         return log_H, log_nu, mass_k
 
-    return dict(
+    return PerronData(
+        beta=beta,
+        pot=pot,
         log_lambda=float(log_lambda_mp),
         log_lambda_mp=log_lambda_mp,
         dps=dps,
@@ -690,28 +688,11 @@ def _confirmed(plan, mat, lo, hi, dps: int) -> bool:
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:
-    """Mass of the cylinder [word] under the equilibrium Markov measure.
-
-    The measure is the stationary Markov chain on k-words with transition
-    weight exp(entry) * nu(target) / (lambda * nu(source)); inadmissible
-    words get mass 0.
+    """Mass of the cylinder [word] under the equilibrium Markov measure: the
+    sum of mass_k over the k-word states that begin with word, so 0 for an
+    inadmissible word.  A word longer than k raises ValueError.
     """
     w = tuple(word)
-    pot = p.pot
-    if not is_admissible(pot.sft, w):
-        return 0.0
-    k = pot.word_length
-    words = p.words
-    index = {u: i for i, u in enumerate(words)}
-    if len(w) <= k:
-        return float(
-            sum(p.mass_k[i] for i, u in enumerate(words) if u[: len(w)] == w)
-        )
-    log_mass = math.log(p.mass_k[index[w[:k]]])
-    for t in range(len(w) - k):
-        u = w[t : t + k]
-        v = w[t + 1 : t + 1 + k]
-        iu, iv = index[u], index[v]
-        e = p.beta * pot.value(w[t : t + k + 1])  # the entry of transfer_matrix
-        log_mass += e + p.log_nu[iv] - p.log_lambda - p.log_nu[iu]
-    return math.exp(log_mass)
+    if len(w) > p.pot.word_length:
+        raise ValueError(f"word {w} is longer than the {p.pot.word_length}-word states")
+    return float(sum(p.mass_k[i] for i, u in enumerate(p.words) if u[: len(w)] == w))

@@ -59,12 +59,6 @@ def full_shift(d: int) -> Sft:
     return Sft(n, tuple(tuple(True for _ in range(n)) for _ in range(n)))
 
 
-def is_admissible(sft: Sft, symbols: tuple[int, ...]) -> bool:
-    if any(not (0 <= x < sft.alphabet_size) for x in symbols):
-        return False
-    return all(sft.allows(u, v) for u, v in zip(symbols, symbols[1:]))
-
-
 def _enumerate(sft: Sft, length: int) -> tuple[tuple[int, ...], ...]:
     n = sft.alphabet_size
     follow = [[s for s in range(n) if sft.allows(u, s)] for u in range(n)]

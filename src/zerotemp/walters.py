@@ -28,7 +28,8 @@ import operator
 from dataclasses import dataclass
 
 from .maxplus import mp_2x2_closed_form
-from .spectral import perron_core
+from .spectral import LocallyConstantPotential, perron
+from .symbolic import full_shift
 
 __all__ = [
     "WaltersPotential",
@@ -472,9 +473,9 @@ def _rel_err(measured: float, expected: float) -> float:
 
 
 def _appendix_chains(gamma_p: float, eta: float, beta: float):
-    """The perturbed and unperturbed log transfer matrices (beta already
-    applied) of the two-state chain, each with its perron floor
-    (m, adj, gamma, V) in closed form.
+    """The perturbed and unperturbed two-state chains, as depth-1 potentials
+    on the full 2-shift with beta already applied, each with its perron
+    floor (m, adj, gamma, V) in closed form.
 
     Perturbed: the loop at 1 weighs m = log(1 + e^{beta eta}) > 0, the
     largest cycle mean; its Aubry set is that loop, and the best way back
@@ -487,18 +488,22 @@ def _appendix_chains(gamma_p: float, eta: float, beta: float):
     """
     g = beta * gamma_p
     m = math.log1p(math.exp(beta * eta))
+
+    def chain(top):
+        return LocallyConstantPotential.from_table(full_shift(1), {"00": 0.0, "01": g, "10": g, "11": top})
+
     return (
-        (((0.0, g), (g, m)), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
-        (((0.0, g), (g, 0.0)), (0.0, ((1,),), g, (0.0, 0.0))),
+        (chain(m), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
+        (chain(0.0), (0.0, ((1,),), g, (0.0, 0.0))),
     )
 
 
 def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample:
-    """Evaluate the selection-flip example and cross-check against perron_core.
+    """Evaluate the selection-flip example and cross-check against perron.
 
-    The perturbed transfer matrix is [[1, g], [g, 1+h]]; its log is handed
-    to the spectral solver at beta 1 and the numeric eigendata is compared
-    with the closed forms (max relative error reported).
+    The perturbed transfer matrix is [[1, g], [g, 1+h]]; its potential is
+    handed to the spectral solver at beta 1 and the numeric eigendata is
+    compared with the closed forms (max relative error reported).
     """
     if not (gamma_p < eta < 0.0):
         raise ValueError("parameters must satisfy gamma_p < eta < 0")
@@ -509,16 +514,14 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
     p0 = 2.0 * r * r / (s * (s + 1.0))  # = 1/2 - h/(2 sqrt(h^2+4g^2)), stably
     p_unpert = math.log1p(math.exp(beta * gamma_p))
 
-    pert, unpert = (perron_core(logm, 1.0, floor, 0)
-                    for logm, floor in _appendix_chains(gamma_p, eta, beta))
-    (pert_h, _, pert_mass), (unpert_h, _, unpert_mass) = pert["vectors"](), unpert["vectors"]()
+    pert, unpert = (perron(pot, 1.0, floor) for pot, floor in _appendix_chains(gamma_p, eta, beta))
     errs = [
-        _rel_err(math.exp(pert["log_lambda"]), lambda_tilde),
-        _rel_err(math.exp(pert_h[1]), h1_pert),
-        _rel_err(pert_mass[0], p0),
-        _rel_err(math.exp(unpert_h[1]), 1.0),
-        _rel_err(unpert["log_lambda"], p_unpert),
-        _rel_err(unpert_mass[0], 0.5),
+        _rel_err(math.exp(pert.log_lambda), lambda_tilde),
+        _rel_err(math.exp(pert.log_H[1]), h1_pert),
+        _rel_err(pert.mass_k[0], p0),
+        _rel_err(math.exp(unpert.log_H[1]), 1.0),
+        _rel_err(unpert.log_lambda, p_unpert),
+        _rel_err(unpert.mass_k[0], 0.5),
     ]
     return AppendixExample(
         beta=beta,
@@ -527,8 +530,8 @@ def appendix_example(gamma_p: float, eta: float, beta: float) -> AppendixExample
         lambda_tilde=lambda_tilde,
         h1_pert=h1_pert,
         p0=p0,
-        h1_unpert=math.exp(unpert_h[1]),
+        h1_unpert=math.exp(unpert.log_H[1]),
         p_unpert=p_unpert,
-        mu0_unpert=unpert_mass[0],
+        mu0_unpert=unpert.mass_k[0],
         max_rel_err=max(errs),
     )

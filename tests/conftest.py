@@ -1,4 +1,4 @@
-from zerotemp import LocallyConstantPotential, Sft
+from zerotemp import LocallyConstantPotential, Sft, enumerate_words
 
 FULL2 = [[1, 1], [1, 1]]
 FULL3 = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
@@ -39,3 +39,10 @@ def table_potential(name: str) -> LocallyConstantPotential:
 def two_zero_blocks_potential() -> LocallyConstantPotential:
     """Fixed point 0 and the full shift on {1,2} both carry zero weight."""
     return table_potential("two zero blocks")
+
+
+def lifted(pot: LocallyConstantPotential, depth: int) -> LocallyConstantPotential:
+    """The same potential as a table on the (depth+1)-words, so that every
+    word of at most depth symbols is answered from the states."""
+    words = enumerate_words(pot.sft, depth + 1)
+    return LocallyConstantPotential(pot.sft, depth, {w: pot.value(w[: pot.depth + 1]) for w in words})

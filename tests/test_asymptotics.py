@@ -19,7 +19,7 @@ from zerotemp.verify import (
     zero_potential,
 )
 from zerotemp.asymptotics import Analysis
-from conftest import two_zero_blocks_potential
+from conftest import lifted, two_zero_blocks_potential
 
 
 def test_gamma_closed_form_examples():
@@ -61,7 +61,7 @@ def test_estimates_share_one_analysis():
     ge = estimate_gamma(an, beta_grid=(8.0, 16.0))
     assert ge == estimate_gamma(Analysis(pot), beta_grid=(8.0, 16.0))
     assert estimate_subaction(an, 16.0) == estimate_subaction(Analysis(pot), 16.0)
-    words = [(0,), (1, 2)]
+    words = [(0,), (2,)]
     assert limit_measure_estimate(an, 8.0, words) == limit_measure_estimate(Analysis(pot), 8.0, words)
 
 
@@ -135,10 +135,11 @@ def test_subaction_constant_on_components():
 
 
 def test_limit_measure_estimates():
-    masses = limit_measure_estimate(Analysis(lc1_potential()), 50.0, [(0,), (0, 1), (1,)])
+    # on 2-word states, so that the 2-words below have their masses
+    masses = limit_measure_estimate(Analysis(lifted(lc1_potential(), 2)), 50.0, [(0,), (0, 1), (1,)])
     assert masses[(0,)] == pytest.approx(0.5, abs=1e-6)
     assert masses[(0, 1)] <= math.exp(-49.0)
-    uniform = limit_measure_estimate(Analysis(zero_potential()), 1.0, [(0,), (1, 0)])
+    uniform = limit_measure_estimate(Analysis(lifted(zero_potential(), 2)), 1.0, [(0,), (1, 0)])
     assert uniform[(0,)] == pytest.approx(0.5, rel=1e-12)
     assert uniform[(1, 0)] == pytest.approx(0.25, rel=1e-12)
 

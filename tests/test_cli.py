@@ -200,6 +200,21 @@ def test_schema_failure_writes_no_files(tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_output_dir_exits_2(tmp_path):
+    # an existing file where the output directory should go
+    cfg = write_config(tmp_path, LC1_CONFIG)
+    out = tmp_path / "out"
+    out.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerotemp.cli", "run", cfg, "--output-dir", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(zerotemp.__file__).resolve().parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_SCHEMA
+    assert proc.stderr.startswith("argument error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     zero = {
         "potential": {
@@ -337,6 +352,9 @@ MALFORMED = [
     ("run", _with_potential(LC1_CONFIG, transitions=[["1", "1"], ["1", "0"]])),
     ("run", _with_potential(LC1_CONFIG, transitions=[[1, 1], [1, 2]])),
     ("run", _with_potential(LC1_CONFIG, alphabet_size=True, table={"0": 0})),
+    # JSON true is not the number 1
+    ("run", _with_potential(LC1_CONFIG, transitions=[[True, True], [True, True]])),
+    ("walters", dict(W4_CONFIG, perturbation=dict(W4_CONFIG["perturbation"], sign=True))),
     # without transitions the full shift's n x n matrix is never built
     ("run", _with_potential(LC1_CONFIG, alphabet_size=10**6)),
     # a non-empty string used to switch relaxed mode on

@@ -17,6 +17,8 @@ DELETED = (
     "golden_mean_shift",
     "_log_series",
     "FirstCoordPerturbation",
+    "perron_core",
+    "is_admissible",
 )
 
 

@@ -26,6 +26,8 @@ from zerotemp.verify import lc1_potential, lc2_potential, zero_potential
 
 import mpmath
 
+from conftest import lifted
+
 # two symbols, word 11 forbidden
 GOLDEN = Sft(2, ((True, True), (True, False)))
 
@@ -36,6 +38,8 @@ def test_table_validation():
         LocallyConstantPotential(sft, 1, {(0, 0): 0.0})  # missing words
     with pytest.raises(ValueError):
         LocallyConstantPotential(sft, 1, {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0, (0, 2): 0.0})
+    with pytest.raises(ValueError):
+        LocallyConstantPotential.from_table(sft, {})
 
 
 @pytest.mark.parametrize("sft, keys, message", [
@@ -113,8 +117,9 @@ def test_pressure_monotone_and_convex_in_beta():
 
 
 def test_pressure_derivative_is_potential_average():
+    # on 2-word states, so that each 2-word of the table has its mass
     lc2 = lc2_potential()
-    an = Analysis(lc2)
+    an = Analysis(lifted(lc2, 2))
     beta, h = 2.0, 1e-5
     deriv = (an.perron(beta + h).log_lambda - an.perron(beta - h).log_lambda) / (2 * h)
     p = an.perron(beta)
@@ -126,10 +131,15 @@ def test_pressure_derivative_is_potential_average():
 
 
 def test_equilibrium_measure_consistency():
-    p = Analysis(lc2_potential()).perron(3.0)
+    # on 3-word states, so that every word below has its mass
+    p = Analysis(lifted(lc2_potential(), 3)).perron(3.0)
     words = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1, 1), (1, 0, 0)]
     masses = {w: equilibrium_cylinder_mass(p, w) for w in words}
     assert masses[(0,)] + masses[(1,)] == pytest.approx(1.0, abs=1e-14)
+    # the same measure as on the 1-word states of the table
+    assert masses[(0,)] == pytest.approx(
+        equilibrium_cylinder_mass(Analysis(lc2_potential()).perron(3.0), (0,)), rel=1e-12
+    )
     # Kolmogorov extension: mass of [w] = sum of masses of one-symbol extensions
     assert masses[(0, 1)] == pytest.approx(
         equilibrium_cylinder_mass(p, (0, 1, 0)) + masses[(0, 1, 1)], rel=1e-12
@@ -144,13 +154,17 @@ def test_equilibrium_measure_consistency():
 def test_inadmissible_word_gets_zero_mass():
     sft = GOLDEN
     pot = LocallyConstantPotential.from_table(sft, {"00": 0.0, "01": -1.0, "10": -1.0})
-    p = Analysis(pot).perron(2.0)
+    p = Analysis(lifted(pot, 3)).perron(2.0)
     assert equilibrium_cylinder_mass(p, (1, 1)) == 0.0
-    assert equilibrium_cylinder_mass(p, (0, 1, 1, 0)) == 0.0
+    assert equilibrium_cylinder_mass(p, (0, 1, 1)) == 0.0
+    assert equilibrium_cylinder_mass(p, (0, 1, 0)) > 0.0
+    # a word longer than the states is not answered
+    with pytest.raises(ValueError):
+        equilibrium_cylinder_mass(p, (0, 1, 1, 0))
 
 
 def test_zero_potential_bernoulli_masses():
-    p = Analysis(zero_potential()).perron(1.0)
+    p = Analysis(lifted(zero_potential(), 3)).perron(1.0)
     for w in ((0, 1), (1, 1), (0, 0, 1)):
         assert equilibrium_cylinder_mass(p, w) == pytest.approx(0.5 ** len(w), rel=1e-12)
 

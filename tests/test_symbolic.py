@@ -4,7 +4,6 @@ import weakref
 import pytest
 
 from zerotemp import Sft, enumerate_words, full_shift
-from zerotemp.symbolic import is_admissible
 
 # two symbols, word 11 forbidden
 GOLDEN = Sft(2, ((True, True), (True, False)))
@@ -44,12 +43,6 @@ def test_enumerate_words_lexicographic():
     assert len(enumerate_words(sft, 5)) == 32
     with pytest.raises(ValueError):
         enumerate_words(sft, 0)
-
-
-def test_is_admissible():
-    assert is_admissible(GOLDEN, (0, 1, 0))
-    assert not is_admissible(GOLDEN, (1, 1))
-    assert not is_admissible(GOLDEN, (0, 5))
 
 
 def test_words_are_freed_with_the_sft():

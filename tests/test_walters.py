@@ -12,13 +12,11 @@ from zerotemp import (
     GOLDEN_MASS_0,
     GOLDEN_RATIO,
     BracketError,
-    LocallyConstantPotential,
     MaxPlusMatrix,
     SeriesDivergenceError,
     WaltersPotential,
     appendix_example,
     classify_regime,
-    full_shift,
     mp_eigenvalue,
     perturbation_stability_experiment,
     subaction_offset_estimate,
@@ -339,21 +337,16 @@ def test_appendix_selection_flip():
 
 
 def test_appendix_floors_match_critical_floor():
-    # the closed-form floors that appendix_example hands to perron_core agree
+    # the closed-form floors that appendix_example hands to perron agree
     # with the ones perron would derive (Analysis.floor: howard_cycle_mean,
     # Aubry decomposition of A - m, howard_cycle_mean, subaction),
     # up to the rounding of m; the betas keep the perturbed loop weight
     # m = log(1 + e^{beta eta}) above ZERO_CYCLE_TOL, below which the Aubry
     # rule counts the loop at 0 as critical too
-    sft = full_shift(1)
     for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
         for beta in (1.0, 2.0, 5.0, 10.0):
-            for logm, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
-                # logm[v][u] is the weight of the edge u -> v
-                table = {(u, t): logm[t][u] for u in (0, 1) for t in (0, 1)}
-                m_ref, adj_ref, gamma_ref, v_ref = Analysis(
-                    LocallyConstantPotential(sft, 1, table)
-                ).floor
+            for pot, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
+                m_ref, adj_ref, gamma_ref, v_ref = Analysis(pot).floor
                 assert m == pytest.approx(m_ref, rel=1e-12, abs=1e-15)
                 assert adj == adj_ref
                 assert gamma == pytest.approx(gamma_ref, rel=1e-12, abs=1e-14)
@@ -361,10 +354,19 @@ def test_appendix_floors_match_critical_floor():
 
 
 def test_appendix_example_derives_no_floor(monkeypatch):
-    calls = []
+    calls, solves = [], []
     monkeypatch.setattr(Analysis, "floor", property(lambda an: calls.append(an.pot)))
+    original = walters.perron
+
+    def recorded(pot, beta, floor):
+        solves.append(floor)
+        return original(pot, beta, floor)
+
+    monkeypatch.setattr(walters, "perron", recorded)
     assert appendix_example(-2.0, -1.0, 20.0).max_rel_err <= 1e-10
     assert calls == []
+    # one solve per chain, each at its closed-form floor
+    assert solves == [floor for _, floor in _appendix_chains(-2.0, -1.0, 20.0)]
 
 
 # ------------------------------------------------------------ mpmath oracle
