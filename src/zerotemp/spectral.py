@@ -17,12 +17,13 @@ the spread of the matrix.  It brackets s = log(rho - floor), where the
 cluster is spread out, with the M-matrix test (mu > rho exactly when
 elimination of mu*I - S without pivoting, in any symmetric order, has only
 positive pivots), and narrows it by regula falsi on det(mu*I - S) to R = 60
-digits of the excess at E + R + 30 digits.  The bracket is the certificate:
-S is formed once per precision, at the working one plus guard digits, and
-rounded to it; both ends, moved inward by the bound u on that rounding, are
-probed again at twice the precision, and when a probe disagrees the solve
-is repeated, from a cold search, at 2E + R + 30 digits.
-H and nu, by inverse iteration at its upper end, are solved on first read.
+digits of the excess at E + R + 30 digits, on S formed once per precision
+at the working one plus guard digits and rounded to it.  The certificate
+is the Collatz-Wielandt bound min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i
+of a positive x, widened by the rounding of S and of the mat-vec: inverse
+iteration for H_S at the upper end stops once its bounds lie within the
+bracket; when they stop narrowing, the solve repeats from a cold search at
+2E + R + 30 digits.  nu_S, iterated alike, is solved on first read.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
@@ -54,8 +55,8 @@ __all__ = [
 
 ITERATION_NOTE = "matrix may be reducible or periodic"
 
-# bounds on the probes of one bracket, on the inverse-iteration steps and
-# on the solves that a failed confirmation repeats at a higher precision
+# bounds on the probes of one bracket, on the iteration steps and on the
+# solves that a failed certificate repeats at a higher precision
 _MAX_PROBES = 400
 _MAX_STEPS = 100
 _MAX_ESCALATIONS = 6
@@ -71,9 +72,6 @@ _ENTRY_GUARD = 10
 # 2,000, a 2-state solve at 10^5 digits takes about a minute, and far
 # enough past it mpmath cannot even set the precision up
 _MAX_DPS = 10**5
-# the largest eigen-residual |S H - lambda H| accepted, relative to
-# lambda max(H)
-_MAX_RESIDUAL = 1e-8
 
 
 class PerronError(RuntimeError):
@@ -169,14 +167,13 @@ class PerronData:
     H is the eigenfunction (right eigenvector, H(0^k) = 1) and nu the
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
     equilibrium-measure masses of the k-word cylinders, all three solved on
-    first read by ``vectors``, which is then dropped.  ``bracket`` is the
-    certificate (lo, hi) of the Perron root, both at ``dps`` digits: the
-    M-matrix test fails at lo and passes at hi, so lo <= root < hi, and it
-    did so again at ``certified_dps`` digits with both ends moved inward by
-    the bound u on the rounding of an entry of S to ``dps`` digits.
-    ``escalations`` counts the solves that a disagreeing probe sent to a
-    higher precision.  lambda is hi, or the max-plus floor when the root
-    lies within the resolution of it (zero excess).
+    first read by ``vectors``, which is then dropped.  ``bracket`` (lo, hi),
+    both at ``dps`` digits, certifies lo <= root < hi for the exactly formed
+    matrix: the Collatz-Wielandt bounds of H lie within it, and those of nu
+    when it is read.  ``escalations`` counts the solves repeated at a higher
+    precision because those bounds stopped narrowing first.  lambda is hi,
+    or the max-plus floor when the root lies within the resolution of it
+    (zero excess).
     """
 
     beta: float
@@ -185,7 +182,6 @@ class PerronData:
     log_lambda_mp: object  # mpmath.mpf, keeps the tiny excess over e^h resolvable
     dps: int
     bracket: tuple
-    certified_dps: int
     escalations: int
     vectors: object = field(compare=False, repr=False)  # () -> (log_H, log_nu, mass_k)
 
@@ -449,11 +445,10 @@ def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
     floor itself.  A floor that turns out to lie above the root is replaced
     by the lower Collatz-Wielandt bound.
     """
-    n = len(mat)
-    rows = [sum(r) for r in mat]
-    cols = [sum(mat[i][j] for i in range(n)) for j in range(n)]
-    top = min(max(rows), max(cols))
-    low = max(min(rows), min(cols)) * (1 - mpmath.mpf(10) ** -digits)
+    ones = [mpmath.mpf(1)] * len(mat)
+    rows, cols = _collatz_wielandt(mat, ones), _collatz_wielandt(mat, ones, transpose=True)
+    top = min(rows[1], cols[1])
+    low = max(rows[0], cols[0]) * (1 - mpmath.mpf(10) ** -digits)
     if floor is None:
         floor = low
     x_min = floor * mpmath.mpf(10) ** -digits
@@ -535,26 +530,43 @@ def _search(plan, mat, floor, x, x_min, x_max):
     raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
 
 
-def _inverse_iteration(plan, lu, settle):
-    """Right and left Perron vectors from the factors of mu*I - M, mu just
-    above the root, iterated until no component of either vector moves by
-    more than ``settle`` relative."""
-    n = len(plan[2])
-    right, left = [mpmath.mpf(1)] * n, [mpmath.mpf(1)] * n
+def _collatz_wielandt(mat, x, transpose=False):
+    """(low, high) with low <= rho(S) <= high, S the exactly formed matrix
+    that mat rounds (_scaled_matrix), from one sparse mat-vec at the working
+    precision with a positive x (None for any other x): for nonnegative S,
+    min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i (S^T x with ``transpose``).
+    The entries of mat lie within u = 2^(1-prec) of S's, relative, and each
+    ratio within u of mat's, as fdot and the division round once each, by
+    u/2; so the ends move out by 3u, which also covers their own rounding."""
+    if not all(v > 0 for v in x):
+        return None
+    rows = zip(*mat) if transpose else mat
+    ratios = [mpmath.fdot((a, v) for a, v in zip(row, x) if a) / y for row, y in zip(rows, x)]
+    widen = mpmath.ldexp(3, 1 - mpmath.mp.prec)
+    return min(ratios) * (1 - widen), max(ratios) * (1 + widen)
+
+
+def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
+    """The right (left with ``transpose``) Perron vector of mat, unnormalized,
+    by inverse iteration on the factors lu of hi*I - mat, whose inverse is
+    nonnegative, so every iterate of a positive start stays positive.  The
+    certificate is the stop rule: the first iterate whose Collatz-Wielandt
+    bounds lie in [lo, hi) is returned, and None once a step no longer
+    halves high/low - 1, which, unlike high - low, also falls while the
+    entries far below the largest converge and low climbs from near 0."""
+    x, spread = [mpmath.mpf(1)] * len(mat), mpmath.inf
     for _ in range(_MAX_STEPS):
-        new_right = _solve(plan, lu, right)
-        new_left = _solve(plan, lu, left, transpose=True)
-        top_r, top_l = max(new_right), max(new_left)
-        new_right = [x / top_r for x in new_right]
-        new_left = [x / top_l for x in new_left]
-        moved = max(
-            (abs(x - y) / abs(x) for x, y in zip(new_right + new_left, right + left) if x),
-            default=0,
-        )
-        right, left = new_right, new_left
-        if moved <= settle:
-            return right, left
-    raise PerronError(f"inverse iteration did not settle in {_MAX_STEPS} steps; {ITERATION_NOTE}")
+        x = _solve(plan, lu, x, transpose)
+        bounds = _collatz_wielandt(mat, x, transpose)
+        if bounds is None:
+            return None
+        low, high = bounds
+        if lo <= low and high < hi:
+            return x
+        if not high / low - 1 <= spread / 2:
+            return None
+        spread = high / low - 1
+    return None
 
 
 def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
@@ -577,17 +589,17 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     gamma, E starts from the rate bound n*beta*span, span the spread of A (a
     cycle of A - m has at most n edges); without V (or with a -inf entry in
     it) w = 0, and from at least beta*span.  S is formed once per precision,
-    at the working one plus guard digits, and rounded to it; both ends of the
-    bracket, moved inward by the bound u on that rounding, are probed again
-    at twice the precision, and a disagreement doubles E and restarts it.
-    A solve that would need more than _MAX_DPS digits raises PerronError
-    before it starts.  Every probe, escalation and confirmation runs on one
-    elimination plan of the finite pattern of logm.  H and nu are left to
-    ``vectors``, which returns (log_H, log_nu, mass_k) when called: they
-    settle by inverse iteration on the factors at hi to R digits and are
-    unscaled as H = H_S e^{w}, nu = nu_S e^{-w}; the masses H_S nu_S need
-    no unscaling.  Its eigen-residual must stay below _MAX_RESIDUAL
-    relative to lambda, or it raises PerronError.
+    at the working one plus guard digits, and rounded to it.  H_S comes from
+    inverse iteration on the factors at hi (_perron_vector), which stops as
+    soon as its Collatz-Wielandt bounds lie in the bracket; when they stop
+    narrowing first, E doubles and the solve restarts.  A solve that would
+    need more than _MAX_DPS digits raises PerronError before it starts.
+    Every probe, escalation and solve runs on one elimination plan of the
+    finite pattern of logm.  nu is left to ``vectors``, which returns
+    (log_H, log_nu, mass_k) when called: nu_S comes from the same iteration
+    transposed (PerronError when its bounds do not certify), each vector
+    takes one more solve, and they are unscaled as H = H_S e^{w}, nu =
+    nu_S e^{-w}; the masses H_S nu_S need no unscaling.
     """
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
@@ -626,39 +638,37 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
             lo, hi, lam, lu = _bracket_root(
                 plan, mat, base, guess, excess_digits + _RESOLVED, resolution
             )
-        if _confirmed(plan, mat, lo, hi, dps):
+            h_vec = _perron_vector(plan, lu, mat, lo, hi)
+        if h_vec is not None:
             break
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
             raise PerronError(
-                f"the bracket was not confirmed at {2 * dps} digits; {ITERATION_NOTE}"
+                f"no Collatz-Wielandt certificate of the bracket at {dps} digits; {ITERATION_NOTE}"
             )
         excess_digits *= 2
     with mpmath.workdps(dps):
         log_lambda_mp = mpmath.log(lam) + shift
-        lo, hi = (x * mpmath.exp(shift) for x in (lo, hi))
+        bracket = tuple(x * mpmath.exp(shift) for x in (lo, hi))
 
     def vectors():
         with mpmath.workdps(dps):
-            h_vec, nu_vec = _inverse_iteration(plan, lu, resolution)
-            if any(x <= 0 for x in h_vec + nu_vec):
-                raise PerronError(f"Perron vector not strictly positive; {ITERATION_NOTE}")
-            res = max(
-                abs(sum(mat[i][j] * h_vec[j] for j in range(n) if mat[i][j]) - lam * h_vec[i])
-                for i in range(n)
-            )
-            if res > _MAX_RESIDUAL * lam * max(h_vec):
-                raise PerronError(f"eigen-residual {mpmath.nstr(res, 4)} too large")
-            mass_raw = [h * nu for h, nu in zip(h_vec, nu_vec)]
+            nu_vec = _perron_vector(plan, lu, mat, lo, hi, transpose=True)
+            if nu_vec is None:
+                raise PerronError(f"no Collatz-Wielandt certificate of nu; {ITERATION_NOTE}")
+            # a certified iterate can still be 10^-R off, relative (H_S lies
+            # near the start of ones), and both are read to R + G digits
+            h_s, nu_s = _solve(plan, lu, h_vec), _solve(plan, lu, nu_vec, transpose=True)
+            mass_raw = [h * nu for h, nu in zip(h_s, nu_s)]
             z = sum(mass_raw)
             mass_k = tuple(float(x / z) for x in mass_raw)
         with mpmath.workdps(_RESOLVED + _GUARD):
             # log nu = log nu_S - w - log sum(nu_S e^{-w})
-            log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_vec, w)))
-            log_h0 = mpmath.log(h_vec[anchor]) + w[anchor]
+            log_nu_total = mpmath.log(sum(x * mpmath.exp(-y) for x, y in zip(nu_s, w)))
+            log_h0 = mpmath.log(h_s[anchor]) + w[anchor]
             # + 0.0: a log H of -1e-400 rounds to -0.0, not 0
-            log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_vec, w))
-            log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_vec, w))
+            log_H = tuple(float(mpmath.log(x) + y - log_h0) + 0.0 for x, y in zip(h_s, w))
+            log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_s, w))
         return log_H, log_nu, mass_k
 
     return PerronData(
@@ -667,24 +677,10 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
         log_lambda=float(log_lambda_mp),
         log_lambda_mp=log_lambda_mp,
         dps=dps,
-        bracket=(lo, hi),
-        certified_dps=2 * dps,
+        bracket=bracket,
         escalations=escalations,
         vectors=vectors,
     )
-
-
-def _confirmed(plan, mat, lo, hi, dps: int) -> bool:
-    """lo <= rho < hi, rho the Perron root of the exact matrix that mat
-    rounds to dps digits (_scaled_matrix): each entry is within u =
-    2^(1-prec), so (1 - u) exact <= mat <= (1 + u) exact, and as rho grows
-    with the entries of a nonnegative matrix, rho(mat) / (1 + u) <= rho <=
-    rho(mat) / (1 - u).  So the M-matrix test of mat, run at 2*dps digits,
-    must fail at lo (1 + u) and pass at hi (1 - u)."""
-    with mpmath.workdps(dps):
-        u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
-    with mpmath.workdps(2 * dps):
-        return not _shifted_lu(plan, mat, lo * (1 + u))[0] and _shifted_lu(plan, mat, hi * (1 - u))[0]
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

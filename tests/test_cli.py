@@ -441,8 +441,8 @@ def test_one_process_answers_as_separate_ones(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == got
 
 
-# the golden-mean component has unequal out-degrees, so no residual of S H
-# = lambda H comes out exactly 0
+# a golden-mean component with unequal out-degrees, whose reports read the
+# rate (lambda only) and the subaction (H, solved together with nu)
 GOLDEN_CONFIG = {
     "potential": {
         "kind": "locally-constant",
@@ -461,11 +461,16 @@ def test_a_failed_vector_solve_fails_only_the_reports_that_read_it(tmp_path, cap
     cfg = write_config(tmp_path, GOLDEN_CONFIG)
     assert main(["gamma", cfg]) == EXIT_OK
     gamma_csv = capsys.readouterr().out
-    monkeypatch.setattr(spectral, "_MAX_RESIDUAL", 0)  # no eigen-residual passes
+    solve = spectral._perron_vector
+    # the left vector never certifies: nu, and the reports that read it, fail
+    monkeypatch.setattr(
+        spectral, "_perron_vector",
+        lambda *args, transpose=False: None if transpose else solve(*args),
+    )
     out = tmp_path / "out"
     assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert "numerical failure in run: eigen-residual" in captured.err
+    assert "numerical failure in run: no Collatz-Wielandt certificate of nu" in captured.err
     assert captured.out == ""
     assert not out.exists()
     # the rate never reads H or nu, so it does not fail with them

@@ -1,7 +1,6 @@
 """perron() against the dense eigen-solver it replaced (perron_reference),
 on random potentials and on the near-degenerate examples."""
 
-import functools
 import itertools
 import math
 
@@ -14,9 +13,11 @@ from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, per
 from zerotemp.asymptotics import Analysis, estimate_gamma
 from zerotemp.maxplus import _strongly_connected_components
 from zerotemp.spectral import (
-    _confirmed,
+    _collatz_wielandt,
     _elimination_plan,
     _scaled_matrix,
+    _shifted_lu,
+    _solve,
     adjacency_entropy,
     transfer_matrix,
 )
@@ -183,14 +184,13 @@ def test_adjacency_entropy():
 
 def test_two_zero_blocks_escalates_and_still_matches():
     # half the true rate sizes the excess at half its digits: the first
-    # precision cannot resolve the bracket, the doubled-precision probe
-    # disagrees, and the solve repeats at 2E + R + G digits
+    # precision cannot resolve the bracket, the Collatz-Wielandt bounds of H
+    # do not narrow into it, and the solve repeats at 2E + R + G digits
     pot = two_zero_blocks_potential()
     an = Analysis(pot)
     m, adj, gamma, v = an.floor
     p = perron(pot, 128.0, (m, adj, gamma / 2, v))
     assert p.escalations >= 1
-    assert p.certified_dps == 2 * p.dps
     ref = reference_perron(pot, 128.0)
     assert_matches_reference(p, ref)
     assert_excess_matches(p, adjacency_entropy(adj, p.dps), ref)
@@ -218,15 +218,14 @@ def test_a_probe_next_to_the_root_does_not_escalate():
     pot = golden_mean_potential()
     p = Analysis(pot).perron(16.0)
     assert p.escalations == 0
-    assert p.certified_dps == 2 * p.dps
     assert_matches_reference(p, reference_perron(pot, 16.0))
 
 
-def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
+def test_the_collatz_wielandt_bounds_see_one_unit_in_the_last_digit():
     # each entry of the working matrix is within u = 2^(1-prec) of the
-    # exactly formed one, so the confirmation moves both ends inward by u:
-    # ends a few u outside the root confirm, an end within root (1 +- u)
-    # does not
+    # exactly formed one, so the bounds of a Perron vector good to 3*dps
+    # digits, H or nu, move out by more than u: ends a few u outside the
+    # root certify, an end within root (1 +- u/2) does not
     pot = two_zero_blocks_potential()
     beta = 128.0
     an = Analysis(pot)
@@ -238,11 +237,58 @@ def test_the_doubled_precision_probe_sees_one_unit_in_the_last_digit():
         w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
         mat = _scaled_matrix(logm, mpmath.mpf(0), w)
     plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
-    confirmed = functools.partial(_confirmed, plan, mat, dps=p.dps)
-    with mpmath.workdps(3 * p.dps):
-        assert confirmed(root * (1 - 3 * u), root * (1 + 3 * u))
-        assert not confirmed(root * (1 - u / 2), root * (1 + 3 * u))  # lo within u
-        assert not confirmed(root * (1 - 3 * u), root * (1 + u / 2))  # hi within u
+    for transpose in (False, True):
+        with mpmath.workdps(3 * p.dps):
+            lu = _shifted_lu(plan, mat, root * (1 + 4 * u))[2]
+            x = [mpmath.mpf(1)] * len(mat)
+            for _ in range(4):
+                x = _solve(plan, lu, x, transpose)
+            near, far = root * (1 - u / 2), root * (1 - 8 * u)
+            above_near, above_far = root * (1 + u / 2), root * (1 + 8 * u)
+        with mpmath.workdps(p.dps):
+            low, high = _collatz_wielandt(mat, x, transpose)
+        assert far <= low and high < above_far
+        assert not near <= low  # lo within u/2
+        assert not high < above_near  # hi within u/2
+
+
+def record_perron_vectors(monkeypatch) -> list:
+    """Each _perron_vector call, as (dps, mat, lo, hi, transpose, vector)."""
+    calls = []
+    original = spectral._perron_vector
+
+    def recorded(plan, lu, mat, lo, hi, transpose=False):
+        x = original(plan, lu, mat, lo, hi, transpose=transpose)
+        calls.append((mpmath.mp.dps, mat, lo, hi, transpose, x))
+        return x
+
+    monkeypatch.setattr(spectral, "_perron_vector", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, beta", [
+    ("n2", 512.0), ("n4", 512.0), ("golden5", 256.0), ("golden8", 32.0), ("two zero blocks", 512.0),
+])
+def test_both_perron_vectors_certify_the_reference_root(monkeypatch, name, beta):
+    calls = record_perron_vectors(monkeypatch)
+    an = Analysis(table_potential(name))
+    p = an.perron(beta)
+    assert len(p.log_nu) == len(p.words)  # the left vector is solved on this read
+    (dps, mat, lo, hi, right, h_vec), (_, _, _, _, left, nu_vec) = calls[-2:]
+    assert (right, left) == (False, True)
+    with mpmath.workdps(3 * dps):
+        root = reference_perron(an.pot, beta, dps=3 * dps)["lambda"]
+        root *= mpmath.exp(-mpmath.mpf(beta) * an.floor[0])  # the root of S
+    with mpmath.workdps(dps):
+        for x, transpose in ((h_vec, False), (nu_vec, True)):
+            low, high = _collatz_wielandt(mat, x, transpose)
+            assert lo <= low <= root <= high < hi
+            # any positive x bounds the root, if not as tightly
+            nudged = [x[0] * (1 + mpmath.mpf(10) ** -20)] + x[1:]
+            low, high = _collatz_wielandt(mat, nudged, transpose)
+            assert low <= root <= high
+            for bad in (0, -x[0]):
+                assert _collatz_wielandt(mat, [bad] + x[1:], transpose) is None
 
 
 @pytest.mark.parametrize("name, beta", [
@@ -282,35 +328,30 @@ def test_the_guard_digits_round_each_entry_correctly():
         ]
 
 
-def count_inverse_iterations(monkeypatch) -> list:
-    calls = []
-    original = spectral._inverse_iteration
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(spectral, "_inverse_iteration", counted)
-    return calls
-
-
 def test_vectors_are_solved_on_first_read_only(monkeypatch):
-    calls = count_inverse_iterations(monkeypatch)
+    calls = record_perron_vectors(monkeypatch)
     an = Analysis(golden_mean_potential())
     grid = (4.0, 16.0, 64.0)
+
+    def left_solves():
+        return sum(1 for call in calls if call[4])
+
     estimate_gamma(an, grid)
-    assert calls == []  # the rate reads lambda only
+    assert left_solves() == 0  # the rate reads lambda only
     for beta in grid:
         assert an.perron(beta).log_H[0] == 0.0
-    assert len(calls) == len(grid)
+    assert left_solves() == len(grid)
     for beta in grid:
         p = an.perron(beta)
         assert len(p.log_H) == len(p.log_nu) == len(p.mass_k)
         assert p.vectors is None  # dropped with the factors it held
-    assert len(calls) == len(grid)
+    assert left_solves() == len(grid)
 
 
-# (log_H, log_nu, mass_k) as the solve gave them before it was deferred
+# (log_H, log_nu, mass_k) as the solve gave them before it was deferred,
+# but for log_H of three symbols: every row of its transfer matrix sums to
+# 1 + 2e^{-beta}, so H is constant, and log_H is 0 where the eager solve
+# left rounding noise of about 1e-106
 EAGER_VECTORS = {
     ("two zero blocks", 16.0): (
         (0.0, 15.30685281944008, 15.30685281944008),
@@ -323,12 +364,12 @@ EAGER_VECTORS = {
         (8.754982074106102e-223, 0.5, 0.5),
     ),
     ("three symbols", 16.0): (
-        (0.0, 8.197664210041083e-107, 8.197664210041083e-107),
+        (0.0, 0.0, 0.0),
         (-1.0986122886681098,) * 3,
         (0.3333333333333333,) * 3,
     ),
     ("three symbols", 256.0): (
-        (0.0, 9.973679516524927e-107, 9.973679516524927e-107),
+        (0.0, 0.0, 0.0),
         (-1.0986122886681098,) * 3,
         (0.3333333333333333,) * 3,
     ),
