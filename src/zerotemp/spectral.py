@@ -9,28 +9,16 @@ At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
 maximum cycle mean, h the largest entropy of a critical component), so
 fixed-precision iteration cannot separate them.  perron() solves for the
-dominant pair only, with mpmath, on the tropically scaled matrix
-S = e^{-beta*m} D^-1 M D, D = diag(e^{beta*V}) for a max-plus subaction V
-of A - m: every entry of S is at most 1 and the critical ones equal 1, so
-the precision follows the excess, E = beta*|gamma|/ln10 + 15 digits, not
-the spread of the matrix.  It brackets s = log(rho - floor), where the
-cluster is spread out, with the M-matrix test (mu > rho exactly when
-elimination of mu*I - S without pivoting, in any symmetric order, has only
-positive pivots), and narrows it by regula falsi on det(mu*I - S) to R = 60
-digits of the excess at E + R + 30 digits, on S formed once per precision
-at the working one plus guard digits and rounded to it.  The certificate
-is the Collatz-Wielandt bound min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i
-of a positive x, widened by the rounding of S and of the mat-vec: inverse
-iteration for H_S at the upper end stops once its bounds lie within the
-bracket; when they stop narrowing, the solve repeats from a cold search at
-2E + R + 30 digits.  nu_S, iterated alike, is solved on first read.
+dominant pair only, with mpmath, on a tropically scaled matrix S whose
+precision follows the excess, not the spread of the matrix: it brackets
+the root by the M-matrix test, narrows the bracket by regula falsi, and
+certifies it by the Collatz-Wielandt bounds of its own Perron vectors.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
-elimination, planned once per matrix in a fill-reducing order, serves both:
-each perron probe is one numeric pass of it over mu*I - S, the solves of
-inverse iteration run on its factors, and each Newton step is one pass
-over x*I - adj that carries d/dx next to each entry.
+elimination plan per matrix, in a fill-reducing order, serves both: each
+perron probe is one numeric pass of it over mu*I - S, whose factors the
+solves reuse, and each Newton step one over x*I - adj that carries d/dx.
 """
 
 from __future__ import annotations
@@ -41,6 +29,7 @@ from functools import cached_property
 
 import mpmath
 
+from .maxplus import _strongly_connected_components
 from .symbolic import Sft, enumerate_words
 
 __all__ = [
@@ -168,12 +157,11 @@ class PerronData:
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
     equilibrium-measure masses of the k-word cylinders, all three solved on
     first read by ``vectors``, which is then dropped.  ``bracket`` (lo, hi),
-    both at ``dps`` digits, certifies lo <= root < hi for the exactly formed
-    matrix: the Collatz-Wielandt bounds of H lie within it, and those of nu
-    when it is read.  ``escalations`` counts the solves repeated at a higher
-    precision because those bounds stopped narrowing first.  lambda is hi,
-    or the max-plus floor when the root lies within the resolution of it
-    (zero excess).
+    at ``dps`` digits, holds the root of the exactly formed matrix, as the
+    Collatz-Wielandt bounds of H_S certify; ``escalations`` counts the
+    solves repeated at a higher precision when they could not.  lambda is
+    hi, or the max-plus floor when the root lies within the resolution of
+    it (zero excess).
     """
 
     beta: float
@@ -446,7 +434,7 @@ def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
     by the lower Collatz-Wielandt bound.
     """
     ones = [mpmath.mpf(1)] * len(mat)
-    rows, cols = _collatz_wielandt(mat, ones), _collatz_wielandt(mat, ones, transpose=True)
+    rows, cols = (_collatz_wielandt(plan, mat, ones, transpose) for transpose in (False, True))
     top = min(rows[1], cols[1])
     low = max(rows[0], cols[0]) * (1 - mpmath.mpf(10) ** -digits)
     if floor is None:
@@ -530,42 +518,57 @@ def _search(plan, mat, floor, x, x_min, x_max):
     raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
 
 
-def _collatz_wielandt(mat, x, transpose=False):
+def _collatz_wielandt(plan, mat, x, transpose=False, lo=0):
     """(low, high) with low <= rho(S) <= high, S the exactly formed matrix
-    that mat rounds (_scaled_matrix), from one sparse mat-vec at the working
-    precision with a positive x (None for any other x): for nonnegative S,
-    min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i (S^T x with ``transpose``).
-    The entries of mat lie within u = 2^(1-prec) of S's, relative, and each
-    ratio within u of mat's, as fdot and the division round once each, by
-    u/2; so the ends move out by 3u, which also covers their own rounding."""
+    that mat rounds (_scaled_matrix), from a mat-vec over the plan's pattern
+    at the working precision with a positive x (None for any other x): for
+    nonnegative S, min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i (S^T x with
+    ``transpose``).  Entries and ratios each lie within u = 2^(1-prec) of
+    exact, as fdot and the division round once each, so the ends move out
+    by 3u, which also covers their own rounding.  The rows of the largest
+    set D whose ratios so widened lie below lo, and which read only D, are
+    left out of low: then rho(S_DD) < lo, the Perron vector vanishes on D,
+    and low comes from the other rows J, as rho(S) >= rho(S_JJ)."""
     if not all(v > 0 for v in x):
         return None
-    rows = zip(*mat) if transpose else mat
-    ratios = [mpmath.fdot((a, v) for a, v in zip(row, x) if a) / y for row, y in zip(rows, x)]
+    rows = [[] for _ in x]
+    for _, i, j in plan[1]:
+        row, col = (j, i) if transpose else (i, j)
+        rows[row].append((mat[i][j], col))
+    ratios = [mpmath.fdot((a, x[j]) for a, j in row) / y for row, y in zip(rows, x)]
     widen = mpmath.ldexp(3, 1 - mpmath.mp.prec)
-    return min(ratios) * (1 - widen), max(ratios) * (1 + widen)
+    high = max(ratios) * (1 + widen)
+    block = {i for i, r in enumerate(ratios) if r * (1 + widen) < lo}
+    while any(j not in block for i in block for _, j in rows[i]):
+        block = {i for i in block if all(j in block for _, j in rows[i])}
+    if 0 < len(block) < len(x):
+        ratios = [
+            mpmath.fdot((a, x[j]) for a, j in row if j not in block) / y
+            for i, (row, y) in enumerate(zip(rows, x)) if i not in block
+        ]
+    return min(ratios) * (1 - widen), high
 
 
 def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
     """The right (left with ``transpose``) Perron vector of mat, unnormalized,
     by inverse iteration on the factors lu of hi*I - mat, whose inverse is
-    nonnegative, so every iterate of a positive start stays positive.  The
-    certificate is the stop rule: the first iterate whose Collatz-Wielandt
-    bounds lie in [lo, hi) is returned, and None once a step no longer
-    halves high/low - 1, which, unlike high - low, also falls while the
-    entries far below the largest converge and low climbs from near 0."""
+    nonnegative, so iterates of a positive start stay positive.  The first
+    iterate whose Collatz-Wielandt bounds lie in [lo, hi) is returned; None
+    once a step no longer halves high/low - 1 below hi/lo - 1, the rounding
+    floor.  Above it low may stall for a step at a state that reads the rest
+    through a tiny entry; high/low - 1, unlike high - low, falls as it climbs."""
     x, spread = [mpmath.mpf(1)] * len(mat), mpmath.inf
     for _ in range(_MAX_STEPS):
         x = _solve(plan, lu, x, transpose)
-        bounds = _collatz_wielandt(mat, x, transpose)
+        bounds = _collatz_wielandt(plan, mat, x, transpose, lo)
         if bounds is None:
             return None
         low, high = bounds
         if lo <= low and high < hi:
             return x
-        if not high / low - 1 <= spread / 2:
+        last, spread = spread, high / low - 1 if low else mpmath.inf
+        if spread < hi / lo - 1 and not spread <= last / 2:
             return None
-        spread = high / low - 1
     return None
 
 
@@ -582,24 +585,18 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     all-zeros state (None if unknown).
 
     The solve runs on S = e^{-beta*m} D^-1 exp(logm) D, D = diag(e^{w}),
-    w = beta*V, whose exponents are formed in mpf (_scaled_matrix).  The
-    root lies above the floor e^h by about e^{beta*gamma}; at E + R + G
-    digits, E = beta*|gamma|/ln10 + 15 for the excess, the bracket resolves
-    R = 60 digits of it, and G = 30 digits guard against rounding.  Without
-    gamma, E starts from the rate bound n*beta*span, span the spread of A (a
-    cycle of A - m has at most n edges); without V (or with a -inf entry in
-    it) w = 0, and from at least beta*span.  S is formed once per precision,
-    at the working one plus guard digits, and rounded to it.  H_S comes from
-    inverse iteration on the factors at hi (_perron_vector), which stops as
-    soon as its Collatz-Wielandt bounds lie in the bracket; when they stop
-    narrowing first, E doubles and the solve restarts.  A solve that would
-    need more than _MAX_DPS digits raises PerronError before it starts.
-    Every probe, escalation and solve runs on one elimination plan of the
-    finite pattern of logm.  nu is left to ``vectors``, which returns
-    (log_H, log_nu, mass_k) when called: nu_S comes from the same iteration
-    transposed (PerronError when its bounds do not certify), each vector
-    takes one more solve, and they are unscaled as H = H_S e^{w}, nu =
-    nu_S e^{-w}; the masses H_S nu_S need no unscaling.
+    w = beta*V, formed once per precision (_scaled_matrix).  The root lies
+    above the floor e^h by about e^{beta*gamma}; at E + R + G digits, E =
+    beta*|gamma|/ln10 + 15 for the excess, the bracket resolves R = 60
+    digits of it, and G = 30 digits guard against rounding.  Without gamma,
+    E starts from the rate bound n*beta*span, span the spread of A (a cycle
+    of A - m has at most n edges); without V (or with a -inf entry in it)
+    w = 0, and from at least beta*span.  H_S (_perron_vector) certifies the
+    bracket; when it cannot, E doubles and the solve restarts, up to
+    _MAX_DPS digits.  ``vectors`` returns (log_H, log_nu, mass_k), with
+    nu_S solved alike, transposed, and both unscaled as H = H_S e^{w}, nu =
+    nu_S e^{-w}; it raises PerronError when nu_S does not certify, or when
+    logm is reducible, where H and nu may vanish or fail to be unique.
     """
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
@@ -652,6 +649,9 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
         bracket = tuple(x * mpmath.exp(shift) for x in (lo, hi))
 
     def vectors():
+        pattern = [[j for j, x in enumerate(row) if math.isfinite(x)] for row in logm]
+        if len(_strongly_connected_components(pattern)) > 1:
+            raise PerronError("the transfer matrix is reducible: H and nu need not be positive or unique")
         with mpmath.workdps(dps):
             nu_vec = _perron_vector(plan, lu, mat, lo, hi, transpose=True)
             if nu_vec is None:

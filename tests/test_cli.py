@@ -151,6 +151,37 @@ def test_single_report_verbs_print_the_run_csvs(tmp_path, capsys):
     assert capsys.readouterr().out == "".join(w[r] for r in W4_CONFIG["reports"]) + summary
 
 
+# state 2 leads into {0, 1} and is never entered again: the transfer matrix
+# is reducible, and H vanishes at state 2
+REDUCIBLE_CONFIG = {
+    "potential": {
+        "kind": "locally-constant",
+        "alphabet_size": 3,
+        "transitions": [[1, 1, 0], [1, 1, 0], [1, 1, 1]],
+        "table": {"00": 0, "01": -1, "10": -1, "11": -3, "20": -2, "21": -2, "22": -5},
+    },
+    "beta_grid": [4, 8, 16, 32],
+    "reports": ["gamma", "subaction"],
+}
+
+
+def test_a_reducible_word_graph_gives_the_rate_but_not_the_vectors(tmp_path, capsys):
+    cfg = write_config(tmp_path, REDUCIBLE_CONFIG)
+    assert main(["gamma", cfg]) == EXIT_OK
+    # the rows that the doubled-precision re-probe certified, byte for byte
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "beta,pressure,gamma_hat,gamma_maxplus,h",
+        "4,0.00033529600927151634,-2.0001242016316962,-2,0",
+        "8,1.1253515572726389e-07,-2.000000021095623,-2,0",
+        "16,1.2664165549093936e-14,-2.0000000000000013,-2,0",
+        "32,1.6038108905486379e-28,-2,-2,0",
+    ]
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_NUMERICAL
+    assert "the transfer matrix is reducible" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gamma_verb_resolves_small_pressure_excess(tmp_path, capsys):
     # P - h is about e^{-1280} here, so h needs more than 556 digits
     assert main(["gamma", write_config(tmp_path, TWO_ZERO_BLOCKS_CONFIG)]) == EXIT_OK

@@ -246,20 +246,63 @@ def test_the_collatz_wielandt_bounds_see_one_unit_in_the_last_digit():
             near, far = root * (1 - u / 2), root * (1 - 8 * u)
             above_near, above_far = root * (1 + u / 2), root * (1 + 8 * u)
         with mpmath.workdps(p.dps):
-            low, high = _collatz_wielandt(mat, x, transpose)
+            low, high = _collatz_wielandt(plan, mat, x, transpose)
         assert far <= low and high < above_far
         assert not near <= low  # lo within u/2
         assert not high < above_near  # hi within u/2
 
 
+def test_a_state_read_through_a_tiny_entry_certifies_without_escalating():
+    # nu_S at state 00 reads the rest through an entry near 1e-139: while
+    # their entries grow by the first 1e89-fold steps, its ratio, and the
+    # lower bound, stays near 0 for a step without narrowing.  Its row reads
+    # the others, so it is never left out of that bound
+    sft = Sft(3, ((True, True, False), (False, True, True), (True, True, False)))
+    pot = LocallyConstantPotential.from_table(sft, {
+        "000": -3.0, "001": -3.0, "011": -0.5, "012": -0.5, "111": -2.0, "112": 0.0,
+        "120": -3.0, "121": 0.0, "200": -3.0, "201": -1.0, "211": -1.0, "212": 0.0,
+    })
+    p = Analysis(pot).perron(64.0)
+    assert p.escalations == 0
+    ref = reference_perron(pot, 64.0)
+    assert_matches_reference(p, ref)
+    # so the mass at 00, near 1e-264, is right to all its digits
+    assert p.mass_k == pytest.approx(ref["mass_k"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rows, table, root", [
+    # state 2 leads into {0, 1} and is never entered again, so H_S vanishes
+    # there and the lower bound of its row stays at e^{-5 beta}: the root
+    # is that of the block {0, 1}, (1 + c + sqrt((1 - c)^2 + 4 d)) / 2
+    (((1, 1, 0), (1, 1, 0), (1, 1, 1)),
+     {"00": 0.0, "01": -1.0, "10": -1.0, "11": -3.0, "20": -2.0, "21": -2.0, "22": -5.0},
+     lambda c, d: (1 + c + mpmath.sqrt((1 - c) ** 2 + 4 * d)) / 2),
+    # two loops of weight -2, the second leading into the first: the root
+    # e^{-2 beta} is a double eigenvalue with one eigenvector
+    (((1, 0, 0), (1, 0, 0), (0, 1, 1)),
+     {"00": -2.0, "10": -0.25, "21": -0.5, "22": -2.0},
+     lambda c, d: d),
+])
+def test_a_reducible_matrix_certifies_its_root_but_not_its_vectors(rows, table, root):
+    pot = LocallyConstantPotential.from_table(Sft(3, tuple(tuple(map(bool, r)) for r in rows)), table)
+    for beta in (4.0, 32.0):
+        p = Analysis(pot).perron(beta)
+        assert p.escalations == 0
+        with mpmath.workdps(2 * p.dps):
+            c, d = (mpmath.exp(-k * mpmath.mpf(beta)) for k in (3, 2))
+            assert p.bracket[0] <= root(c, d) < p.bracket[1]
+        with pytest.raises(PerronError, match="reducible"):
+            p.mass_k
+
+
 def record_perron_vectors(monkeypatch) -> list:
-    """Each _perron_vector call, as (dps, mat, lo, hi, transpose, vector)."""
+    """Each _perron_vector call, as (dps, plan, mat, lo, hi, transpose, vector)."""
     calls = []
     original = spectral._perron_vector
 
     def recorded(plan, lu, mat, lo, hi, transpose=False):
         x = original(plan, lu, mat, lo, hi, transpose=transpose)
-        calls.append((mpmath.mp.dps, mat, lo, hi, transpose, x))
+        calls.append((mpmath.mp.dps, plan, mat, lo, hi, transpose, x))
         return x
 
     monkeypatch.setattr(spectral, "_perron_vector", recorded)
@@ -274,21 +317,21 @@ def test_both_perron_vectors_certify_the_reference_root(monkeypatch, name, beta)
     an = Analysis(table_potential(name))
     p = an.perron(beta)
     assert len(p.log_nu) == len(p.words)  # the left vector is solved on this read
-    (dps, mat, lo, hi, right, h_vec), (_, _, _, _, left, nu_vec) = calls[-2:]
+    (dps, plan, mat, lo, hi, right, h_vec), (*_, left, nu_vec) = calls[-2:]
     assert (right, left) == (False, True)
     with mpmath.workdps(3 * dps):
         root = reference_perron(an.pot, beta, dps=3 * dps)["lambda"]
         root *= mpmath.exp(-mpmath.mpf(beta) * an.floor[0])  # the root of S
     with mpmath.workdps(dps):
         for x, transpose in ((h_vec, False), (nu_vec, True)):
-            low, high = _collatz_wielandt(mat, x, transpose)
+            low, high = _collatz_wielandt(plan, mat, x, transpose)
             assert lo <= low <= root <= high < hi
             # any positive x bounds the root, if not as tightly
             nudged = [x[0] * (1 + mpmath.mpf(10) ** -20)] + x[1:]
-            low, high = _collatz_wielandt(mat, nudged, transpose)
+            low, high = _collatz_wielandt(plan, mat, nudged, transpose)
             assert low <= root <= high
             for bad in (0, -x[0]):
-                assert _collatz_wielandt(mat, [bad] + x[1:], transpose) is None
+                assert _collatz_wielandt(plan, mat, [bad] + x[1:], transpose) is None
 
 
 @pytest.mark.parametrize("name, beta", [
@@ -334,7 +377,7 @@ def test_vectors_are_solved_on_first_read_only(monkeypatch):
     grid = (4.0, 16.0, 64.0)
 
     def left_solves():
-        return sum(1 for call in calls if call[4])
+        return sum(1 for call in calls if call[5])
 
     estimate_gamma(an, grid)
     assert left_solves() == 0  # the rate reads lambda only

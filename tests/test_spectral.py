@@ -277,8 +277,8 @@ def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypat
     transposed = []
     bound = spectral._collatz_wielandt
 
-    def recorded(mat, x, transpose=False):
-        bounds = bound(mat, x, transpose)
+    def recorded(plan, mat, x, transpose=False, lo=0):
+        bounds = bound(plan, mat, x, transpose, lo)
         if transpose:
             transposed.append(bounds)
         return bounds
