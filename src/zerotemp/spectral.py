@@ -171,6 +171,7 @@ class PerronData:
     dps: int
     bracket: tuple
     escalations: int
+    m: float  # the maximum cycle mean of the floor, 0 without one
     vectors: object = field(compare=False, repr=False)  # () -> (log_H, log_nu, mass_k)
 
     @cached_property
@@ -188,25 +189,26 @@ class PerronData:
         return self.pot.states
 
     def pressure_excess_log(self, h_mp) -> float:
-        """log(P - h); raises unless the certified bracket lies above e^h
+        """log(P - beta*m - h), over the floor e^{beta*m + h} that perron
+        scaled by; raises unless the certified bracket lies above that floor
         by more than 10^-E relative, E = dps - R - G the digits that the
-        excess was sized to occupy.
-
-        log_lambda_mp carries the working precision it was produced at, so
-        the cancellation P - h is accurate whenever the excess is resolved.
-        """
+        excess was sized to occupy.  log_lambda_mp keeps its working
+        precision, and beta*m is perron's own mpf product, so the
+        cancellation is accurate whenever the excess is resolved."""
         with mpmath.workdps(self.dps):
+            shift = mpmath.mpf(self.beta) * self.m
+            log_root = self.log_lambda_mp - shift
             resolvable = 1 + mpmath.mpf(10) ** (_RESOLVED + _GUARD - self.dps)
-            if not self.bracket[0] > mpmath.exp(h_mp) * resolvable:
+            if not self.bracket[0] > mpmath.exp(shift) * mpmath.exp(h_mp) * resolvable:
                 raise PerronError(
-                    f"pressure excess P - h = {mpmath.nstr(self.log_lambda_mp - h_mp, 6)} "
+                    f"pressure excess P - beta*m - h = {mpmath.nstr(log_root - h_mp, 6)} "
                     "is not resolvably positive (h misidentified or potential "
                     "has zero excess)"
                 )
         # the subtraction is exact before rounding; 113 bits leave enough
         # guard bits for the float log to be correctly rounded
         with mpmath.workprec(113):
-            return float(mpmath.log(self.log_lambda_mp - h_mp))
+            return float(mpmath.log(log_root - h_mp))
 
 
 def _elimination_plan(pattern):
@@ -679,6 +681,7 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
         dps=dps,
         bracket=bracket,
         escalations=escalations,
+        m=cycle_mean,
         vectors=vectors,
     )
 

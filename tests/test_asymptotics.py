@@ -1,14 +1,19 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from zerotemp import (
+    EmptyAubrySetError,
     LocallyConstantPotential,
     PerronError,
+    PositiveCycleError,
     Sft,
     decompose_aubry,
     estimate_gamma,
     estimate_subaction,
+    full_shift,
     limit_measure_estimate,
     word_graph,
 )
@@ -18,6 +23,7 @@ from zerotemp.verify import (
     three_symbol_potential,
     zero_potential,
 )
+from zerotemp import asymptotics
 from zerotemp.asymptotics import Analysis
 from conftest import lifted, two_zero_blocks_potential
 
@@ -109,6 +115,16 @@ def test_subaction_reconstruction_agrees():
         assert max(gaps) <= 0.05
 
 
+def test_the_subaction_certificate_skips_the_states_it_cannot_reach():
+    # no path leads from the Aubry set {0} into state 2, so V_rec(2) = -inf,
+    # and the calibration residual leaves it out
+    rows = ((True, True, False), (True, True, False), (True, True, True))
+    table = {"00": 0, "01": -1, "10": -1, "11": -3, "20": -2, "21": -2, "22": -5}
+    an = Analysis(LocallyConstantPotential.from_table(Sft(3, rows), table))
+    assert an.subaction_maxplus == (0.0, -1.0, -math.inf)
+    assert an.floor[3] == an.subaction_maxplus
+
+
 def test_subaction_offsets_match_eigenvector():
     an = Analysis(lc2_potential())
     se = estimate_subaction(an, 200.0)
@@ -149,3 +165,96 @@ def test_measure_concentrates_on_aubry_cylinders():
     assert masses[(0,)] + masses[(1,)] + masses[(2,)] == pytest.approx(1.0, abs=1e-12)
     assert masses[(1,)] == pytest.approx(masses[(2,)], rel=1e-9)
     assert masses[(0,)] > 0.1 and masses[(1,)] > 0.1
+
+
+def fixed_point_table(k, seed):
+    """Full 2-shift table on (k+1)-words: 0 on the two fixed points, and
+    uniform in [-4, -1] elsewhere, so that it is normalized."""
+    rng = random.Random(seed)
+    words = itertools.product((0, 1), repeat=k + 1)
+    table = {w: 0.0 if len(set(w)) == 1 else -rng.uniform(1.0, 4.0) for w in words}
+    return LocallyConstantPotential(full_shift(1), k, table)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("c", [-1.7, -0.25, 0.3, 2.5])
+def test_a_constant_shift_moves_only_the_floor(k, c):
+    # A + c has the cycle mean c, and everything read off A + c - c is read
+    # off A: the rate over beta*m + h, the subactions, the masses
+    pot = fixed_point_table(k, seed=k)
+    shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a + c for w, a in pot.values.items()})
+    an, an_c = Analysis(pot), Analysis(shifted)
+    assert an.floor[0] == 0.0
+    assert an_c.floor[0] == pytest.approx(c, abs=1e-15)
+    grid = (4.0, 16.0, 64.0)
+    assert estimate_gamma(an_c, grid).gamma_hat == pytest.approx(estimate_gamma(an, grid).gamma_hat, abs=1e-12)
+    assert an_c.subaction_maxplus == pytest.approx(an.subaction_maxplus, abs=1e-12)
+    for beta in grid:
+        se, se_c = estimate_subaction(an, beta), estimate_subaction(an_c, beta)
+        assert se_c.v_hat == pytest.approx(se.v_hat, abs=1e-12)
+        assert se_c.calibration_residual == pytest.approx(se.calibration_residual, abs=1e-12)
+        assert an_c.perron(beta).mass_k == pytest.approx(an.perron(beta).mass_k, abs=1e-12)
+
+
+def test_a_floor_off_by_the_rounding_of_beta_times_a_raises():
+    # the loops weigh m = 0.3, and 50 * 0.3 rounds to the float 15, 5.6e-16
+    # below the exact product: the loops' exponents miss the floor by far
+    # more than the excess e^{50*gamma}, about 2e-54, and gamma_hat read
+    # -0.70 for -2.47
+    pot = fixed_point_table(1, seed=1)
+    shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a + 0.3 for w, a in pot.values.items()})
+    an = Analysis(shifted)
+    assert an.exact_floor(64.0) and not an.exact_floor(50.0)
+    with pytest.raises(PerronError, match="at beta 50 the float exponents"):
+        estimate_gamma(an, (16.0, 50.0))
+    exact = estimate_gamma(Analysis(pot), (16.0, 64.0)).gamma_hat
+    assert estimate_gamma(an, (16.0, 64.0)).gamma_hat == pytest.approx(exact, abs=1e-12)
+
+
+def every_read(an):
+    """Read each part of the analysis, twice, through every estimate."""
+    for _ in range(2):
+        estimate_gamma(an, (4.0, 8.0))
+        estimate_subaction(an, 8.0)
+        limit_measure_estimate(an, 8.0, [(0,), (1,)])
+        an.floor, an.decomposition, an.gamma_maxplus, an.subaction_maxplus
+
+
+def test_one_decomposition_per_normalization(monkeypatch):
+    # A is decomposed once when it is normalized, and A - m once more when
+    # it is not; the floor builds no second potential and no second analysis
+    decompose, calls, built = asymptotics.decompose_aubry, [], []
+    monkeypatch.setattr(asymptotics, "decompose_aubry", lambda g: calls.append(g) or decompose(g))
+    init, check = Analysis.__init__, LocallyConstantPotential.__post_init__
+    monkeypatch.setattr(Analysis, "__init__", lambda an, pot: built.append(an) or init(an, pot))
+    monkeypatch.setattr(LocallyConstantPotential, "__post_init__", lambda pot: built.append(pot) or check(pot))
+    pot = fixed_point_table(2, seed=1)
+    for c, runs in ((0.0, 1), (-0.5, 2), (0.75, 2)):
+        shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a + c for w, a in pot.values.items()})
+        an = Analysis(shifted)
+        calls.clear(), built.clear()
+        every_read(an)
+        assert len(calls) == runs
+        assert built == []
+
+
+def test_a_failed_normalization_is_kept(monkeypatch):
+    # off by 1e-9, m leaves A - m without a zero cycle: that error stands
+    # for the decomposition, and no read runs it again
+    decompose, calls = asymptotics.decompose_aubry, []
+
+    def wrong_mean(g):
+        calls.append(g)
+        try:
+            return decompose(g)
+        except PositiveCycleError as e:
+            raise PositiveCycleError(e.mean + 1e-9) from None
+
+    monkeypatch.setattr(asymptotics, "decompose_aubry", wrong_mean)
+    pot = fixed_point_table(2, seed=1)
+    an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, {w: a + 0.5 for w, a in pot.values.items()}))
+    for _ in range(3):
+        with pytest.raises(EmptyAubrySetError):
+            an.decomposition
+    assert an.floor is None
+    assert len(calls) == 2

@@ -189,6 +189,58 @@ def test_gamma_verb_resolves_small_pressure_excess(tmp_path, capsys):
     assert abs(float(row[2]) + 2.0) < 0.05
 
 
+UNNORMALIZED_CONFIG = {
+    "potential": {
+        "kind": "locally-constant",
+        "alphabet_size": 2,
+        "table": {"00": -0.5, "01": -1, "10": -2, "11": -0.5},
+    },
+    "beta_grid": [4, 16, 64],
+    "reports": ["gamma", "subaction", "measure"],
+}
+
+
+def test_a_table_that_is_not_normalized_runs_every_report(tmp_path, capsys):
+    # m = -0.5: every report reads A - m, and gamma_hat is measured over
+    # beta*m + h
+    cfg = write_config(tmp_path, UNNORMALIZED_CONFIG)
+    assert main(["gamma", cfg]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[2] for row in rows] == ["-1.0022721724374253", "-1.000000003516724", "-1"]
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_OK
+    subaction = (out / "subaction.csv").read_text().splitlines()
+    assert subaction[-2:] == ["64,0,0,0,0", "64,1,0.5,0.5,0"]
+    assert (out / "measure.csv").read_text().splitlines()[-2:] == ["64,0,0.5", "64,1,0.5"]
+
+
+def test_a_cycle_mean_that_no_float_holds_exits_3(tmp_path, capsys):
+    # the 2-cycle 01 -> 10 has mean (1.1 + 0.2) / 2, and m = 0.65 leaves it a
+    # weight of 2^-54 in A - m: at beta 64 that moves the floor by 1.8e-15,
+    # far above the excess e^{-105.6}, and gamma_hat read -0.53 for -1.65
+    table = {"00": -1, "01": 1.1, "10": 0.2, "11": -1}
+    potential = {"kind": "locally-constant", "alphabet_size": 2, "table": table}
+    cfg = write_config(tmp_path, dict(UNNORMALIZED_CONFIG, potential=potential, reports=["gamma"]))
+    assert main(["gamma", cfg]) == EXIT_NUMERICAL
+    assert "at beta 4 the float exponents beta*A move the floor" in capsys.readouterr().err
+
+
+def test_an_uncalibrated_max_plus_subaction_exits_3(tmp_path, capsys, monkeypatch):
+    # V_rec at the state 01, off the Aubry set {00, 11}, moved by 1e-9
+    subaction = zerotemp.asymptotics.max_plus_subaction
+
+    def off(*args):
+        v = subaction(*args)
+        return v[:1] + (v[1] + 1e-9,) + v[2:]
+
+    monkeypatch.setattr(zerotemp.asymptotics, "max_plus_subaction", off)
+    table = {"000": 0, "001": -1.87, "010": -3.3, "011": -3.11, "100": -4, "101": -1.33, "110": -1.08, "111": 0}
+    potential = {"kind": "locally-constant", "alphabet_size": 2, "table": table}
+    cfg = write_config(tmp_path, dict(LC1_CONFIG, potential=potential, reports=["subaction"]))
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "misses calibration by 1e-09" in capsys.readouterr().err
+
+
 def test_missing_zero_state_exits_3(tmp_path, capsys):
     cfg = {
         "potential": {
