@@ -9,16 +9,16 @@ At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
 maximum cycle mean, h the largest entropy of a critical component), so
 fixed-precision iteration cannot separate them.  perron() solves for the
-dominant pair only, with mpmath, on a tropically scaled matrix S whose
-precision follows the excess, not the spread of the matrix: it brackets
-the root by the M-matrix test, narrows the bracket by regula falsi, and
-certifies it by the Collatz-Wielandt bounds of its own Perron vectors.
+dominant pair only, on a tropically scaled matrix S whose precision
+follows the excess, not the spread of the matrix: it brackets the root by
+the M-matrix test in fixed-point ints, narrows it by regula falsi, and
+certifies it in mpmath by the Collatz-Wielandt bounds of its Perron vectors.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
-elimination plan per matrix, in a fill-reducing order, serves both: each
-perron probe is one numeric pass of it over mu*I - S, whose factors the
-solves reuse, and each Newton step one over x*I - adj that carries d/dx.
+elimination plan per pattern, in a fill-reducing order, serves both: each
+perron probe is one numeric pass of it over mu*I - S, one in mpf gives the
+factors the solves reuse, and each Newton step is one over x*I - adj.
 """
 
 from __future__ import annotations
@@ -133,6 +133,14 @@ class LocallyConstantPotential:
             if allows(u[-1], s)
         )
 
+    @cached_property
+    def plan(self):
+        """_elimination_plan of the transfer matrix's pattern, at every beta."""
+        pattern = [[False] * len(self.states) for _ in self.states]
+        for u, v, w in self.edges:
+            pattern[v][u] = math.isfinite(w)
+        return _elimination_plan(pattern)
+
 
 def transfer_matrix(pot: LocallyConstantPotential, beta: float) -> tuple[tuple[float, ...], ...]:
     """Log-domain transfer matrix over k-words, as rows of floats: entry
@@ -222,9 +230,8 @@ def _elimination_plan(pattern):
     (k, [(i, slot of b_ik, [(slot of b_ij, slot of b_kj), ...]), ...],
     [(j, slot of b_kj), ...]).  After a numeric pass, slot (i, k) holds
     the multiplier of L and slot (k, j) the entry of U.  One plan of a
-    pattern serves every pass over it: the perron probes (_shifted_lu) and
-    solves (_solve) on S, and the Newton steps (_newton_step) on an
-    adjacency.
+    pattern serves every pass over it: the perron probes (_fixed_test),
+    factors (_shifted_lu) and solves (_solve), and the Newton steps.
     """
     n = len(pattern)
     out = [{j for j in range(n) if pattern[i][j] and j != i} for i in range(n)]
@@ -285,6 +292,31 @@ def _shifted_lu(plan, a, mu):
     return passes, det, val
 
 
+def _fixed_test(plan, a, mu, bits):
+    """(passes, det) of _shifted_lu in fixed point: ints a and mu stand for
+    a * 2^-bits and mu * 2^-bits, multipliers are (b << bits) // p and
+    updates (f * b) >> bits.  The product of the pivots keeps 2*bits bits,
+    with the shifts in its exponent, and det returns as one mpf."""
+    size, entries, steps = plan
+    val = [mu] * len(steps) + [0] * (size - len(steps))
+    for s, i, j in entries:
+        val[s] -= a[i][j]
+    passes, det, exp = True, 1, 0
+    for k, updates, _ in steps:
+        p = val[k]
+        passes = passes and p > 0
+        if not p and k != steps[-1][0]:
+            return False, None
+        det *= p
+        cut = max(det.bit_length() - 2 * bits, 0)
+        det, exp = det >> cut, exp + cut - bits
+        for _, ik, targets in updates:
+            f = (val[ik] << bits) // p
+            for ij, kj in targets:
+                val[ij] -= f * val[kj] >> bits
+    return passes, mpmath.mpf((det, exp))
+
+
 def _solve(plan, lu, b, transpose=False) -> list:
     """x with (LU) x = b, or (LU)^T x = b, from the factors of _shifted_lu,
     in the plan's order."""
@@ -338,19 +370,19 @@ def _adjacency_root(adj, dps: int | None = None):
 
     With equal out-degrees r the root is r exactly (a cycle gives 1).
     Otherwise Newton's method on det(x I - adj) (_newton_step, on one
-    elimination plan) runs in floats from the largest out-degree: from
-    above the root its steps stay above it, so x falls monotonically onto
-    it.  Given dps, each Newton step squares the error, so the steps run at
-    precisions that double from the float's 53 bits up to dps digits, and
+    elimination plan) runs in floats from the Collatz-Wielandt bound
+    max_i (adj d)_i / d_i, d the out-degrees, at most the largest of them:
+    from above the root its steps stay above it, so x falls monotonically
+    onto it.  Given dps, each Newton step squares the error, so the steps
+    run at precisions that double from 53 bits up to dps digits, and
     further steps at dps follow until they stop halving (one, when the
     doubling has converged).
     """
-    degrees = {sum(row) for row in adj}
-    if len(degrees) == 1:
-        r = degrees.pop()
-        return float(r) if dps is None else mpmath.mpf(r)
+    d = [sum(row) for row in adj]
+    if len(set(d)) == 1:
+        return float(d[0]) if dps is None else mpmath.mpf(d[0])
     plan = _elimination_plan(adj)
-    x = float(max(degrees))
+    x = max(sum(a * dj for a, dj in zip(row, d)) / di for row, di in zip(adj, d))
     for _ in range(_MAX_STEPS + 8 * len(adj)):
         step = _newton_step(plan, x)
         if not step > 0 or x - step == x:  # rounding reached the root
@@ -413,108 +445,108 @@ def _scaled_matrix(logm, shift, w) -> list:
     return [[+x for x in row] for row in mat]
 
 
-def _bracket_root(plan, mat, floor, guess, digits: int, rel_width):
-    """Certified bracket of the Perron root of mat, narrowed around it, by
-    the M-matrix test on the elimination plan of its pattern.
+def _bracket_root(plan, mat, floor, guess, digits: int):
+    """Bracket (lo, hi, lambda) of the Perron root of mat by the M-matrix
+    test, each probe a _fixed_test over a, mat floored to ints at bits =
+    mp.prec; a wrong verdict can only cost the certificate perron checks.
 
-    ``floor`` is a lower estimate of the root (its max-plus floor, or None)
-    and ``guess`` an estimate of root - floor (or None).  The search works
-    on s = log(mu - floor), which spreads the cluster of eigenvalues just
-    above the floor: it brackets s by steps of ln 2 times 1, 2, 4, ... from
-    the guess (or down from an upper Collatz-Wielandt bound), bisects in s
-    while the ends are more than a factor 2 apart in mu - floor, then runs
-    regula falsi (Anderson-Bjorck) on det(mu*I - mat), the product of the
-    pivots, until hi - lo <= rel_width * (hi - floor).  (The last pivot
-    alone changes sign only between the root of the leading block and rho,
-    a window as narrow as the excess when the last state is off the Aubry
-    set.)
-
-    Returns (lo, hi, lambda, factors of hi*I - mat).  When the test passes
-    within floor * 10^-digits of the floor (the zero-excess case, such as
-    the zero potential, where the root equals the floor), lambda is the
-    floor itself.  A floor that turns out to lie above the root is replaced
-    by the lower Collatz-Wielandt bound.
+    The search works on x = (mu - floor) 2^bits, floor a lower estimate of
+    the root (None: the larger least row or column sum of a, less 10^-digits
+    of it) and guess one of root - floor (or None).  It brackets log x by
+    steps of ln 2 times 1, 2, 4, ... from the guess (or down from the smaller
+    largest row or column sum of a plus n + 1 units, as each floored entry
+    falls short by under one), bisects in log x while the ends are more than
+    a factor 2 apart, then runs regula falsi (Anderson-Bjorck) on det(mu*I -
+    a), the product of the pivots (the last pivot alone changes sign in a
+    window as narrow as the excess), until hi - lo <= 10^-R (hi - floor).
+    lambda is hi, or the floor when the test passes within floor * 10^-digits
+    of it (zero excess, as for the zero potential).  A floor above the root
+    gives way to the lower sum.
     """
-    ones = [mpmath.mpf(1)] * len(mat)
-    rows, cols = (_collatz_wielandt(plan, mat, ones, transpose) for transpose in (False, True))
-    top = min(rows[1], cols[1])
-    low = max(rows[0], cols[0]) * (1 - mpmath.mpf(10) ** -digits)
-    if floor is None:
-        floor = low
-    x_min = floor * mpmath.mpf(10) ** -digits
-    x_max = max(2 * (top - floor), 2 * x_min)
-    found = _search(plan, mat, floor, guess or x_max, x_min, x_max)
+    bits, n = mpmath.mp.prec, len(mat)
+    a = [[0] * n for _ in mat]
+    for _, i, j in plan[1]:
+        a[i][j] = int(mpmath.ldexp(mat[i][j], bits))
+    sums = list(map(sum, a)), list(map(sum, zip(*a)))
+    top, low = min(map(max, sums)) + n + 1, max(map(min, sums)) * (10**digits - 1) // 10**digits
+    base = low if floor is None else int(mpmath.ldexp(floor, bits))
+
+    def test(x):  # the M-matrix test at mu = base + x, for the current base
+        return _fixed_test(plan, a, base + x, bits)
+
+    x_min = max(base // 10**digits, 1)
+    x_max = max(2 * (top - base), 2 * x_min)
+    found = _search(test, x_max if guess is None else int(mpmath.ldexp(guess, bits)), x_min, x_max)
     if found is None:  # the test passes at floor + x_min
-        lo = floor - x_min
-        if not _shifted_lu(plan, mat, lo)[0]:
-            hi = floor + x_min
-            return lo, hi, floor, _shifted_lu(plan, mat, hi)[2]
+        if not test(-x_min)[0]:
+            lo, hi, lam = (mpmath.ldexp(base + x, -bits) for x in (-x_min, x_min, 0))
+            return lo, hi, lam if floor is None else floor
         # the floor lies above the root; low lies below it by low * 10^-digits
-        floor, x_min = low, low * mpmath.mpf(10) ** -digits
-        found = _search(plan, mat, floor, lo - floor, x_min, lo - floor)
+        lo, base, x_min = base - x_min, low, max(low // 10**digits, 1)
+        found = _search(test, lo - base, x_min, lo - base)
         if found is None:
             raise PerronError(f"no root above the lower Collatz-Wielandt bound; {ITERATION_NOTE}")
-    lo, f_lo, hi, f_hi, lu_hi = found
+    x_lo, f_lo, x_hi, f_hi = found
     side = 0
     for _ in range(_MAX_PROBES):
-        x_lo, x_hi = lo - floor, hi - floor
-        width = rel_width * x_hi
+        width = x_hi // 10**_RESOLVED
         if x_hi - x_lo <= width:
-            return lo, hi, hi, lu_hi
-        if 2 * x_lo < x_hi:  # bisect in s; x needs no more than 53 bits
-            with mpmath.workprec(53):
-                x = mpmath.sqrt(x_lo * x_hi)
+            break
+        if 2 * x_lo < x_hi:  # bisect in log x
+            x = math.isqrt(x_lo * x_hi)
         elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
-            x = (x_lo + x_hi) / 2
+            x = (x_lo + x_hi) // 2
         else:
             # keep half the target width from either end, so that a step that
             # lands next to one end still closes the bracket, and aim a quarter
             # of it low, so that no probe lands within rounding of the root
-            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo) - width / 4
-            x = min(max(x, x_lo + width / 2), x_hi - width / 2)
-        mu = floor + x
-        if mu == lo or mu == hi:  # no point left between the ends
-            return lo, hi, hi, lu_hi
-        passes, f, lu = _shifted_lu(plan, mat, mu)
+            x = x_hi - int(f_hi * (x_hi - x_lo) / (f_hi - f_lo)) - width // 4
+            x = min(max(x, x_lo + width // 2), x_hi - width // 2)
+        if x == x_lo or x == x_hi:  # no point left between the ends
+            break
+        passes, f = test(x)
         # Anderson-Bjorck: when one end is replaced twice in a row, scale
         # the value kept at the other end down, so that both ends move
         if passes:
             if side == 1 and f_lo is not None:
                 scale = 1 - f / f_hi
                 f_lo *= scale if scale > 0 else mpmath.mpf(0.5)
-            hi, f_hi, lu_hi = mu, f, lu
+            x_hi, f_hi = x, f
             side = 1
         else:
             if side == -1 and f is not None and f_lo is not None:
                 scale = 1 - f / f_lo
                 f_hi *= scale if scale > 0 else mpmath.mpf(0.5)
-            lo, f_lo = mu, f
+            x_lo, f_lo = x, f
             side = -1
-    raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
+    else:
+        raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
+    lo, hi = (mpmath.ldexp(base + x, -bits) for x in (x_lo, x_hi))
+    return lo, hi, hi
 
 
-def _search(plan, mat, floor, x, x_min, x_max):
+def _search(test, x, x_min, x_max):
     """Bracket the root in x = mu - floor from a first x in [x_min, x_max],
-    by factors 2, 4, 16, ...: down while the test passes, up while it fails
-    (up to x_max, where it passes).  Returns (lo, det at lo, hi, det at hi,
-    factors at hi), or None if the test still passes at floor + x_min."""
+    by factors 2, 4, 16, ...: down while test(x) passes, up while it fails
+    (up to x_max, where it passes).  Returns (x_lo, det at x_lo, x_hi, det
+    at x_hi), or None if the test still passes at x_min."""
     x = min(max(x, x_min), x_max)
-    passes, f, lu = _shifted_lu(plan, mat, floor + x)
+    passes, f = test(x)
     step = 1
     if passes:
         while x > x_min:
-            x_next = max(x / mpmath.mpf(2) ** step, x_min)
-            passes_next, f_next, lu_next = _shifted_lu(plan, mat, floor + x_next)
+            x_next = max(x >> step, x_min)
+            passes_next, f_next = test(x_next)
             if not passes_next:
-                return floor + x_next, f_next, floor + x, f, lu
-            x, f, lu = x_next, f_next, lu_next
+                return x_next, f_next, x, f
+            x, f = x_next, f_next
             step *= 2
         return None
     while x < x_max:
-        x_next = min(x * mpmath.mpf(2) ** step, x_max)
-        passes_next, f_next, lu_next = _shifted_lu(plan, mat, floor + x_next)
+        x_next = min(x << step, x_max)
+        passes_next, f_next = test(x_next)
         if passes_next:
-            return floor + x, f, floor + x_next, f_next, lu_next
+            return x, f, x_next, f_next
         x, f = x_next, f_next
         step *= 2
     raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
@@ -606,7 +638,7 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     anchor = pot.states.index(zero)
     logm = transfer_matrix(pot, beta)
     n = len(logm)
-    plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
+    plan = pot.plan
     finite = [x for row in logm for x in row if math.isfinite(x)]
     span = max(finite) - min(finite) if finite else 0.0
     cycle_mean, adj, gamma, v = floor if floor is not None else (0.0, None, None, None)
@@ -633,10 +665,8 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
                 if gamma is not None:
                     with mpmath.workprec(53):
                         guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
-            resolution = mpmath.mpf(10) ** -_RESOLVED
-            lo, hi, lam, lu = _bracket_root(
-                plan, mat, base, guess, excess_digits + _RESOLVED, resolution
-            )
+            lo, hi, lam = _bracket_root(plan, mat, base, guess, excess_digits + _RESOLVED)
+            lu = _shifted_lu(plan, mat, hi)[2]
             h_vec = _perron_vector(plan, lu, mat, lo, hi)
         if h_vec is not None:
             break

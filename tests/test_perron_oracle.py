@@ -429,3 +429,63 @@ def test_vectors_read_late_are_the_eager_ones(name, pot):
     for beta in (16.0, 256.0):
         p = an.perron(beta)
         assert (p.log_H, p.log_nu, p.mass_k) == EAGER_VECTORS[name, beta]
+
+
+def record_probe_verdicts(monkeypatch) -> list:
+    """Each probe of perron, as (fixed-point verdict, mpf verdict): the
+    first from _fixed_test on the floored ints, the second from _shifted_lu
+    on the working matrix at the same mu."""
+    formed, verdicts = [], []
+    form, fixed_test = spectral._scaled_matrix, spectral._fixed_test
+
+    def recorded_form(*args):
+        formed.append(form(*args))
+        return formed[-1]
+
+    def recorded_test(plan, a, mu, bits):
+        passes, det = fixed_test(plan, a, mu, bits)
+        with mpmath.workprec(mu.bit_length() + 1):  # mu exactly
+            exact_mu = mpmath.ldexp(mu, -bits)
+        verdicts.append((passes, _shifted_lu(plan, formed[-1], exact_mu)[0]))
+        return passes, det
+
+    monkeypatch.setattr(spectral, "_scaled_matrix", recorded_form)
+    monkeypatch.setattr(spectral, "_fixed_test", recorded_test)
+    return verdicts
+
+
+def _reducible_potential():
+    # state 2 leads into {0, 1} and is never entered again
+    sft = Sft(3, ((True, True, False), (True, True, False), (True, True, True)))
+    return LocallyConstantPotential.from_table(
+        sft, {"00": 0.0, "01": -1.0, "10": -1.0, "11": -3.0, "20": -2.0, "21": -2.0, "22": -5.0})
+
+
+# floors by name, from the floor (m, adj, gamma, V) of Analysis
+FLOORS = {
+    "analysis": lambda m, adj, gamma, v: (m, adj, gamma, v),
+    "half the rate": lambda m, adj, gamma, v: (m, adj, gamma / 2, v),  # escalates
+    "above the root": lambda *_: (0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None),
+    "unscaled": lambda m, adj, gamma, v: (m, adj, None, None),
+    "no subaction": lambda m, adj, gamma, v: (m, adj, gamma, None),
+    "none": lambda *_: None,
+}
+
+
+@pytest.mark.parametrize("pot, beta, floor", [
+    (two_zero_blocks_potential(), 512.0, "analysis"),
+    (two_zero_blocks_potential(), 128.0, "half the rate"),
+    (two_zero_blocks_potential(), 32.0, "above the root"),
+    (table_potential("golden5"), 32.0, "unscaled"),
+    (table_potential("n4"), 256.0, "no subaction"),
+    (table_potential("golden8"), 16.0, "none"),
+    (golden_mean_potential(), 16.0, "analysis"),
+    (_reducible_potential(), 32.0, "analysis"),
+    (zero_potential(), 7.0, "analysis"),
+])
+def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, floor):
+    verdicts = record_probe_verdicts(monkeypatch)
+    p = perron(pot, beta, FLOORS[floor](*Analysis(pot).floor))
+    assert {fixed for fixed, _ in verdicts} == {True, False}
+    assert [fixed for fixed, _ in verdicts] == [mp for _, mp in verdicts]
+    assert p.escalations == (1 if floor == "half the rate" else 0)

@@ -22,12 +22,12 @@ from zerotemp import (
     transfer_matrix,
 )
 from zerotemp import spectral
-from zerotemp.asymptotics import Analysis
+from zerotemp.asymptotics import Analysis, estimate_gamma
 from zerotemp.verify import lc1_potential, lc2_potential, zero_potential
 
 import mpmath
 
-from conftest import lifted
+from conftest import lifted, table_potential
 
 # two symbols, word 11 forbidden
 GOLDEN = Sft(2, ((True, True), (True, False)))
@@ -264,6 +264,18 @@ def test_unscaled_floors_give_the_same_pair():
         assert p.mass_k == pytest.approx(expected.mass_k, rel=1e-14, abs=1e-300)
 
 
+def test_the_plan_is_built_once_per_potential(monkeypatch):
+    calls, plan = [], spectral._elimination_plan
+    monkeypatch.setattr(spectral, "_elimination_plan",
+                        lambda pattern: calls.append(len(pattern)) or plan(pattern))
+    an = Analysis(table_potential("golden8"))
+    gammas = estimate_gamma(an, (4.0, 8.0, 16.0, 32.0)).gamma_hat
+    assert len(set(gammas)) == 4
+    # the critical components, the fixed point 0 and the orbit of 01, are
+    # cycles, whose roots need no plan
+    assert calls == [len(an.pot.states)]
+
+
 def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypatch):
     # on 64 states at beta 128, entries of nu_S hundreds of orders of
     # magnitude below its largest converge last: for a step the lower
@@ -287,8 +299,9 @@ def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypat
     p = Analysis(pot).perron(128.0)
     assert p.escalations == 0
     assert abs(sum(p.mass_k) - 1) < 1e-12  # nu is certified
-    # the first transposed bounds are the bracket's start, of x = 1
-    widths = [high - low for low, high in transposed[1:]]
+    # with a floor the bracket starts from no Collatz-Wielandt bound of
+    # ones, so every transposed bound is one of an iterate of nu_S
+    widths = [high - low for low, high in transposed]
     assert any(not later <= earlier / 2 for earlier, later in zip(widths, widths[1:]))
 
 
@@ -387,6 +400,39 @@ def test_adjacency_root_doubles_its_precision(monkeypatch):
                 [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])], x
             )
         assert abs(root - x) / x < mpmath.mpf(10) ** -3990
+
+
+def test_the_float_newton_stage_starts_at_a_collatz_wielandt_bound(monkeypatch):
+    # a cycle through 38 states united with 4 random cycles: the bound
+    # max_i (adj d)_i / d_i of the out-degrees d lies below their largest
+    rng = random.Random(7)
+    adj = [[0] * 38 for _ in range(38)]
+    cycles = [rng.sample(range(38), 38)] + [rng.sample(range(38), rng.randint(2, 38)) for _ in range(4)]
+    for cycle in cycles:
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[u][v] = 1
+    adj = tuple(map(tuple, adj))
+    newton_step, plan = spectral._newton_step, spectral._elimination_plan(adj)
+    x, from_degree = float(max(map(sum, adj))), 0
+    while True:  # the float stage as it ran from the largest out-degree
+        step, from_degree = newton_step(plan, x), from_degree + 1
+        if not step > 0 or x - step == x:
+            break
+        x -= step
+    floats = []
+    monkeypatch.setattr(spectral, "_newton_step", lambda plan, x: (
+        isinstance(x, float) and floats.append(x)) or newton_step(plan, x))
+    root = spectral._adjacency_root(adj)
+    assert floats[0] < max(map(sum, adj)) and len(floats) < from_degree - 5
+    assert root == x
+    # 600 digits agree with Newton on the integer characteristic polynomial
+    coeffs = _sparse_charpoly(adj)
+    slope = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
+    with mpmath.workdps(620):
+        ref = mpmath.mpf(root)
+        for _ in range(12):
+            ref -= mpmath.polyval(coeffs, ref) / mpmath.polyval(slope, ref)
+        assert abs(spectral.adjacency_entropy(adj, 600) - mpmath.log(ref)) < mpmath.mpf(10) ** -600
 
 
 @st.composite
@@ -493,12 +539,18 @@ def test_planned_elimination_against_dense_references(data):
         n = len(mat)
         plan = spectral._elimination_plan(mat)
         passes, det, lu = spectral._shifted_lu(plan, mat, mu)
-        assert passes == (mu > rho)
+        # the same test in fixed point, on mat and mu floored at 2^-bits
+        bits = mpmath.mp.prec
+        fixed = [[int(mpmath.ldexp(x, bits)) for x in row] for row in mat]
+        fixed_passes, fixed_det = spectral._fixed_test(plan, fixed, int(mpmath.ldexp(mu, bits)), bits)
+        assert passes == fixed_passes == (mu > rho)
+        a = mpmath.matrix([[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)])
+        scale = (abs(mu) + max(sum(row) for row in mat)) ** n
+        if fixed_det is not None:
+            assert abs(fixed_det - mpmath.det(a)) <= mpmath.mpf(10) ** -40 * scale
         if det is None:  # a leading block is singular, so mu <= rho
             assert mu < rho
             return
-        a = mpmath.matrix([[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)])
-        scale = (abs(mu) + max(sum(row) for row in mat)) ** n
         assert abs(det - mpmath.det(a)) <= mpmath.mpf(10) ** -40 * scale
         if not det:
             return
