@@ -447,31 +447,36 @@ def _scaled_matrix(logm, shift, w) -> list:
 
 def _bracket_root(plan, mat, floor, guess, digits: int):
     """Bracket (lo, hi, lambda) of the Perron root of mat by the M-matrix
-    test, each probe a _fixed_test over a, mat floored to ints at bits =
-    mp.prec; a wrong verdict can only cost the certificate perron checks.
+    test, each probe a _fixed_test over a, mat floored to ints at 2^-bits;
+    a wrong verdict can only cost the certificate perron checks.  floor is
+    a lower estimate of the root, or None for the larger Collatz-Wielandt
+    lower bound of ones (rows or columns); bits is mp.prec plus what brings
+    the floor to 2^bits units, so that units stay relative to the root.
 
-    The search works on x = (mu - floor) 2^bits, floor a lower estimate of
-    the root (None: the larger least row or column sum of a, less 10^-digits
-    of it) and guess one of root - floor (or None).  It brackets log x by
-    steps of ln 2 times 1, 2, 4, ... from the guess (or down from the smaller
-    largest row or column sum of a plus n + 1 units, as each floored entry
-    falls short by under one), bisects in log x while the ends are more than
-    a factor 2 apart, then runs regula falsi (Anderson-Bjorck) on det(mu*I -
-    a), the product of the pivots (the last pivot alone changes sign in a
-    window as narrow as the excess), until hi - lo <= 10^-R (hi - floor).
-    lambda is hi, or the floor when the test passes within floor * 10^-digits
-    of it (zero excess, as for the zero potential).  A floor above the root
-    gives way to the lower sum.
+    The search works on x = (mu - floor) 2^bits, guess one of root - floor
+    (or None).  It brackets log x by steps of ln 2 times 1, 2, 4, ... from
+    the guess (or down from the smaller largest row or column sum of a plus
+    n + 1 units, as each floored entry falls short by under one), bisects
+    in log x while the ends are more than a factor 2 apart, then runs
+    regula falsi (Anderson-Bjorck) on det(mu*I - a), the product of the
+    pivots (the last pivot alone changes sign in a window as narrow as the
+    excess), until hi - lo <= 10^-R (hi - floor).  lambda is hi, or the
+    floor when the test passes within floor * 10^-digits of it (zero
+    excess); a floor above the root gives way to None.
     """
-    bits, n = mpmath.mp.prec, len(mat)
-    a = [[0] * n for _ in mat]
+    n, ref = len(mat), floor
+    if floor is None:
+        ref = max(_collatz_wielandt(plan, mat, [mpmath.mpf(1)] * n, t)[0] for t in (False, True))
+    bits = mpmath.mp.prec + max(0, 1 - mpmath.mag(ref or 1))
+    a, rows, cols = [[0] * n for _ in mat], [0] * n, [0] * n
     for _, i, j in plan[1]:
-        a[i][j] = int(mpmath.ldexp(mat[i][j], bits))
-    sums = list(map(sum, a)), list(map(sum, zip(*a)))
-    top, low = min(map(max, sums)) + n + 1, max(map(min, sums)) * (10**digits - 1) // 10**digits
-    base = low if floor is None else int(mpmath.ldexp(floor, bits))
+        a[i][j] = x = int(mpmath.ldexp(mat[i][j], bits))
+        rows[i] += x
+        cols[j] += x
+    top = min(max(rows), max(cols)) + n + 1
+    base = int(mpmath.ldexp(ref, bits))
 
-    def test(x):  # the M-matrix test at mu = base + x, for the current base
+    def test(x):  # the M-matrix test at mu = base + x
         return _fixed_test(plan, a, base + x, bits)
 
     x_min = max(base // 10**digits, 1)
@@ -481,17 +486,13 @@ def _bracket_root(plan, mat, floor, guess, digits: int):
         if not test(-x_min)[0]:
             lo, hi, lam = (mpmath.ldexp(base + x, -bits) for x in (-x_min, x_min, 0))
             return lo, hi, lam if floor is None else floor
-        # the floor lies above the root; low lies below it by low * 10^-digits
-        lo, base, x_min = base - x_min, low, max(low // 10**digits, 1)
-        found = _search(test, lo - base, x_min, lo - base)
-        if found is None:
+        if floor is None:
             raise PerronError(f"no root above the lower Collatz-Wielandt bound; {ITERATION_NOTE}")
+        return _bracket_root(plan, mat, None, None, digits)  # the floor lies above the root
     x_lo, f_lo, x_hi, f_hi = found
     side = 0
     for _ in range(_MAX_PROBES):
         width = x_hi // 10**_RESOLVED
-        if x_hi - x_lo <= width:
-            break
         if 2 * x_lo < x_hi:  # bisect in log x
             x = math.isqrt(x_lo * x_hi)
         elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
@@ -502,8 +503,10 @@ def _bracket_root(plan, mat, floor, guess, digits: int):
             # of it low, so that no probe lands within rounding of the root
             x = x_hi - int(f_hi * (x_hi - x_lo) / (f_hi - f_lo)) - width // 4
             x = min(max(x, x_lo + width // 2), x_hi - width // 2)
-        if x == x_lo or x == x_hi:  # no point left between the ends
-            break
+        # resolved, or no point left between the ends
+        if x_hi - x_lo <= width or x == x_lo or x == x_hi:
+            lo, hi = (mpmath.ldexp(base + x, -bits) for x in (x_lo, x_hi))
+            return lo, hi, hi
         passes, f = test(x)
         # Anderson-Bjorck: when one end is replaced twice in a row, scale
         # the value kept at the other end down, so that both ends move
@@ -519,10 +522,7 @@ def _bracket_root(plan, mat, floor, guess, digits: int):
                 f_hi *= scale if scale > 0 else mpmath.mpf(0.5)
             x_lo, f_lo = x, f
             side = -1
-    else:
-        raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
-    lo, hi = (mpmath.ldexp(base + x, -bits) for x in (x_lo, x_hi))
-    return lo, hi, hi
+    raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
 
 
 def _search(test, x, x_min, x_max):
@@ -666,8 +666,8 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
                     with mpmath.workprec(53):
                         guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
             lo, hi, lam = _bracket_root(plan, mat, base, guess, excess_digits + _RESOLVED)
-            lu = _shifted_lu(plan, mat, hi)[2]
-            h_vec = _perron_vector(plan, lu, mat, lo, hi)
+            passes, _, lu = _shifted_lu(plan, mat, hi)
+            h_vec = _perron_vector(plan, lu, mat, lo, hi) if passes else None
         if h_vec is not None:
             break
         escalations += 1

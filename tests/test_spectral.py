@@ -100,6 +100,26 @@ def test_perron_zero_potential():
     assert p.mass_k == pytest.approx((0.5, 0.5))
 
 
+@pytest.mark.parametrize("table", [
+    {"00": -1.0, "01": -1.0, "10": -1.0, "11": -1.0},  # the root is the row sum
+    {"00": -1.0, "01": -1.03125, "10": -1.015625, "11": -1.046875},
+])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beta", [16.0, 240.0, 256.0, 1024.0])
+def test_unfloored_roots_far_from_one_keep_their_relative_resolution(table, sign, beta):
+    # with no floor S is unnormalized: its root 2e^{-beta} or e^{-beta}(1 +
+    # ...) sits far below or above 1, and a span of at most beta/16 sizes
+    # only a few digits
+    pot = LocallyConstantPotential.from_table(full_shift(1), {k: sign * v for k, v in table.items()})
+    p = perron(pot, beta, None)
+    with mpmath.workdps(p.dps):
+        a, b, c, d = (mpmath.exp(beta * sign * table[k]) for k in ("00", "10", "01", "11"))
+        root = (a + d) / 2 + mpmath.sqrt(((a - d) / 2) ** 2 + b * c)
+        assert p.escalations == 0
+        assert abs(p.log_lambda_mp - mpmath.log(root)) <= mpmath.mpf(10) ** -50 * beta
+        assert p.bracket[0] <= root <= p.bracket[1]
+
+
 def test_depth_zero_lift():
     sft = full_shift(1)
     an = Analysis(LocallyConstantPotential(sft, 0, {(0,): 0.0, (1,): -1.0}))
