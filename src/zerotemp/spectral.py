@@ -169,13 +169,15 @@ class PerronData:
     Collatz-Wielandt bounds of H_S certify; ``escalations`` counts the
     solves repeated at a higher precision when they could not.  lambda is
     hi, or the max-plus floor when the root lies within the resolution of
-    it (zero excess).
+    it (zero excess); lam is its value for S, at dps: lambda = lam e^{beta*m}.
+    The reports read lam's excess over the floor at 113 bits; log_lambda_mp,
+    the log at dps (an AGM at about 2*dps for lam near 1), forms on request.
     """
 
     beta: float
     pot: LocallyConstantPotential
     log_lambda: float
-    log_lambda_mp: object  # mpmath.mpf, keeps the tiny excess over e^h resolvable
+    lam: object  # mpmath.mpf
     dps: int
     bracket: tuple
     escalations: int
@@ -196,27 +198,30 @@ class PerronData:
     def words(self) -> list[tuple[int, ...]]:
         return self.pot.states
 
-    def pressure_excess_log(self, h_mp) -> float:
-        """log(P - beta*m - h), over the floor e^{beta*m + h} that perron
-        scaled by; raises unless the certified bracket lies above that floor
-        by more than 10^-E relative, E = dps - R - G the digits that the
-        excess was sized to occupy.  log_lambda_mp keeps its working
-        precision, and beta*m is perron's own mpf product, so the
-        cancellation is accurate whenever the excess is resolved."""
+    @cached_property
+    def log_lambda_mp(self):  # keeps the tiny excess over e^h resolvable
         with mpmath.workdps(self.dps):
-            shift = mpmath.mpf(self.beta) * self.m
-            log_root = self.log_lambda_mp - shift
+            return mpmath.log(self.lam) + mpmath.mpf(self.beta) * self.m
+
+    def pressure_excess_log(self, h_mp) -> float:
+        """log(P - beta*m - h) = log log(lam e^-h); raises unless the
+        certified bracket lies above the floor e^{beta*m + h} by more than
+        10^-E relative, E = dps - R - G the digits that the excess was sized
+        to occupy.  lam e^-h is formed at dps, so its excess over 1 is right
+        to R + G digits whenever it is resolved, and mpmath's log at 113
+        bits reads that excess off its whole mantissa, exactly."""
+        with mpmath.workdps(self.dps):
+            shift, e_h = mpmath.mpf(self.beta) * self.m, mpmath.exp(h_mp)
+            ratio = self.lam / e_h
             resolvable = 1 + mpmath.mpf(10) ** (_RESOLVED + _GUARD - self.dps)
-            if not self.bracket[0] > mpmath.exp(shift) * mpmath.exp(h_mp) * resolvable:
+            if not self.bracket[0] > mpmath.exp(shift) * e_h * resolvable:
                 raise PerronError(
-                    f"pressure excess P - beta*m - h = {mpmath.nstr(log_root - h_mp, 6)} "
+                    f"pressure excess P - beta*m - h = {mpmath.nstr(mpmath.log(ratio), 6)} "
                     "is not resolvably positive (h misidentified or potential "
                     "has zero excess)"
                 )
-        # the subtraction is exact before rounding; 113 bits leave enough
-        # guard bits for the float log to be correctly rounded
         with mpmath.workprec(113):
-            return float(mpmath.log(log_root - h_mp))
+            return float(mpmath.log(mpmath.log(ratio)))
 
 
 def _elimination_plan(pattern):
@@ -677,8 +682,11 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
             )
         excess_digits *= 2
     with mpmath.workdps(dps):
-        log_lambda_mp = mpmath.log(lam) + shift
         bracket = tuple(x * mpmath.exp(shift) for x in (lo, hi))
+        base = 1 if base is None else base
+        ratio = lam / base
+    with mpmath.workprec(113):  # log(ratio) reads its excess over 1 off the whole mantissa
+        log_lambda = float(shift + mpmath.log(base) + mpmath.log(ratio))
 
     def vectors():
         pattern = [[j for j, x in enumerate(row) if math.isfinite(x)] for row in logm]
@@ -706,8 +714,8 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     return PerronData(
         beta=beta,
         pot=pot,
-        log_lambda=float(log_lambda_mp),
-        log_lambda_mp=log_lambda_mp,
+        log_lambda=log_lambda,
+        lam=lam,
         dps=dps,
         bracket=bracket,
         escalations=escalations,

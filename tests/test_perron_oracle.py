@@ -2,6 +2,7 @@
 on random potentials and on the near-degenerate examples."""
 
 import itertools
+import json
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron, spectral
 from zerotemp.asymptotics import Analysis, estimate_gamma
+from zerotemp.cli import EXIT_OK, main
 from zerotemp.maxplus import _strongly_connected_components
 from zerotemp.spectral import (
     _collatz_wielandt,
@@ -22,8 +24,9 @@ from zerotemp.spectral import (
     transfer_matrix,
 )
 from zerotemp.verify import three_symbol_potential, zero_potential
+from zerotemp.walters import _appendix_chains
 
-from conftest import table_potential, two_zero_blocks_potential
+from conftest import TABLES, table_potential, two_zero_blocks_potential
 from perron_reference import reference_perron
 
 # dyadic weights of span <= 1 keep the dense reference below a second at
@@ -489,3 +492,104 @@ def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, flo
     assert {fixed for fixed, _ in verdicts} == {True, False}
     assert [fixed for fixed, _ in verdicts] == [mp for _, mp in verdicts]
     assert p.escalations == (1 if floor == "half the rate" else 0)
+
+
+GOLDEN_1001 = {
+    w: -1.0 if w == "1001" else 0.0
+    for w in ("".join(t) for t in itertools.product("01", repeat=4)) if "11" not in w
+}
+
+
+def golden_1001_potential() -> LocallyConstantPotential:
+    """The golden-mean shift, 0 on every 4-word but 1001 = -1: the critical
+    component has out-degrees 1 and 2, so its root e^h is irrational."""
+    return LocallyConstantPotential.from_table(Sft(2, ((True, True), (True, False))), GOLDEN_1001)
+
+
+def _excess_log_from_the_log(p, h) -> float:
+    """log(P - beta*m - h) read off log_lambda_mp, as perron once did."""
+    with mpmath.workdps(p.dps):
+        log_root = p.log_lambda_mp - mpmath.mpf(p.beta) * p.m
+    with mpmath.workprec(113):
+        return float(mpmath.log(log_root - h))
+
+
+def _nonnormalized_potential() -> LocallyConstantPotential:
+    _, table = TABLES["n4"]
+    return LocallyConstantPotential.from_table(full_shift(1), {w: v + 0.75 for w, v in table.items()})
+
+
+def _analysis_solve(pot, beta):
+    an = Analysis(pot)
+    return an.perron(beta), an.entropy(beta)
+
+
+def _appendix_solve(which):
+    pot, floor = _appendix_chains(-2.0, -1.0, 64.0)[which]
+    return perron(pot, 1.0, floor), mpmath.mpf(0)
+
+
+LAZY_LOG_SOLVES = {
+    **{(name, beta): (lambda name=name, beta=beta: _analysis_solve(table_potential(name), beta))
+       for name in ("n2", "n4", "golden5", "golden8", "two zero blocks") for beta in (16.0, 512.0)},
+    ("golden 1001", 64.0): lambda: _analysis_solve(golden_1001_potential(), 64.0),
+    ("n4 + 0.75", 128.0): lambda: _analysis_solve(_nonnormalized_potential(), 128.0),
+    ("appendix, perturbed", 1.0): lambda: _appendix_solve(0),
+    ("appendix, unperturbed", 1.0): lambda: _appendix_solve(1),
+    ("golden8, no floor", 16.0): lambda: (perron(table_potential("golden8"), 16.0, None), mpmath.mpf(0)),
+}
+
+
+@pytest.mark.parametrize("case", list(LAZY_LOG_SOLVES))
+def test_the_rate_and_pressure_match_the_working_precision_log(case):
+    p, h = LAZY_LOG_SOLVES[case]()
+    excess_log = p.pressure_excess_log(h)
+    assert "log_lambda_mp" not in vars(p)
+    assert p.log_lambda == float(p.log_lambda_mp)
+    assert excess_log == _excess_log_from_the_log(p, h)
+
+
+def test_the_cases_cover_shifted_floors():
+    assert Analysis(_nonnormalized_potential()).floor[0] == 0.75
+    (_, (m, _, _, v)), (_, (m0, _, _, _)) = _appendix_chains(-2.0, -1.0, 64.0)
+    assert m > 0 and v[1] != 0 and m0 == 0
+
+
+@pytest.mark.parametrize("pot, grid", [
+    (table_potential("n4"), (128.0, 256.0, 512.0)),
+    (two_zero_blocks_potential(), (64.0, 128.0, 256.0, 512.0)),
+])
+def test_a_gamma_sweep_forms_no_log_at_the_working_precision(monkeypatch, pot, grid):
+    precs, log = [], mpmath.log
+    monkeypatch.setattr(mpmath, "log", lambda *args: precs.append(mpmath.mp.prec) or log(*args))
+    an = Analysis(pot)
+    estimate_gamma(an, grid)
+    assert not any("log_lambda_mp" in vars(an.perron(beta)) for beta in grid)
+    # the one log above 113 bits is h's, in _entropy_mp
+    assert sum(prec > 113 for prec in precs) == 1
+
+
+# `zerotemp gamma` on GOLDEN_1001 as it printed when perron formed the log
+# of lambda at dps
+GOLDEN_1001_GAMMA = """\
+# config-sha256=05d588cfef2f8fb4573fcf20624a4cab8b9b0891560b037ccc2bcc2dd544df05
+beta,pressure,gamma_hat,gamma_maxplus,h
+16,0.41401274508767644,-1.1676775019204297,-1,0.4140127373937918
+32,0.41401273739379268,-1.0838387509481213,-1,0.4140127373937918
+64,0.4140127373937918,-1.0419193754740608,-1,0.4140127373937918
+128,0.4140127373937918,-1.0209596877370304,-1,0.4140127373937918
+256,0.4140127373937918,-1.0104798438685152,-1,0.4140127373937918
+"""
+
+
+def test_a_gamma_sweep_on_an_irrational_floor_prints_as_before(tmp_path, capsys):
+    config = {
+        "potential": {"kind": "locally-constant", "alphabet_size": 2, "transitions": [[1, 1], [1, 0]],
+                      "table": GOLDEN_1001},
+        "beta_grid": [16.0, 32.0, 64.0, 128.0, 256.0],
+        "reports": ["gamma"],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["gamma", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_1001_GAMMA
