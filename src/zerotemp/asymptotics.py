@@ -105,9 +105,12 @@ class Analysis:
     @cached_property
     def floor(self):
         """(m, adjacency of a largest-entropy component, gamma, max-plus
-        subaction) for ``perron``, read off A - m.  gamma and the subaction
-        are None when either fails its certificate; the floor is None when
-        A - m has no Aubry decomposition, and perron finds its own."""
+        subaction, Aubry states C) for ``perron``, read off A - m.  gamma and
+        the subaction are None when either fails its certificate; C is ()
+        when a critical component has less entropy than h, as its rows read
+        an O(1) share of the root through the rest, which perron's split
+        cannot resolve.  The floor is None when A - m has no Aubry
+        decomposition, and perron finds its own."""
         m, _, d = self._normalized
         if isinstance(d, Exception):
             return None
@@ -115,7 +118,8 @@ class Analysis:
             gamma, v = self.gamma_maxplus, self.subaction_maxplus
         except NoEigenvalueError:
             gamma = v = None
-        return m, d.adjacency(d.entropies.index(d.h)), gamma, v
+        aubry = () if len(d.maximal_set) < len(d.components) else tuple(sorted(x for c in d.components for x in c))
+        return m, d.adjacency(d.entropies.index(d.h)), gamma, v, aubry
 
     def exact_floor(self, beta: float) -> bool:
         """Whether each critical cycle of A - m weighs exactly 0 in the float

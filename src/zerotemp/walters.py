@@ -475,16 +475,16 @@ def _rel_err(measured: float, expected: float) -> float:
 def _appendix_chains(gamma_p: float, eta: float, beta: float):
     """The perturbed and unperturbed two-state chains, as depth-1 potentials
     on the full 2-shift with beta already applied, each with its perron
-    floor (m, adj, gamma, V) in closed form.
+    floor (m, adj, gamma, V, C) in closed form.
 
     Perturbed: the loop at 1 weighs m = log(1 + e^{beta eta}) > 0, the
-    largest cycle mean; its Aubry set is that loop, and the best way back
-    to it in A - m is 1 -> 0 -> 1, of weight 2 beta gamma_p - 2m.  The
-    subaction of A - m is S(1, x): 0 at 1 and beta gamma_p - m at 0, so
+    largest cycle mean; its Aubry set is that loop, C = (1,), and the best
+    way back to it in A - m is 1 -> 0 -> 1, of weight 2 beta gamma_p - 2m.
+    The subaction of A - m is S(1, x): 0 at 1 and beta gamma_p - m at 0, so
     V = (0, m - beta gamma_p) once it vanishes at 0.
-    Unperturbed: m = 0, both loops are Aubry components of entropy 0, the
-    max-plus rate of their cost matrix is the 2-cycle mean beta gamma_p,
-    and V = 0.
+    Unperturbed: m = 0, both loops are Aubry components of entropy 0, so C
+    is both states, the max-plus rate of their cost matrix is the 2-cycle
+    mean beta gamma_p, and V = 0.
     """
     g = beta * gamma_p
     m = math.log1p(math.exp(beta * eta))
@@ -493,8 +493,8 @@ def _appendix_chains(gamma_p: float, eta: float, beta: float):
         return LocallyConstantPotential.from_table(full_shift(1), {"00": 0.0, "01": g, "10": g, "11": top})
 
     return (
-        (chain(m), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g))),
-        (chain(0.0), (0.0, ((1,),), g, (0.0, 0.0))),
+        (chain(m), (m, ((1,),), 2.0 * g - 2.0 * m, (0.0, m - g), (1,))),
+        (chain(0.0), (0.0, ((1,),), g, (0.0, 0.0), (0, 1))),
     )
 
 

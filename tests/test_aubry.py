@@ -432,7 +432,8 @@ def test_floor_returns_on_an_inexact_cycle_mean():
     # fsum mean m it weighs +1.1e-16, a rounding-sized positive cycle.  Its
     # edges weigh 1.1 - m, 0.2 - m and 0.3 - m, so the best return to the
     # base 0 is 0 -> 1 -> 0, of weight 0.1 - 2m, and V is S(0, x)
-    m, adj, gamma, v = Analysis(inexact_mean_potential()).floor
+    m, adj, gamma, v, aubry = Analysis(inexact_mean_potential()).floor
+    assert aubry == (0, 1, 2)
     assert (1.1 - m) + (0.2 - m) + (0.3 - m) > 0.0
     assert m == pytest.approx(1.6 / 3, abs=1e-15)
     assert adj == ((0, 1, 0), (0, 0, 1), (1, 0, 0))

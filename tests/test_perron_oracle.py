@@ -147,7 +147,7 @@ def test_wrong_floor_and_guess_are_caught_by_the_test():
     pot = two_zero_blocks_potential()
     expected = Analysis(pot).perron(32.0)
     # floor e^{log 3} above the root, and floor e^0 with a far guess
-    for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None), (0.0, ((1,),), -40.0, None)]:
+    for floor in [(0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None, ()), (0.0, ((1,),), -40.0, None, ())]:
         p = perron(pot, 32.0, floor)
         assert p.log_H == expected.log_H
         assert p.mass_k == expected.mass_k
@@ -159,8 +159,8 @@ def test_an_unscaled_solve_without_gamma_sizes_the_excess_from_n_span(beta, dps)
     # golden5: 5 states, span 4, gamma -6.645 beyond the span; the 132 and
     # 160 digits that beta*span alone gives cannot resolve P - h
     an = Analysis(table_potential("golden5"))
-    m, adj, _, _ = an.floor
-    p = perron(an.pot, beta, (m, adj, None, None))
+    m, adj, _, _, aubry = an.floor
+    p = perron(an.pot, beta, (m, adj, None, None, aubry))
     assert p.dps == dps
     assert p.log_lambda == an.perron(beta).log_lambda
     h = an.entropy(beta)
@@ -191,8 +191,8 @@ def test_two_zero_blocks_escalates_and_still_matches():
     # do not narrow into it, and the solve repeats at 2E + R + G digits
     pot = two_zero_blocks_potential()
     an = Analysis(pot)
-    m, adj, gamma, v = an.floor
-    p = perron(pot, 128.0, (m, adj, gamma / 2, v))
+    m, adj, gamma, v, aubry = an.floor
+    p = perron(pot, 128.0, (m, adj, gamma / 2, v, aubry))
     assert p.escalations >= 1
     ref = reference_perron(pot, 128.0)
     assert_matches_reference(p, ref)
@@ -344,23 +344,30 @@ def test_the_working_matrix_is_the_doubled_precision_one_rounded(monkeypatch, na
     formed = []
     original = spectral._scaled_matrix
 
-    def recorded(logm, shift, w):
-        mat = original(logm, shift, w)
-        formed.append((mpmath.mp.dps, logm, shift, w, mat))
+    def recorded(logm, shift, w, rest=(), rest_dps=None):
+        mat = original(logm, shift, w, rest, rest_dps)
+        formed.append((mpmath.mp.dps, logm, shift, w, set(rest), rest_dps, mat))
         return mat
 
     monkeypatch.setattr(spectral, "_scaled_matrix", recorded)
     p = Analysis(table_potential(name)).perron(beta)
-    [(dps, logm, shift, w, mat)] = formed  # once, at the working precision
+    [(dps, logm, shift, w, rest, rest_dps, mat)] = formed  # once, at the working precision
     assert dps == p.dps
+    # n2 has no states outside the Aubry set, and two zero blocks a critical
+    # component below the top entropy; the others split, their rest at dps_n
+    whole = name in ("n2", "two zero blocks")
+    assert (rest_dps, bool(rest)) == ((p.dps, False) if whole else (p.dps_n, True))
+    assert p.dps_n < p.dps or not rest
     with mpmath.workdps(2 * dps):
         doubled = [
             [mpmath.exp(mpmath.mpf(e) - shift + w[j] - w[i]) if math.isfinite(e) else 0
              for j, e in enumerate(row)]
             for i, row in enumerate(logm)
         ]
-    with mpmath.workdps(dps):
-        assert mat == [[+x for x in row] for row in doubled]
+    for i, row in enumerate(doubled):
+        for j, x in enumerate(row):
+            with mpmath.workdps(p.dps_n if i in rest or j in rest else dps):
+                assert mat[i][j] == +x
 
 
 def test_the_guard_digits_round_each_entry_correctly():
@@ -445,8 +452,8 @@ def record_probe_verdicts(monkeypatch) -> list:
         formed.append(form(*args))
         return formed[-1]
 
-    def recorded_test(plan, a, mu, bits):
-        passes, det = fixed_test(plan, a, mu, bits)
+    def recorded_test(plan, a, mu, bits, phase=None):
+        passes, det = fixed_test(plan, a, mu, bits, phase)
         with mpmath.workprec(mu.bit_length() + 1):  # mu exactly
             exact_mu = mpmath.ldexp(mu, -bits)
         verdicts.append((passes, _shifted_lu(plan, formed[-1], exact_mu)[0]))
@@ -464,13 +471,13 @@ def _reducible_potential():
         sft, {"00": 0.0, "01": -1.0, "10": -1.0, "11": -3.0, "20": -2.0, "21": -2.0, "22": -5.0})
 
 
-# floors by name, from the floor (m, adj, gamma, V) of Analysis
+# floors by name, from the floor (m, adj, gamma, V, C) of Analysis
 FLOORS = {
-    "analysis": lambda m, adj, gamma, v: (m, adj, gamma, v),
-    "half the rate": lambda m, adj, gamma, v: (m, adj, gamma / 2, v),  # escalates
-    "above the root": lambda *_: (0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None),
-    "unscaled": lambda m, adj, gamma, v: (m, adj, None, None),
-    "no subaction": lambda m, adj, gamma, v: (m, adj, gamma, None),
+    "analysis": lambda m, adj, gamma, v, aubry: (m, adj, gamma, v, aubry),
+    "half the rate": lambda m, adj, gamma, v, aubry: (m, adj, gamma / 2, v, aubry),  # escalates
+    "above the root": lambda *_: (0.0, ((1, 1, 1), (1, 1, 1), (1, 1, 1)), None, None, ()),
+    "unscaled": lambda m, adj, gamma, v, aubry: (m, adj, None, None, aubry),
+    "no subaction": lambda m, adj, gamma, v, aubry: (m, adj, gamma, None, aubry),
     "none": lambda *_: None,
 }
 
@@ -485,6 +492,7 @@ FLOORS = {
     (golden_mean_potential(), 16.0, "analysis"),
     (_reducible_potential(), 32.0, "analysis"),
     (zero_potential(), 7.0, "analysis"),
+    (table_potential("n4"), 256.0, "analysis"),  # N split off: probes share passes over it
 ])
 def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, floor):
     verdicts = record_probe_verdicts(monkeypatch)
@@ -551,7 +559,7 @@ def test_the_rate_and_pressure_match_the_working_precision_log(case):
 
 def test_the_cases_cover_shifted_floors():
     assert Analysis(_nonnormalized_potential()).floor[0] == 0.75
-    (_, (m, _, _, v)), (_, (m0, _, _, _)) = _appendix_chains(-2.0, -1.0, 64.0)
+    (_, (m, _, _, v, _)), (_, (m0, _, _, _, _)) = _appendix_chains(-2.0, -1.0, 64.0)
     assert m > 0 and v[1] != 0 and m0 == 0
 
 

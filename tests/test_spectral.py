@@ -273,10 +273,10 @@ def test_precision_follows_the_excess_not_the_state_count():
 def test_unscaled_floors_give_the_same_pair():
     pot = _lifted_tables()[0]
     an = Analysis(pot)
-    m, adj, gamma, v = an.floor
+    m, adj, gamma, v, aubry = an.floor
     expected = an.perron(64.0)
     # no subaction, and one with a -inf entry: perron runs unscaled
-    for floor in [(m, adj, gamma, None), (m, adj, gamma, (float("-inf"),) + v[1:])]:
+    for floor in [(m, adj, gamma, None, aubry), (m, adj, gamma, (float("-inf"),) + v[1:], aubry)]:
         p = perron(pot, 64.0, floor)
         assert p.log_lambda == expected.log_lambda
         assert p.log_H == pytest.approx(expected.log_H, rel=1e-14, abs=1e-14)
@@ -287,13 +287,18 @@ def test_unscaled_floors_give_the_same_pair():
 def test_the_plan_is_built_once_per_potential(monkeypatch):
     calls, plan = [], spectral._elimination_plan
     monkeypatch.setattr(spectral, "_elimination_plan",
-                        lambda pattern: calls.append(len(pattern)) or plan(pattern))
+                        lambda pattern, last=(): calls.append(len(pattern)) or plan(pattern, last))
     an = Analysis(table_potential("golden8"))
     gammas = estimate_gamma(an, (4.0, 8.0, 16.0, 32.0)).gamma_hat
     assert len(set(gammas)) == 4
-    # the critical components, the fixed point 0 and the orbit of 01, are
-    # cycles, whose roots need no plan
-    assert calls == [len(an.pot.states)]
+    # beta 32 alone reaches the digits at which perron splits off N
+    assert [an.perron(beta).dps_n < an.perron(beta).dps for beta in (4.0, 8.0, 16.0, 32.0)] == [False] * 3 + [True]
+    # at beta 32, the first solved, one plan that eliminates N first and one
+    # of the Schur complement onto the Aubry states C; then one of the whole
+    # pattern.  The critical components, the fixed point 0 and the orbit of
+    # 01, are cycles, whose roots need no plan
+    n = len(an.pot.states)
+    assert calls == [n, len(an.floor[4]), n]
 
 
 def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypatch):
@@ -316,7 +321,8 @@ def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypat
         return bounds
 
     monkeypatch.setattr(spectral, "_collatz_wielandt", recorded)
-    p = Analysis(pot).perron(128.0)
+    # the whole matrix, as a floor without the Aubry states C does not split it
+    p = perron(pot, 128.0, Analysis(pot).floor[:4] + ((),))
     assert p.escalations == 0
     assert abs(sum(p.mass_k) - 1) < 1e-12  # nu is certified
     # with a floor the bracket starts from no Collatz-Wielandt bound of

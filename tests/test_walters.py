@@ -345,8 +345,9 @@ def test_appendix_floors_match_critical_floor():
     # rule counts the loop at 0 as critical too
     for gamma_p, eta in ((-2.0, -1.0), (-1.5, -0.25), (-3.0, -2.5)):
         for beta in (1.0, 2.0, 5.0, 10.0):
-            for pot, (m, adj, gamma, v) in _appendix_chains(gamma_p, eta, beta):
-                m_ref, adj_ref, gamma_ref, v_ref = Analysis(pot).floor
+            for pot, (m, adj, gamma, v, aubry) in _appendix_chains(gamma_p, eta, beta):
+                m_ref, adj_ref, gamma_ref, v_ref, aubry_ref = Analysis(pot).floor
+                assert aubry == aubry_ref
                 assert m == pytest.approx(m_ref, rel=1e-12, abs=1e-15)
                 assert adj == adj_ref
                 assert gamma == pytest.approx(gamma_ref, rel=1e-12, abs=1e-14)
