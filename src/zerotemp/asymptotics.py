@@ -14,18 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .aubry import (
-    ZERO_CYCLE_TOL,
-    AubryDecomposition,
-    EmptyAubrySetError,
-    PositiveCycleError,
-    WordGraph,
-    decompose_aubry,
-    max_plus_subaction,
-    word_graph,
-)
+import mpmath
+
+from .aubry import ZERO_CYCLE_TOL, AubryDecomposition, EmptyAubrySetError, PositiveCycleError, WordGraph
+from .aubry import decompose_aubry, max_plus_subaction, word_graph
 from .maxplus import NEG_INF, NoEigenvalueError, howard_cycle_mean, mp_eigenvectors
-from .spectral import LocallyConstantPotential, PerronData, PerronError, adjacency_entropy
+from .spectral import LocallyConstantPotential, PerronData, PerronError, _adjacency_root
 from .spectral import equilibrium_cylinder_mass, perron
 
 __all__ = [
@@ -49,69 +43,78 @@ class GammaEstimate:
     h: float
 
 
-def _entropy_mp(decomp: AubryDecomposition, dps: int):
-    """Largest component entropy h as an mpf at dps digits."""
-    return adjacency_entropy(decomp.adjacency(decomp.entropies.index(decomp.h)), dps)
+def _entropy_mp(root, dps: int):
+    """The largest component entropy h = log e^h as an mpf at dps digits."""
+    with mpmath.workdps(dps):
+        return mpmath.log(root)
 
 
 class Analysis:
     """What the estimates for one potential A share, each part computed once:
     the word graph of A - m and its Aubry decomposition, the max-plus
     eigendata and subaction read off them; Perron pairs by beta, each solved
-    on first use above the floor of this analysis; and h at the highest
+    on first use above the floor of this analysis; and e^h at the highest
     precision asked for so far."""
 
     def __init__(self, pot: LocallyConstantPotential):
         self.pot = pot
         self._perron: dict[float, PerronData] = {}
-        self._h = (0, None)  # (dps, h at that precision)
+        self._root = (0, None)  # (dps, e^h at that precision)
 
     def perron(self, beta: float) -> PerronData:
         if beta not in self._perron:
-            self._perron[beta] = perron(self.pot, beta, self.floor)
+            self._perron[beta] = perron(self.pot, beta, self.floor, self.root)
         return self._perron[beta]
+
+    def root(self, dps: int):
+        """e^h at dps digits, solved once at the most digits asked for so far
+        and rounded."""
+        if dps > self._root[0]:
+            d = self.decomposition
+            self._root = dps, _adjacency_root(d.adjacency(d.entropies.index(d.h)), dps)
+        with mpmath.workdps(dps):
+            return +self._root[1]
 
     def entropy(self, beta: float):
         """h (an mpf) at the Perron working precision at beta, which
         resolves P - beta*m - h at beta and below."""
         dps = self.perron(beta).dps
-        if dps > self._h[0]:
-            self._h = (dps, _entropy_mp(self.decomposition, dps))
-        return self._h[1]
+        return _entropy_mp(self.root(dps), dps)
 
     @cached_property
     def _normalized(self) -> tuple:
-        """(m, word graph of A - m, its Aubry decomposition or else its error,
-        m's failed certificate); m is 0 or the maximum cycle mean of A."""
+        """(word graph of A - m, its Aubry decomposition or else its error,
+        m's failed certificate), m a float: 0 or the maximum cycle mean of A."""
         g = word_graph(self.pot)
         try:
-            return 0.0, g, decompose_aubry(g)
+            return g, decompose_aubry(g)
         except (PositiveCycleError, EmptyAubrySetError) as e:
             m = e.mean if isinstance(e, PositiveCycleError) else howard_cycle_mean(g.n, g.edges)
         g = WordGraph(g.nodes, tuple((u, v, w - m) for u, v, w in g.edges))
         try:
-            return m, g, decompose_aubry(g)
+            return g, decompose_aubry(g)
         except (PositiveCycleError, EmptyAubrySetError) as e:
-            return m, g, e
+            return g, e
 
-    graph = property(lambda self: self._normalized[1])
+    graph = property(lambda self: self._normalized[0])
 
     @property
     def decomposition(self) -> AubryDecomposition:
-        if isinstance(d := self._normalized[2], Exception):
+        if isinstance(d := self._normalized[1], Exception):
             raise d
         return d
 
     @cached_property
     def floor(self):
         """(m, adjacency of a largest-entropy component, gamma, max-plus
-        subaction, Aubry states C) for ``perron``, read off A - m.  gamma and
+        subaction, Aubry states C) for ``perron``, read off A - m, with m
+        the exact (Fraction) mean of its critical cycles.  gamma and
         the subaction are None when either fails its certificate; C is ()
         when a critical component has less entropy than h, as its rows read
         an O(1) share of the root through the rest, which perron's split
         cannot resolve.  The floor is None when A - m has no Aubry
         decomposition, and perron finds its own."""
-        m, _, d = self._normalized
+        d = self._normalized[1]
         if isinstance(d, Exception):
             return None
         try:
@@ -119,21 +122,29 @@ class Analysis:
         except NoEigenvalueError:
             gamma = v = None
         aubry = () if len(d.maximal_set) < len(d.components) else tuple(sorted(x for c in d.components for x in c))
-        return m, d.adjacency(d.entropies.index(d.h)), gamma, v, aubry
+        return self._critical_means[0], d.adjacency(d.entropies.index(d.h)), gamma, v, aubry
 
-    def exact_floor(self, beta: float) -> bool:
-        """Whether each critical cycle of A - m weighs exactly 0 in the float
-        exponents beta*A of transfer_matrix less beta*m, so that the floor
-        e^{beta*m + h} under P - beta*m - h is exact."""
-        nodes, shift = self.graph.nodes, Fraction(beta) * Fraction(self._normalized[0])
-        pairs = self.decomposition.critical_pairs
+    @cached_property
+    def _critical_means(self) -> tuple:
+        """The largest and the least mean in A of the critical cycles of
+        A - m, as exact Fractions of the table's floats: the word graph is
+        shifted by a float m, so every cycle whose mean agrees with m to
+        rounding is critical, though their exact means may differ."""
+        nodes, pairs = self.graph.nodes, self.decomposition.critical_pairs
+        weights = [self.pot.value(nodes[u] + nodes[v][-1:]) for u, v in pairs]
+        if len(set(weights)) == 1:  # one weight, as 0 on every bench table
+            return Fraction(weights[0]), Fraction(weights[0])
         index = {x: i for i, x in enumerate({x for pair in pairs for x in pair})}
-        edges = [(index[u], index[v], Fraction(beta * self.pot.value(nodes[u] + nodes[v][-1:])) - shift)
-                 for u, v in pairs]
-        if not any(w for _, _, w in edges):  # critical edges that weigh 0, as on every bench table
-            return True
-        negated = [(u, v, -w) for u, v, w in edges]  # all cycle means 0: the largest and the least
-        return howard_cycle_mean(len(index), edges) == 0 == howard_cycle_mean(len(index), negated)
+        edges = [(index[u], index[v], Fraction(w)) for (u, v), w in zip(pairs, weights)]
+        negated = [(u, v, -w) for u, v, w in edges]
+        return howard_cycle_mean(len(index), edges), -howard_cycle_mean(len(index), negated)
+
+    @property
+    def exact_floor(self) -> bool:
+        """Whether every critical cycle has the exact mean m, so that the floor
+        e^{beta*m + h} is exact at every beta: not on a tie to float rounding."""
+        top, least = self._critical_means
+        return top == least
 
     @cached_property
     def gamma_maxplus(self) -> float:
@@ -179,17 +190,12 @@ def estimate_gamma(an: Analysis, beta_grid=DEFAULT_BETA_GRID) -> GammaEstimate:
     grid = tuple(float(b) for b in beta_grid)
     if not grid or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be non-empty and strictly increasing")
-    for b in grid:
-        if not an.exact_floor(b):
-            raise PerronError(f"at beta {b:g} the float exponents beta*A move the floor e^(beta*m + h) "
-                              "off its critical cycles, so P - beta*m - h is not resolved")
+    if not an.exact_floor:
+        raise PerronError("critical cycles of A - m tie to float rounding but differ in their exact means, "
+                          "so no floor e^(beta*m + h) is exact for all of them and P - beta*m - h is not resolved")
     h_mp = an.entropy(grid[-1])
-    return GammaEstimate(
-        beta_grid=grid,
-        gamma_hat=tuple(an.perron(b).pressure_excess_log(h_mp) / b for b in grid),
-        gamma_maxplus=an.gamma_maxplus,
-        h=float(h_mp),
-    )
+    gamma_hat = tuple(an.perron(b).pressure_excess_log(h_mp) / b for b in grid)
+    return GammaEstimate(beta_grid=grid, gamma_hat=gamma_hat, gamma_maxplus=an.gamma_maxplus, h=float(h_mp))
 
 
 @dataclass(frozen=True)

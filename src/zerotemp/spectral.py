@@ -2,8 +2,8 @@
 
 The operator L_A(psi)(x) = sum_{sigma(z)=x} e^{A(z)} psi(z) acts on functions
 of k-word cylinders when A depends on k+1 coordinates.  All spectral data is
-produced in log-domain form; the log transfer matrix is rows of floats, and
-every solve runs in mpmath or in plain floats.
+produced in log-domain form; perron forms the matrix in mpmath from the
+table's floats, and every solve runs in mpmath or in plain floats.
 
 At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import mpmath
@@ -140,6 +141,15 @@ class LocallyConstantPotential:
         )
 
     @cached_property
+    def irreducible(self) -> bool:
+        """Whether the edges of finite weight join every state to every other."""
+        out = [[] for _ in self.states]
+        for u, v, w in self.edges:
+            if math.isfinite(w):
+                out[u].append(v)
+        return len(_strongly_connected_components(out)) == 1
+
+    @cached_property
     def _plans(self) -> dict:
         return {}
 
@@ -191,9 +201,8 @@ class PerronData:
     counts the solves repeated at a higher precision when they could not.
     lambda is hi, or the max-plus floor when the root lies within the
     resolution of it (zero excess); lam is its value for S, at dps: lambda
-    = lam e^{beta*m}.
-    The reports read lam's excess over the floor at 113 bits; log_lambda_mp,
-    the log at dps (an AGM at about 2*dps for lam near 1), forms on request.
+    = lam e^{beta*m}.  The reports read lam's excess over the floor at 113
+    bits, never a log at dps (an AGM at about 2*dps for lam near 1).
     """
 
     beta: float
@@ -204,7 +213,7 @@ class PerronData:
     dps_n: int
     bracket: tuple
     escalations: int
-    m: float  # the maximum cycle mean of the floor, 0 without one
+    m: Fraction  # the maximum cycle mean of the floor, 0 without one
     vectors: object = field(compare=False, repr=False)  # () -> (log_H, log_nu, mass_k)
 
     @cached_property
@@ -221,11 +230,6 @@ class PerronData:
     def words(self) -> list[tuple[int, ...]]:
         return self.pot.states
 
-    @cached_property
-    def log_lambda_mp(self):  # keeps the tiny excess over e^h resolvable
-        with mpmath.workdps(self.dps):
-            return mpmath.log(self.lam) + mpmath.mpf(self.beta) * self.m
-
     def pressure_excess_log(self, h_mp) -> float:
         """log(P - beta*m - h) = log log(lam e^-h); raises unless the
         certified bracket lies above the floor e^{beta*m + h} by more than
@@ -234,15 +238,12 @@ class PerronData:
         to R + G digits whenever it is resolved, and mpmath's log at 113
         bits reads that excess off its whole mantissa, exactly."""
         with mpmath.workdps(self.dps):
-            shift, e_h = mpmath.mpf(self.beta) * self.m, mpmath.exp(h_mp)
+            shift, e_h = _beta_m(self.beta, self.m), mpmath.exp(h_mp)
             ratio = self.lam / e_h
             resolvable = 1 + mpmath.mpf(10) ** (_RESOLVED + _GUARD - self.dps)
             if not self.bracket[0] > mpmath.exp(shift) * e_h * resolvable:
-                raise PerronError(
-                    f"pressure excess P - beta*m - h = {mpmath.nstr(mpmath.log(ratio), 6)} "
-                    "is not resolvably positive (h misidentified or potential "
-                    "has zero excess)"
-                )
+                raise PerronError(f"pressure excess P - beta*m - h = {mpmath.nstr(mpmath.log(ratio), 6)} is not "
+                                  "resolvably positive (h misidentified or potential has zero excess)")
         with mpmath.workprec(113):
             return float(mpmath.log(mpmath.log(ratio)))
 
@@ -507,50 +508,51 @@ def _adjacency_root(adj, dps: int | None = None):
         return x
 
 
-def adjacency_entropy(adj, dps: int | None = None):
+def adjacency_entropy(adj) -> float:
     """log of the Perron root of an irreducible 0/1 adjacency matrix: the
-    entropy of the subshift it presents.  A float, or an mpf at dps digits;
-    0 exactly for a cycle."""
-    root = _adjacency_root(adj, dps)
-    if dps is None:
-        return math.log(root)
-    with mpmath.workdps(dps):
-        return mpmath.log(root)
+    entropy of the subshift it presents, 0 exactly for a cycle."""
+    return math.log(_adjacency_root(adj))
 
 
-def _scaled_matrix(logm, shift, w, rest=(), rest_dps=None) -> list:
-    """exp(logm[i][j] - shift + w[j] - w[i]) at the working precision, or
-    at rest_dps digits in a row or column of the states ``rest``; 0 where
-    logm is -inf.  shift and w are mpf; the exponent is formed in mpf from
-    the exact float entries at the working precision, so the matrix is
-    similar to exp(logm - shift) up to one rounding of each exponent.  Each
-    distinct exponential is formed once at _ENTRY_GUARD more digits and
-    rounded, so an entry is within 2^(1-prec) of exact, prec that of its
-    digits, and equal to the rounding of a formation at any higher precision
-    unless within 10^-10 of a tie."""
-    cache, low, later = {}, set(rest), []
-    mat = [[0] * len(logm) for _ in logm]
+def _beta_m(beta, m):
+    """beta*m at the working precision, rounded once from the exact product
+    of the float beta and the rational m (an int or a Fraction)."""
+    num, den = beta.as_integer_ratio()
+    q = mpmath.libmp.from_rational(num * m.numerator, den * m.denominator, mpmath.mp.prec, "n")
+    return mpmath.mp.make_mpf(q)
+
+
+def _scaled_matrix(edges, beta, m, w, rest=(), rest_dps=None) -> list:
+    """S[v][u] = exp(beta*a - beta*m + w[u] - w[v]) over the word-graph edges
+    (u, v, a), w mpf, at the working precision, or at rest_dps digits in a
+    row or column of the states ``rest``; 0 elsewhere.  The exponent is formed
+    at _ENTRY_GUARD more digits, where beta*a is exact and beta*m is rounded
+    once (_beta_m), so a cycle of mean m weighs 1 up to that rounding.  Each
+    distinct exponential is formed there once and rounded, so an entry is
+    within 2^(1-prec) of exact, prec that of its digits, and equal to the
+    rounding of a formation at any higher precision unless within 10^-10 of
+    a tie."""
+    low, exponent, formed = set(rest), {}, ([], [])  # formed: the entries outside rest, and in it
     with mpmath.workdps(mpmath.mp.dps + _ENTRY_GUARD):
-        for i, row in enumerate(logm):
-            for j, e in enumerate(row):
-                if math.isfinite(e):
-                    x = mpmath.mpf(e) - shift + w[j] - w[i]
-                    if i in low or j in low:
-                        later.append((i, j, x))
-                    else:
-                        if x not in cache:
-                            cache[x] = mpmath.exp(x)
-                        mat[i][j] = cache[x]
-    if later:
+        b, shift = mpmath.mpf(beta), _beta_m(beta, m)
+        for u, v, a in edges:
+            if math.isfinite(a):
+                if a not in exponent:
+                    exponent[a] = b * a - shift
+                formed[u in low or v in low].append((v, u, exponent[a] + w[u] - w[v]))
+    mat = [[0] * len(w) for _ in w]
+    for digits, entries in zip((mpmath.mp.dps, rest_dps), formed):
+        if not entries:
+            continue
         cache = {}
-        with mpmath.workdps(rest_dps + _ENTRY_GUARD):
-            for _, _, x in later:
+        with mpmath.workdps(digits + _ENTRY_GUARD):
+            for _, _, x in entries:
                 if x not in cache:
                     cache[x] = mpmath.exp(x)
-        with mpmath.workdps(rest_dps):
-            for i, j, x in later:
+        with mpmath.workdps(digits):
+            for i, j, x in entries:
                 mat[i][j] = +cache[x]
-    return [[+x for x in row] for row in mat]  # the entries of rest are exact at these digits
+    return mat
 
 
 def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None):
@@ -718,7 +720,7 @@ def _collatz_wielandt(plan, mat, x, transpose=False, lo=0):
     return min(low) * (1 - widen), high
 
 
-def _gap_digits(plan, nn, logm, beta, m, v, root):
+def _gap_digits(plan, nn, edges, beta, m, v, root):
     """The digits that the gap e^h - rho(S_NN) costs, estimated in floats:
     those of max z, z = (e^h I - S_NN)^-1 1 over the plan's first nn steps,
     S the scaled matrix of perron (shift beta*m, subaction v), e^h = root,
@@ -726,10 +728,10 @@ def _gap_digits(plan, nn, logm, beta, m, v, root):
     floats cannot resolve it."""
     size, entries, steps = plan
     rest = {k for k, _, _ in steps[:nn]}
-    s = [[0.0] * len(logm) for _ in logm]
-    for _, i, j in entries:
-        if i in rest and j in rest:
-            s[i][j] = math.exp(min(logm[i][j] - beta * m + beta * (v[j] - v[i]), 700.0))
+    s, shift = [[0.0] * len(v) for _ in v], beta * float(m)
+    for u, t, a in edges:
+        if u in rest and t in rest and math.isfinite(a):
+            s[t][u] = math.exp(min(beta * a - shift + beta * (v[u] - v[t]), 700.0))
     head = (size, entries, steps[:nn])
     passes, _, lu = _shifted_lu(head, s, root)
     if not passes:
@@ -904,21 +906,24 @@ def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
     return None
 
 
-def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
+def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
-    of logm = transfer_matrix(pot, beta), with H normalized to 1 at the
-    all-zeros state.  Analysis(pot).perron(beta), in asymptotics, passes
-    the floor of the potential.
+    of the transfer matrix exp(beta*A) on the word graph, with H normalized
+    to 1 at the all-zeros state.  Analysis(pot).perron(beta), in
+    asymptotics, passes the floor of the potential and its root(dps), e^h
+    at dps digits; without root, adj is solved at each precision.
 
     ``floor`` is (m, adj, gamma, V, C), or None: the maximum cycle mean of
-    the word graph, the 0/1 critical adjacency of a component of largest
-    entropy h of A - m, the max-plus rate gamma of the excess (None if
-    unknown), a max-plus subaction V of A - m by state, vanishing at the
-    all-zeros state (None if unknown), and C, the states of the critical
-    components, every one of entropy h (() if unknown or if not).
+    the word graph (exact, as a Fraction or float), the 0/1 critical
+    adjacency of a component of largest entropy h of A - m, the max-plus
+    rate gamma of the excess (None if unknown), a max-plus subaction V of
+    A - m by state, vanishing at the all-zeros state (None if unknown), and
+    C, the states of the critical components, every one of entropy h (() if
+    unknown or if not).
 
-    The solve runs on S = e^{-beta*m} D^-1 exp(logm) D, D = diag(e^{w}),
-    w = beta*V, formed once per precision (_scaled_matrix).  The root lies
+    The solve runs on S = e^{-beta*m} D^-1 exp(beta*A) D, D = diag(e^{w}),
+    w = beta*V, formed once per precision from the table's floats and the
+    exact m (_scaled_matrix), so a cycle of mean m weighs 1.  The root lies
     above the floor e^h by about e^{beta*gamma}; at E + R + G digits, E =
     beta*|gamma|/ln10 + 15 for the excess, the bracket resolves R = 60
     digits of it, and G = 30 digits guard against rounding.  Without gamma,
@@ -947,18 +952,21 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     certified alike, transposed, on C (or on the whole matrix, when it does
     not certify on C); H_N and nu_N follow by one solve each over N at
     dps_n (_off_block); both are unscaled as H = H_S e^{w}, nu = nu_S
-    e^{-w}.  It raises PerronError when nu_S does not certify, or when logm
-    is reducible, where H and nu may vanish or fail to be unique.
+    e^{-w}.  It raises PerronError when nu_S does not certify, or when the
+    word graph is reducible, where H and nu may vanish or fail to be unique.
     """
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
         raise PerronError(f"state {zero} is not admissible, so H cannot be normalized at it")
     anchor = pot.states.index(zero)
-    logm = transfer_matrix(pot, beta)
-    n = len(logm)
-    finite = [x for row in logm for x in row if math.isfinite(x)]
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    n = len(pot.states)
+    finite = [x for x in (beta * a for _, _, a in pot.edges) if math.isfinite(x)]
     span = max(finite) - min(finite) if finite else 0.0
-    cycle_mean, adj, gamma, v, aubry = floor if floor is not None else (0.0, None, None, None, ())
+    m, adj, gamma, v, aubry = floor if floor is not None else (0, None, None, None, ())
+    m = Fraction(m)
+    root = root or (lambda dps: _adjacency_root(adj, dps))
     scaled = v is not None and all(math.isfinite(x) for x in v)
     rate = beta * abs(gamma) if gamma is not None else n * span
     if not scaled:
@@ -966,17 +974,15 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
     excess_digits = int(rate / math.log(10)) + _EXCESS_SLACK
     gap = None
     if scaled and gamma is not None and 0 < len(aubry) < n and excess_digits >= _RESOLVED + _GUARD:
-        gap = _gap_digits(pot.plan(aubry)[0], n - len(aubry), logm, beta, cycle_mean, v, _adjacency_root(adj))
+        gap = _gap_digits(pot.plan(aubry)[0], n - len(aubry), pot.edges, beta, m, v, _adjacency_root(adj))
         if gap is not None and rate / math.log(10) < gap + _SPLIT_MARGIN:
             gap = None  # the excess is not far below the gap: K moves across the bracket
     escalations = 0
     while True:
         dps = excess_digits + _RESOLVED + _GUARD
         if dps > _MAX_DPS:
-            raise PerronError(
-                f"the solve at beta {beta:g} needs {float(dps):.3g} digits, "
-                f"more than the cap of {_MAX_DPS}"
-            )
+            raise PerronError(f"the solve at beta {beta:g} needs {float(dps):.3g} digits, "
+                              f"more than the cap of {_MAX_DPS}")
         # the split pays once the excess needs more digits than N: E >= dps_n
         dps_n = dps if gap is None or excess_digits < _RESOLVED + _GUARD + gap else _RESOLVED + _GUARD + gap
         states = aubry if dps_n < dps else tuple(range(n))
@@ -984,12 +990,12 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
         nn = n - len(states)
         prec_n = mpmath.libmp.dps_to_prec(dps_n)
         with mpmath.workdps(dps):
-            shift = mpmath.mpf(beta) * cycle_mean
+            shift = _beta_m(beta, m)
             w = [mpmath.mpf(beta) * x for x in v]
-            mat = _scaled_matrix(logm, shift, w, [k for k, _, _ in plan[2][:nn]], dps_n)
+            mat = _scaled_matrix(pot.edges, beta, m, w, [k for k, _, _ in plan[2][:nn]], dps_n)
             base = guess = None
             if adj is not None:
-                base = _adjacency_root(adj, dps)
+                base = root(dps)
                 if gamma is not None:
                     with mpmath.workprec(53):
                         guess = base * mpmath.exp(mpmath.mpf(beta) * gamma)
@@ -1012,9 +1018,7 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
             continue
         escalations += 1
         if escalations > _MAX_ESCALATIONS:
-            raise PerronError(
-                f"no Collatz-Wielandt certificate of the bracket at {dps} digits; {ITERATION_NOTE}"
-            )
+            raise PerronError(f"no Collatz-Wielandt certificate of the bracket at {dps} digits; {ITERATION_NOTE}")
         excess_digits *= 2
     with mpmath.workdps(dps):
         bracket = tuple(x * mpmath.exp(shift) for x in (lo, hi))
@@ -1024,13 +1028,12 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
         log_lambda = float(shift + mpmath.log(base) + mpmath.log(ratio))
 
     def vectors():
-        pattern = [[j for j, x in enumerate(row) if math.isfinite(x)] for row in logm]
-        if len(_strongly_connected_components(pattern)) > 1:
+        if not pot.irreducible:
             raise PerronError("the transfer matrix is reducible: H and nu need not be positive or unique")
         with mpmath.workdps(dps):
             nu_vec = _perron_vector(block, lu, cw, lo, hi, transpose=True)
         if nu_vec is None and nn:  # nu_C does not certify on C: the whole matrix
-            return perron(pot, beta, floor[:4] + ((),)).vectors()
+            return perron(pot, beta, floor[:4] + ((),)).vectors()  # not root: it would tie its Analysis in a cycle
         if nu_vec is None:
             raise PerronError(f"no Collatz-Wielandt certificate of nu; {ITERATION_NOTE}")
         with mpmath.workdps(dps):
@@ -1053,18 +1056,8 @@ def perron(pot: LocallyConstantPotential, beta: float, floor) -> PerronData:
             log_nu = tuple(float(mpmath.log(x) - y - log_nu_total) for x, y in zip(nu_s, w))
         return log_H, log_nu, mass_k
 
-    return PerronData(
-        beta=beta,
-        pot=pot,
-        log_lambda=log_lambda,
-        lam=lam,
-        dps=dps,
-        dps_n=dps_n,
-        bracket=bracket,
-        escalations=escalations,
-        m=cycle_mean,
-        vectors=vectors,
-    )
+    return PerronData(beta=beta, pot=pot, log_lambda=log_lambda, lam=lam, dps=dps, dps_n=dps_n, bracket=bracket,
+                      escalations=escalations, m=m, vectors=vectors)
 
 
 def equilibrium_cylinder_mass(p: PerronData, word) -> float:

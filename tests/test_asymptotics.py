@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -196,19 +199,62 @@ def test_a_constant_shift_moves_only_the_floor(k, c):
         assert an_c.perron(beta).mass_k == pytest.approx(an.perron(beta).mass_k, abs=1e-12)
 
 
-def test_a_floor_off_by_the_rounding_of_beta_times_a_raises():
+def test_a_floor_whose_float_exponents_round_is_exact():
     # the loops weigh m = 0.3, and 50 * 0.3 rounds to the float 15, 5.6e-16
-    # below the exact product: the loops' exponents miss the floor by far
-    # more than the excess e^{50*gamma}, about 2e-54, and gamma_hat read
-    # -0.70 for -2.47
+    # below the exact product, far more than the excess e^{50*gamma}, about
+    # 2e-54: S is formed from the table's floats and the exact m, so the
+    # loops weigh exactly 1 in it, and the rate over the floor is that of
+    # the unshifted table (from the float products, gamma_hat read -0.70
+    # for -2.47)
     pot = fixed_point_table(1, seed=1)
     shifted = LocallyConstantPotential(pot.sft, pot.depth, {w: a + 0.3 for w, a in pot.values.items()})
     an = Analysis(shifted)
-    assert an.exact_floor(64.0) and not an.exact_floor(50.0)
-    with pytest.raises(PerronError, match="at beta 50 the float exponents"):
-        estimate_gamma(an, (16.0, 50.0))
-    exact = estimate_gamma(Analysis(pot), (16.0, 64.0)).gamma_hat
-    assert estimate_gamma(an, (16.0, 64.0)).gamma_hat == pytest.approx(exact, abs=1e-12)
+    assert an.exact_floor and an.floor[0] == Fraction(0.3)
+    assert Fraction(50 * 0.3) != 50 * Fraction(0.3)
+    grid = (16.0, 50.0, 64.0)
+    exact = estimate_gamma(Analysis(pot), grid).gamma_hat
+    assert estimate_gamma(an, grid).gamma_hat == pytest.approx(exact, abs=1e-12)
+
+
+NEAR_TIE = {"00": -0.15, "01": -0.1, "10": -0.2, "11": -1.0}
+
+
+def test_a_near_tie_of_critical_cycles_is_refused_once_per_analysis(monkeypatch):
+    # the loop 00 has the mean -0.15, the 2-cycle 01 the float mean
+    # -0.15000000000000002, and exactly they differ by 1.4e-17: both are
+    # critical in floats, and no floor e^{beta*m + h} is exact for both
+    exact_runs, howard = [], asymptotics.howard_cycle_mean
+
+    def recorded(n, edges):
+        if isinstance(edges[0][2], Fraction):
+            exact_runs.append(n)
+        return howard(n, edges)
+
+    monkeypatch.setattr(asymptotics, "howard_cycle_mean", recorded)
+    an = Analysis(LocallyConstantPotential.from_table(full_shift(1), NEAR_TIE))
+    assert len(an.decomposition.critical_pairs) == 3
+    assert Fraction(-0.15) != (Fraction(-0.1) + Fraction(-0.2)) / 2
+    for grid in ((2.0,), (4.0, 64.0)):
+        with pytest.raises(PerronError, match="critical cycles of A - m tie to float rounding"):
+            estimate_gamma(an, grid)
+    assert exact_runs == [2, 2]  # the largest and the least exact mean, once
+    assert not an.exact_floor
+
+
+def test_an_analysis_is_freed_as_soon_as_it_is_dropped():
+    # its Perron pairs keep their deferred vectors, and with them the
+    # factors of each solve: no reference cycle may hold them until the
+    # cyclic collector runs
+    gc.disable()
+    try:
+        an = Analysis(fixed_point_table(3, seed=1))
+        estimate_gamma(an, (16.0, 64.0))
+        estimate_subaction(an, 16.0)
+        pair, analysis = weakref.ref(an.perron(64.0)), weakref.ref(an)
+        del an
+        assert analysis() is None and pair() is None
+    finally:
+        gc.enable()
 
 
 def every_read(an):

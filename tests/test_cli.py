@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import zerotemp
 from zerotemp import spectral
 from zerotemp.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, build_parser, main
+
+from perron_reference import reference_perron
 
 LC1_CONFIG = {
     "potential": {
@@ -214,15 +218,36 @@ def test_a_table_that_is_not_normalized_runs_every_report(tmp_path, capsys):
     assert (out / "measure.csv").read_text().splitlines()[-2:] == ["64,0,0.5", "64,1,0.5"]
 
 
-def test_a_cycle_mean_that_no_float_holds_exits_3(tmp_path, capsys):
-    # the 2-cycle 01 -> 10 has mean (1.1 + 0.2) / 2, and m = 0.65 leaves it a
-    # weight of 2^-54 in A - m: at beta 64 that moves the floor by 1.8e-15,
-    # far above the excess e^{-105.6}, and gamma_hat read -0.53 for -1.65
+def test_a_cycle_mean_that_no_float_holds_gets_its_rate(tmp_path, capsys):
+    # the 2-cycle 01 -> 10 has mean (1.1 + 0.2) / 2, and the float m = 0.65
+    # leaves it a weight of 2^-54 in A - m: at beta 64 that would move the
+    # floor by 1.8e-15, far above the excess e^{-105.6}.  S is formed from
+    # the exact m, so gamma_hat is that of the dense reference
     table = {"00": -1, "01": 1.1, "10": 0.2, "11": -1}
     potential = {"kind": "locally-constant", "alphabet_size": 2, "table": table}
     cfg = write_config(tmp_path, dict(UNNORMALIZED_CONFIG, potential=potential, reports=["gamma"]))
+    assert main(["gamma", cfg]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    pot = zerotemp.LocallyConstantPotential.from_table(zerotemp.full_shift(1), table)
+    m = (Fraction(1.1) + Fraction(0.2)) / 2
+    assert [float(row[0]) for row in rows] == UNNORMALIZED_CONFIG["beta_grid"]
+    for beta, _, gamma_hat, gamma_maxplus, h in rows:
+        ref = reference_perron(pot, float(beta))
+        with mpmath.workdps(200):  # h = 0: the critical component is the 2-cycle
+            q = Fraction(float(beta)) * m
+            expected = float(mpmath.log(ref["log_lambda_mp"] - mpmath.mpf(q.numerator) / q.denominator)) / float(beta)
+        assert float(gamma_hat) == pytest.approx(expected, rel=1e-12)
+        assert float(h) == 0.0 and float(gamma_maxplus) == pytest.approx(-1.65, abs=1e-12)
+
+
+def test_a_near_tie_of_critical_cycles_exits_3(tmp_path, capsys):
+    # the loop 00 and the 2-cycle 01 tie in floats at -0.15, not exactly
+    table = {"00": -0.15, "01": -0.1, "10": -0.2, "11": -1}
+    potential = {"kind": "locally-constant", "alphabet_size": 2, "table": table}
+    cfg = write_config(tmp_path, dict(UNNORMALIZED_CONFIG, potential=potential, reports=["gamma"]))
     assert main(["gamma", cfg]) == EXIT_NUMERICAL
-    assert "at beta 4 the float exponents beta*A move the floor" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "critical cycles of A - m tie to float rounding" in err and "at beta" not in err
 
 
 def test_an_uncalibrated_max_plus_subaction_exits_3(tmp_path, capsys, monkeypatch):

@@ -4,19 +4,22 @@ on random potentials and on the near-degenerate examples."""
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron, spectral
-from zerotemp.asymptotics import Analysis, estimate_gamma
+from zerotemp import LocallyConstantPotential, PerronError, Sft, asymptotics, full_shift, perron, spectral
+from zerotemp.asymptotics import Analysis, _entropy_mp, estimate_gamma
 from zerotemp.cli import EXIT_OK, main
 from zerotemp.maxplus import _strongly_connected_components
 from zerotemp.spectral import (
     _collatz_wielandt,
     _elimination_plan,
+    _adjacency_root,
+    _beta_m,
     _scaled_matrix,
     _shifted_lu,
     _solve,
@@ -32,6 +35,22 @@ from perron_reference import reference_perron
 # dyadic weights of span <= 1 keep the dense reference below a second at
 # beta 128; 0.0 twice so that zero cycles, and near-degenerate clusters of
 # eigenvalues, are common
+# plain decimal tables on the full 2-shift: the 2-cycle 01 is critical, and
+# its mean m is no float (-0.1 + -0.2 is -0.30000000000000004), so S is
+# formed from the table's floats and the exact m
+DECIMAL_TABLES = {
+    "decimal, m -0.15": {"00": -0.3, "01": -0.1, "10": -0.2, "11": -0.7},
+    "decimal, m -0.35": {"00": -0.5, "01": -0.3, "10": -0.4, "11": -0.9},
+    "decimal, m 0.65": {"00": -1.0, "01": 1.1, "10": 0.2, "11": -1.0},
+}
+
+
+def _potential(name) -> LocallyConstantPotential:
+    if name in DECIMAL_TABLES:
+        return LocallyConstantPotential.from_table(full_shift(1), DECIMAL_TABLES[name])
+    return table_potential(name)
+
+
 NORMALIZED = (0.0, 0.0, -0.25, -0.5, -0.75, -1.0)
 GENERIC = (-1.0, -0.5, 0.0, 0.25, 0.5)
 BETAS = st.sampled_from([1.0, 2.0, 8.0, 32.0, 128.0])
@@ -68,6 +87,11 @@ def potentials(draw, weights):
     pot = LocallyConstantPotential(sft, depth, table)
     assume(_is_irreducible(pot))
     return pot
+
+
+def _h(adj, dps):
+    """h of a 0/1 adjacency at dps digits, as Analysis.entropy forms it."""
+    return _entropy_mp(_adjacency_root(adj, dps), dps)
 
 
 def assert_matches_reference(p, ref):
@@ -138,9 +162,9 @@ def test_zero_potential_returns_the_floor():
     assert_matches_reference(p, ref)
     assert p.bracket[0] < 2 < p.bracket[1]
     with mpmath.workdps(p.dps):
-        assert p.log_lambda_mp == mpmath.log(2)
+        assert _log_lambda_at_dps(p) == mpmath.log(2)
     with pytest.raises(PerronError):
-        p.pressure_excess_log(adjacency_entropy(((1, 1), (1, 1)), p.dps))
+        p.pressure_excess_log(_h(((1, 1), (1, 1)), p.dps))
 
 
 def test_wrong_floor_and_guess_are_caught_by_the_test():
@@ -167,6 +191,34 @@ def test_an_unscaled_solve_without_gamma_sizes_the_excess_from_n_span(beta, dps)
     assert p.pressure_excess_log(h) == an.perron(beta).pressure_excess_log(h)
 
 
+@pytest.mark.parametrize("name", list(DECIMAL_TABLES))
+def test_decimal_tables_match_the_dense_reference(name, tmp_path):
+    # at dyadic beta transfer_matrix's products are exact, so the reference
+    # solves the matrix that perron forms; m is the exact mean of 01
+    pot = _potential(name)
+    an = Analysis(pot)
+    table = DECIMAL_TABLES[name]
+    m = (Fraction(table["01"]) + Fraction(table["10"])) / 2
+    assert an.floor[0] == m != Fraction(float(m))  # a mean that no float holds
+    grid = (2.0, 16.0, 64.0)
+    gamma_hat = estimate_gamma(an, grid).gamma_hat
+    for beta, rate in zip(grid, gamma_hat):
+        p, ref = an.perron(beta), reference_perron(pot, beta)
+        assert p.log_lambda == pytest.approx(float(ref["log_lambda_mp"]), rel=1e-12)
+        assert p.log_H == pytest.approx(ref["log_H"], abs=1e-12)
+        assert p.mass_k == pytest.approx(ref["mass_k"], abs=1e-12)
+        with mpmath.workdps(p.dps):  # h = 0: the critical component is the 2-cycle
+            q = Fraction(beta) * m
+            expected = float(mpmath.log(ref["log_lambda_mp"] - mpmath.mpf(q.numerator) / q.denominator)) / beta
+        assert rate == pytest.approx(expected, rel=1e-12)
+    config = tmp_path / "decimal.json"
+    config.write_text(json.dumps({
+        "potential": {"kind": "locally-constant", "alphabet_size": 2, "table": table},
+        "beta_grid": list(grid), "reports": ["gamma", "subaction", "measure"],
+    }))
+    assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_missing_zero_state_still_raises():
     sft = Sft(2, ((False, True), (True, True)))
     table = {"010": -1.0, "011": -1.0, "101": -1.0, "110": -1.0, "111": 0.0}
@@ -180,9 +232,9 @@ def test_adjacency_entropy():
     assert adjacency_entropy(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 0.0  # a cycle
     with mpmath.workdps(60):
         exact = mpmath.log((1 + mpmath.sqrt(5)) / 2)
-        assert abs(adjacency_entropy(golden, 50) - exact) < mpmath.mpf(10) ** -49
+        assert abs(_h(golden, 50) - exact) < mpmath.mpf(10) ** -49
     with mpmath.workdps(40):
-        assert adjacency_entropy(((1, 1), (1, 1)), 40) == mpmath.log(2)
+        assert _h(((1, 1), (1, 1)), 40) == mpmath.log(2)
 
 
 def test_two_zero_blocks_escalates_and_still_matches():
@@ -196,7 +248,7 @@ def test_two_zero_blocks_escalates_and_still_matches():
     assert p.escalations >= 1
     ref = reference_perron(pot, 128.0)
     assert_matches_reference(p, ref)
-    assert_excess_matches(p, adjacency_entropy(adj, p.dps), ref)
+    assert_excess_matches(p, _h(adj, p.dps), ref)
 
 
 def golden_mean_potential() -> LocallyConstantPotential:
@@ -238,7 +290,7 @@ def test_the_collatz_wielandt_bounds_see_one_unit_in_the_last_digit():
     with mpmath.workdps(p.dps):
         u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
         w = [mpmath.mpf(beta) * x for x in an.subaction_maxplus]
-        mat = _scaled_matrix(logm, mpmath.mpf(0), w)
+        mat = _scaled_matrix(pot.edges, beta, 0, w)
     plan = _elimination_plan([[math.isfinite(x) for x in row] for row in logm])
     for transpose in (False, True):
         with mpmath.workdps(3 * p.dps):
@@ -314,17 +366,18 @@ def record_perron_vectors(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name, beta", [
     ("n2", 512.0), ("n4", 512.0), ("golden5", 256.0), ("golden8", 32.0), ("two zero blocks", 512.0),
+    *((name, 64.0) for name in DECIMAL_TABLES),
 ])
 def test_both_perron_vectors_certify_the_reference_root(monkeypatch, name, beta):
     calls = record_perron_vectors(monkeypatch)
-    an = Analysis(table_potential(name))
+    an = Analysis(_potential(name))
     p = an.perron(beta)
     assert len(p.log_nu) == len(p.words)  # the left vector is solved on this read
     (dps, plan, mat, lo, hi, right, h_vec), (*_, left, nu_vec) = calls[-2:]
     assert (right, left) == (False, True)
     with mpmath.workdps(3 * dps):
         root = reference_perron(an.pot, beta, dps=3 * dps)["lambda"]
-        root *= mpmath.exp(-mpmath.mpf(beta) * an.floor[0])  # the root of S
+        root *= mpmath.exp(-_beta_m(beta, an.floor[0]))  # the root of S
     with mpmath.workdps(dps):
         for x, transpose in ((h_vec, False), (nu_vec, True)):
             low, high = _collatz_wielandt(plan, mat, x, transpose)
@@ -339,31 +392,34 @@ def test_both_perron_vectors_certify_the_reference_root(monkeypatch, name, beta)
 
 @pytest.mark.parametrize("name, beta", [
     ("n2", 512.0), ("n4", 512.0), ("golden5", 256.0), ("golden8", 32.0), ("two zero blocks", 512.0),
+    *((name, 64.0) for name in DECIMAL_TABLES),
 ])
 def test_the_working_matrix_is_the_doubled_precision_one_rounded(monkeypatch, name, beta):
     formed = []
     original = spectral._scaled_matrix
 
-    def recorded(logm, shift, w, rest=(), rest_dps=None):
-        mat = original(logm, shift, w, rest, rest_dps)
-        formed.append((mpmath.mp.dps, logm, shift, w, set(rest), rest_dps, mat))
+    def recorded(edges, beta, m, w, rest=(), rest_dps=None):
+        mat = original(edges, beta, m, w, rest, rest_dps)
+        formed.append((mpmath.mp.dps, m, w, set(rest), rest_dps, mat))
         return mat
 
     monkeypatch.setattr(spectral, "_scaled_matrix", recorded)
-    p = Analysis(table_potential(name)).perron(beta)
-    [(dps, logm, shift, w, rest, rest_dps, mat)] = formed  # once, at the working precision
-    assert dps == p.dps
-    # n2 has no states outside the Aubry set, and two zero blocks a critical
-    # component below the top entropy; the others split, their rest at dps_n
-    whole = name in ("n2", "two zero blocks")
+    pot = _potential(name)
+    p = Analysis(pot).perron(beta)
+    [(dps, m, w, rest, rest_dps, mat)] = formed  # once, at the working precision
+    assert dps == p.dps and m == p.m
+    # n2 and the decimal tables have no states outside the Aubry set, and
+    # two zero blocks a critical component below the top entropy; the
+    # others split, their rest at dps_n
+    whole = name in ("n2", "two zero blocks", *DECIMAL_TABLES)
     assert (rest_dps, bool(rest)) == ((p.dps, False) if whole else (p.dps_n, True))
     assert p.dps_n < p.dps or not rest
-    with mpmath.workdps(2 * dps):
-        doubled = [
-            [mpmath.exp(mpmath.mpf(e) - shift + w[j] - w[i]) if math.isfinite(e) else 0
-             for j, e in enumerate(row)]
-            for i, row in enumerate(logm)
-        ]
+    n = len(pot.states)
+    doubled = [[0] * n for _ in range(n)]
+    with mpmath.workdps(2 * dps):  # beta*a and beta*m exactly, as rationals
+        for u, v, a in pot.edges:
+            q = Fraction(beta) * (Fraction(a) - m)
+            doubled[v][u] = mpmath.exp(mpmath.mpf(q.numerator) / q.denominator + w[u] - w[v])
     for i, row in enumerate(doubled):
         for j, x in enumerate(row):
             with mpmath.workdps(p.dps_n if i in rest or j in rest else dps):
@@ -373,10 +429,11 @@ def test_the_working_matrix_is_the_doubled_precision_one_rounded(monkeypatch, na
 def test_the_guard_digits_round_each_entry_correctly():
     # mpmath's exp at 120 digits rounds each of these the wrong way
     logm = ((-9.06640625, -16.80859375), (-21.671875, -23.73046875))
+    edges = [(j, i, e) for i, row in enumerate(logm) for j, e in enumerate(row)]  # entry [v][u] of u -> v
     with mpmath.workdps(360):
         exact = [[mpmath.exp(e) for e in row] for row in logm]
     with mpmath.workdps(120):
-        assert _scaled_matrix(logm, mpmath.mpf(0), [mpmath.mpf(0)] * 2) == [
+        assert _scaled_matrix(edges, 1.0, 0, [mpmath.mpf(0)] * 2) == [
             [+x for x in row] for row in exact
         ]
 
@@ -493,6 +550,7 @@ FLOORS = {
     (_reducible_potential(), 32.0, "analysis"),
     (zero_potential(), 7.0, "analysis"),
     (table_potential("n4"), 256.0, "analysis"),  # N split off: probes share passes over it
+    *((_potential(name), 64.0, "analysis") for name in DECIMAL_TABLES),
 ])
 def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, floor):
     verdicts = record_probe_verdicts(monkeypatch)
@@ -514,10 +572,17 @@ def golden_1001_potential() -> LocallyConstantPotential:
     return LocallyConstantPotential.from_table(Sft(2, ((True, True), (True, False))), GOLDEN_1001)
 
 
-def _excess_log_from_the_log(p, h) -> float:
-    """log(P - beta*m - h) read off log_lambda_mp, as perron once did."""
+def _log_lambda_at_dps(p):
+    """log lambda = log(lam) + beta*m at the working precision, as perron
+    once formed it."""
     with mpmath.workdps(p.dps):
-        log_root = p.log_lambda_mp - mpmath.mpf(p.beta) * p.m
+        return mpmath.log(p.lam) + _beta_m(p.beta, p.m)
+
+
+def _excess_log_from_the_log(p, h) -> float:
+    """log(P - beta*m - h) read off the log of lambda at dps, as perron once did."""
+    with mpmath.workdps(p.dps):
+        log_root = _log_lambda_at_dps(p) - _beta_m(p.beta, p.m)
     with mpmath.workprec(113):
         return float(mpmath.log(log_root - h))
 
@@ -545,6 +610,7 @@ LAZY_LOG_SOLVES = {
     ("appendix, perturbed", 1.0): lambda: _appendix_solve(0),
     ("appendix, unperturbed", 1.0): lambda: _appendix_solve(1),
     ("golden8, no floor", 16.0): lambda: (perron(table_potential("golden8"), 16.0, None), mpmath.mpf(0)),
+    **{(name, 64.0): (lambda name=name: _analysis_solve(_potential(name), 64.0)) for name in DECIMAL_TABLES},
 }
 
 
@@ -552,8 +618,7 @@ LAZY_LOG_SOLVES = {
 def test_the_rate_and_pressure_match_the_working_precision_log(case):
     p, h = LAZY_LOG_SOLVES[case]()
     excess_log = p.pressure_excess_log(h)
-    assert "log_lambda_mp" not in vars(p)
-    assert p.log_lambda == float(p.log_lambda_mp)
+    assert p.log_lambda == float(_log_lambda_at_dps(p))
     assert excess_log == _excess_log_from_the_log(p, h)
 
 
@@ -572,7 +637,6 @@ def test_a_gamma_sweep_forms_no_log_at_the_working_precision(monkeypatch, pot, g
     monkeypatch.setattr(mpmath, "log", lambda *args: precs.append(mpmath.mp.prec) or log(*args))
     an = Analysis(pot)
     estimate_gamma(an, grid)
-    assert not any("log_lambda_mp" in vars(an.perron(beta)) for beta in grid)
     # the one log above 113 bits is h's, in _entropy_mp
     assert sum(prec > 113 for prec in precs) == 1
 
@@ -588,6 +652,27 @@ beta,pressure,gamma_hat,gamma_maxplus,h
 128,0.4140127373937918,-1.0209596877370304,-1,0.4140127373937918
 256,0.4140127373937918,-1.0104798438685152,-1,0.4140127373937918
 """
+
+
+def test_a_gamma_sweep_solves_the_floor_root_once(monkeypatch):
+    # the golden-mean 1001 floor has out-degrees 1 and 2, so each mpf root
+    # is a Newton solve: one, at the largest beta's digits, serves the five
+    # solves and h, each rounded from it
+    roots, solve = [], spectral._adjacency_root
+
+    def recorded(adj, dps=None):
+        if dps is not None:
+            roots.append(dps)
+        return solve(adj, dps)
+
+    for module in (spectral, asymptotics):
+        monkeypatch.setattr(module, "_adjacency_root", recorded)
+    an = Analysis(golden_1001_potential())
+    grid = (16.0, 32.0, 64.0, 128.0, 256.0)
+    estimate_gamma(an, grid)
+    assert roots == [an.perron(256.0).dps]
+    with mpmath.workdps(an.perron(16.0).dps):
+        assert an.root(an.perron(16.0).dps) == +solve(an.floor[1], an.perron(256.0).dps)
 
 
 def test_a_gamma_sweep_on_an_irrational_floor_prints_as_before(tmp_path, capsys):

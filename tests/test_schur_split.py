@@ -99,18 +99,18 @@ def _schur_inputs(pot, beta):
     m, _, _, v, _ = an.floor
     with mpmath.workdps(p.dps):
         w = [mpmath.mpf(beta) * x for x in v]
-        mat = spectral._scaled_matrix(spectral.transfer_matrix(pot, beta), mpmath.mpf(beta) * m, w, rest, p.dps_n)
+        mat = spectral._scaled_matrix(pot.edges, beta, m, w, rest, p.dps_n)
     return an, p, plan, block, aubry, mat, mpmath.libmp.dps_to_prec(p.dps_n), w
 
 
 def _exact_block(pot, an, beta, aubry, w, mu, dps):
     """S_CC + S_CN (mu I - S_NN)^-1 S_NC at dps digits, from the exponents."""
-    logm, m = spectral.transfer_matrix(pot, beta), an.floor[0]
-    n, inside = len(logm), set(aubry)
+    n, inside = len(pot.states), set(aubry)
     rest = [k for k in range(n) if k not in inside]
     with mpmath.workdps(dps):
-        s = [[mpmath.exp(mpmath.mpf(e) - mpmath.mpf(beta) * m + w[j] - w[i]) if math.isfinite(e) else 0
-              for j, e in enumerate(row)] for i, row in enumerate(logm)]
+        shift, s = spectral._beta_m(beta, an.floor[0]), [[0] * n for _ in range(n)]
+        for u, v, a in pot.edges:
+            s[v][u] = mpmath.exp(mpmath.mpf(beta) * a - shift + w[u] - w[v])
         a = mpmath.matrix([[(mu if i == j else 0) - s[i][j] for j in rest] for i in rest])
         y = [mpmath.lu_solve(a, mpmath.matrix([s[i][c] for i in rest])) for c in aubry]
         return [[s[r][c] + mpmath.fsum(s[r][k] * y[q][t] for t, k in enumerate(rest)) for q, c in enumerate(aubry)]
@@ -127,7 +127,7 @@ def test_the_schur_block_encloses_the_exact_complement_at_both_ends(name, beta, 
     pot = table_potential(name)
     an, p, plan, block, aubry, mat, prec_n, w = _schur_inputs(pot, beta)
     with mpmath.workdps(p.dps):
-        shift = mpmath.exp(-mpmath.mpf(beta) * an.floor[0])
+        shift = mpmath.exp(-spectral._beta_m(beta, an.floor[0]))
         lo, hi = (x * shift for x in p.bracket)
         if widen:
             lo = hi * (1 - mpmath.mpf(10) ** -widen)

@@ -116,7 +116,7 @@ def test_unfloored_roots_far_from_one_keep_their_relative_resolution(table, sign
         a, b, c, d = (mpmath.exp(beta * sign * table[k]) for k in ("00", "10", "01", "11"))
         root = (a + d) / 2 + mpmath.sqrt(((a - d) / 2) ** 2 + b * c)
         assert p.escalations == 0
-        assert abs(p.log_lambda_mp - mpmath.log(root)) <= mpmath.mpf(10) ** -50 * beta
+        assert abs(mpmath.log(p.lam) - mpmath.log(root)) <= mpmath.mpf(10) ** -50 * beta  # m = 0: lam is lambda
         assert p.bracket[0] <= root <= p.bracket[1]
 
 
@@ -301,6 +301,23 @@ def test_the_plan_is_built_once_per_potential(monkeypatch):
     assert calls == [n, len(an.floor[4]), n]
 
 
+def test_perron_reads_the_edges_and_checks_reducibility_once_per_potential(monkeypatch):
+    # S, the span and the gap under the floor come from the table's floats
+    # in pot.edges, not from transfer_matrix's rounded products beta*a; the
+    # word graph's strong connectivity, which the vectors need, is checked
+    # once for every beta
+    made, components = [], []
+    monkeypatch.setattr(spectral, "transfer_matrix", lambda *args: made.append(args))
+    scc = spectral._strongly_connected_components
+    monkeypatch.setattr(spectral, "_strongly_connected_components", lambda adj: components.append(adj) or scc(adj))
+    an = Analysis(table_potential("golden5"))
+    for beta in (16.0, 256.0):
+        p = an.perron(beta)
+        assert abs(sum(p.mass_k) - 1) < 1e-12
+    assert an.perron(256.0).dps_n < an.perron(256.0).dps  # the gap was estimated
+    assert made == [] and len(components) == 1
+
+
 def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypatch):
     # on 64 states at beta 128, entries of nu_S hundreds of orders of
     # magnitude below its largest converge last: for a step the lower
@@ -370,7 +387,7 @@ def test_scaled_exponents_are_formed_in_mpmath():
     critical = set(an.decomposition.critical_pairs)
     with mpmath.workdps(p.dps):
         w = [mpmath.mpf(beta) * x for x in v]
-        mat = spectral._scaled_matrix(logm, mpmath.mpf(0), w)
+        mat = spectral._scaled_matrix(pot.edges, beta, an.floor[0], w)
         # float exponents, the formation that mpmath replaces
         rounded = [
             [mpmath.exp(logm[i][j] + float(w[j]) - float(w[i])) if mat[i][j] else 0
@@ -458,7 +475,7 @@ def test_the_float_newton_stage_starts_at_a_collatz_wielandt_bound(monkeypatch):
         ref = mpmath.mpf(root)
         for _ in range(12):
             ref -= mpmath.polyval(coeffs, ref) / mpmath.polyval(slope, ref)
-        assert abs(spectral.adjacency_entropy(adj, 600) - mpmath.log(ref)) < mpmath.mpf(10) ** -600
+        assert abs(spectral._adjacency_root(adj, 600) - ref) < ref * mpmath.mpf(10) ** -600
 
 
 @st.composite
