@@ -122,29 +122,31 @@ class Analysis:
         except NoEigenvalueError:
             gamma = v = None
         aubry = () if len(d.maximal_set) < len(d.components) else tuple(sorted(x for c in d.components for x in c))
-        return self._critical_means[0], d.adjacency(d.entropies.index(d.h)), gamma, v, aubry
+        return self._top_mean, d.adjacency(d.entropies.index(d.h)), gamma, v, aubry
 
-    @cached_property
-    def _critical_means(self) -> tuple:
-        """The largest and the least mean in A of the critical cycles of
-        A - m, as exact Fractions of the table's floats: the word graph is
-        shifted by a float m, so every cycle whose mean agrees with m to
-        rounding is critical, though their exact means may differ."""
+    def _critical_mean(self, sign: int) -> Fraction:
+        """The largest (sign 1) or the least (sign -1) mean in A of the
+        critical cycles of A - m, as an exact Fraction of the table's floats:
+        the word graph is shifted by a float m, so every cycle whose mean
+        agrees with m to rounding is critical, though their exact means may
+        differ."""
         nodes, pairs = self.graph.nodes, self.decomposition.critical_pairs
         weights = [self.pot.value(nodes[u] + nodes[v][-1:]) for u, v in pairs]
         if len(set(weights)) == 1:  # one weight, as 0 on every bench table
-            return Fraction(weights[0]), Fraction(weights[0])
+            return Fraction(weights[0])
         index = {x: i for i, x in enumerate({x for pair in pairs for x in pair})}
-        edges = [(index[u], index[v], Fraction(w)) for (u, v), w in zip(pairs, weights)]
-        negated = [(u, v, -w) for u, v, w in edges]
-        return howard_cycle_mean(len(index), edges), -howard_cycle_mean(len(index), negated)
+        edges = [(index[u], index[v], sign * Fraction(w)) for (u, v), w in zip(pairs, weights)]
+        return sign * howard_cycle_mean(len(index), edges)
 
-    @property
+    @cached_property
+    def _top_mean(self) -> Fraction:
+        return self._critical_mean(1)
+
+    @cached_property
     def exact_floor(self) -> bool:
         """Whether every critical cycle has the exact mean m, so that the floor
         e^{beta*m + h} is exact at every beta: not on a tie to float rounding."""
-        top, least = self._critical_means
-        return top == least
+        return self._top_mean == self._critical_mean(-1)
 
     @cached_property
     def gamma_maxplus(self) -> float:

@@ -11,8 +11,9 @@ The word graph has E = O(n) edges and is never closed.  The bias of
 Howard's policy iteration gives it a potential u (w + u(x) - u(y) <= 0 on
 every edge), and the Aubry components are those of the critical graph read
 off u.  The cost matrix, the max-plus subaction and the Mane potential read
-single-source rows of S, each a Dijkstra run on the reduced weights
-(Johnson's reweighting), kept on the graph: O(nE + L E log n) for L components.
+single-source rows of S, each a Dijkstra run over successor lists of the
+reduced weights (Johnson's reweighting), both built once and kept on the
+graph: O(nE + L E log n) for L components.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class WordGraph:
             if num is Fraction or all(weights[a, b] - x[a] + x[b] <= gain for (a, b, _) in self.edges):
                 return [float(-v) for v in x[:n]]
 
+    @cached_property
+    def _successors(self) -> list[list[tuple[int, float, float]]]:
+        """(y, w, max(0, u(y) - u(x) - w)) for each edge x -> y, by x in edge
+        order: the raw and the reduced weight that every row reads."""
+        u, out = self.potential, [[] for _ in self.nodes]
+        for (x, y, w) in self.edges:
+            out[x].append((y, w, max(0.0, u[y] - u[x] - w)))
+        return out
+
     def paths_from(self, s: int) -> list[float]:
         """row[v] = max weight over paths s -> v of length >= 1, -inf when
         there is none, kept with the graph.  Dijkstra on the reduced weights
@@ -103,20 +113,18 @@ class WordGraph:
         """
         if s in self._rows:
             return self._rows[s]
-        u, out = self.potential, [[] for _ in self.nodes]
-        for (x, y, w) in self.edges:
-            out[x].append((y, w, max(0.0, u[y] - u[x] - w)))
+        out, push, pop = self._successors, heapq.heappush, heapq.heappop
         loss = [math.inf] * self.n  # minus the reduced weight of the best path
         raw = [NEG_INF] * self.n
         heap = [(0.0, s, 0.0)]  # the empty path, which the row does not count
         while heap:
-            c, x, r = heapq.heappop(heap)
+            c, x, r = pop(heap)
             if c > loss[x]:
                 continue
             for (y, w, dc) in out[x]:
-                if c + dc < loss[y]:
-                    loss[y], raw[y] = c + dc, r + w
-                    heapq.heappush(heap, (c + dc, y, r + w))
+                if (d := c + dc) < loss[y]:
+                    loss[y], raw[y] = d, r + w
+                    push(heap, (d, y, r + w))
         self._rows[s] = raw
         return raw
 
@@ -174,8 +182,10 @@ def decompose_aubry(g: WordGraph) -> AubryDecomposition:
         raise EmptyAubrySetError("no zero-weight cycle: potential not normalized")
     node_comp = {v: i for i, comp in enumerate(comps) for v in comp}
 
-    crit_pairs = set(crit_edges)
-    entropies = [adjacency_entropy(_adjacency(comp, crit_edges)) for comp in comps]
+    crit_pairs, inside = set(crit_edges), [[] for _ in comps]
+    for (u, v) in crit_edges:  # both ends lie in one component
+        inside[node_comp[u]].append((u, v))
+    entropies = [adjacency_entropy(_adjacency(comp, pairs)) for comp, pairs in zip(comps, inside)]
     h = max(entropies)
     maximal = tuple(i for i, hi in enumerate(entropies) if hi >= h - ZERO_CYCLE_TOL)
 

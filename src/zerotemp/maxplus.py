@@ -68,15 +68,11 @@ class MaxPlusMatrix:
 
     def shifted(self, c) -> "MaxPlusMatrix":
         """Entrywise M + c (tropical scalar multiplication)."""
-        return MaxPlusMatrix.from_rows(
-            [[e if e == NEG_INF else e + c for e in row] for row in self.entries]
-        )
+        return MaxPlusMatrix.from_rows([[e if e == NEG_INF else e + c for e in row] for row in self.entries])
 
     def restrict(self, indices) -> "MaxPlusMatrix":
         idx = list(indices)
-        return MaxPlusMatrix.from_rows(
-            [[self.entries[i][j] for j in idx] for i in idx]
-        )
+        return MaxPlusMatrix.from_rows([[self.entries[i][j] for j in idx] for i in idx])
 
 
 @dataclass(frozen=True)
@@ -90,18 +86,8 @@ def mp_apply(m: MaxPlusMatrix, v) -> list:
     """(M (x) v)_i = max_j (M_ij + v_j)."""
     if len(v) != m.n:
         raise ValueError(f"dimension mismatch: matrix {m.n}, vector {len(v)}")
-    out = []
-    for i in range(m.n):
-        best = NEG_INF
-        for j in range(m.n):
-            e = m.entries[i][j]
-            if e == NEG_INF or v[j] == NEG_INF:
-                continue
-            cand = e + v[j]
-            if cand > best:
-                best = cand
-        out.append(best)
-    return out
+    return [max((e + x for e, x in zip(row, v) if e != NEG_INF and x != NEG_INF), default=NEG_INF)
+            for row in m.entries]
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
@@ -314,17 +300,8 @@ def mp_2x2_closed_form(a, b, c, d):
     half = Fraction(1, 2) if exact else 0.5
     cands = [a + b + d, b + c + d, (a + b + c + d) * half]
     lam = max(cands)
-    offsets = []
-    if cands[0] == lam:
-        offsets.append(-d)
-    if cands[1] == lam:
-        offsets.append(b)
-    if cands[2] == lam:
-        offsets.append((a + b - c - d) * half)
+    offsets = [o for cand, o in zip(cands, (-d, b, (a + b - c - d) * half)) if cand == lam]
     first = offsets[0]
-    for o in offsets[1:]:
-        if (exact and o != first) or (not exact and abs(o - first) > DEDUP_TOL):
-            raise AssertionError(
-                f"inconsistent tie in 2x2 closed form: offsets {offsets}"
-            )
+    if any(o != first if exact else abs(o - first) > DEDUP_TOL for o in offsets[1:]):
+        raise AssertionError(f"inconsistent tie in 2x2 closed form: offsets {offsets}")
     return lam, first

@@ -93,6 +93,8 @@ class LocallyConstantPotential:
         object.__setattr__(self, "values", table)
         words = enumerate_words(self.sft, self.depth + 1)
         admissible = set(words)
+        if table.keys() == admissible:
+            return
         for w in table:
             if w not in admissible:
                 raise ValueError(f"table key {w} is not an admissible (k+1)-word")
@@ -103,10 +105,7 @@ class LocallyConstantPotential:
     @classmethod
     def from_table(cls, sft: Sft, table: dict) -> "LocallyConstantPotential":
         """Build from a {word-string-or-tuple: value} mapping."""
-        conv = {}
-        for key, v in table.items():
-            w = tuple(int(ch) for ch in key) if isinstance(key, str) else tuple(key)
-            conv[w] = v
+        conv = {tuple(map(int, key)) if isinstance(key, str) else tuple(key): v for key, v in table.items()}
         if not conv:
             raise ValueError("table is empty")
         depth = len(next(iter(conv))) - 1
@@ -132,12 +131,12 @@ class LocallyConstantPotential:
         """(u, v, A(u.s)) by state index for each admissible (k+1)-word u.s,
         v = u[1:] + (s,): the edges of the word graph, ordered by u, then s."""
         index = {w: i for i, w in enumerate(self.states)}
-        allows = self.sft.allows
+        follow = [[s for s, ok in enumerate(row) if ok] for row in self.sft.transitions]
+        values, lift = self.values, self.depth == 0  # depth 0: A(u.s) = A(u)
         return tuple(
-            (index[u], index[u[1:] + (s,)], self.value(u + (s,)))
-            for u in self.states
-            for s in range(self.sft.alphabet_size)
-            if allows(u[-1], s)
+            (i, index[u[1:] + (s,)], values[u if lift else u + (s,)])
+            for i, u in enumerate(self.states)
+            for s in follow[u[-1]]
         )
 
     @cached_property
@@ -682,7 +681,20 @@ def _search(test, x, x_min, x_max):
     raise PerronError(f"the upper Collatz-Wielandt bound fails the M-matrix test; {ITERATION_NOTE}")
 
 
-def _collatz_wielandt(plan, mat, x, transpose=False, lo=0):
+def _cw_rows(plan, mat, transpose=False) -> tuple:
+    """(below, above): the rows over the plan's pattern, as lists of (entry,
+    column), of each matrix of the pair mat (below, above), or of mat twice;
+    of the transpose with ``transpose``."""
+    ends = mat if isinstance(mat, tuple) else (mat,)
+    rows = [[[] for _ in plan[2]] for _ in ends]
+    for _, i, j in plan[1]:
+        row, col = (j, i) if transpose else (i, j)
+        for out, m in zip(rows, ends):
+            out[row].append((m[i][j], col))
+    return rows[0], rows[-1]
+
+
+def _collatz_wielandt(plan, mat, x, transpose=False, lo=0, rows=None):
     """(low, high) with low <= rho(S) <= high, S the exactly formed matrix
     that mat rounds (_scaled_matrix), from a mat-vec over the plan's pattern
     at the working precision with a positive x (None for any other x): for
@@ -694,28 +706,27 @@ def _collatz_wielandt(plan, mat, x, transpose=False, lo=0):
     first and high the second.  The rows of the largest set D whose ratios
     so widened lie below lo, and which read only D, are left out of low:
     then rho(S_DD) < lo, the Perron vector vanishes on D, and low comes from
-    the other rows J, as rho(S) >= rho(S_JJ)."""
+    the other rows J, as rho(S) >= rho(S_JJ).  ``rows`` is _cw_rows(plan,
+    mat, transpose), passed by callers that bound many x on one matrix."""
     if not all(v > 0 for v in x):
         return None
-    below, above = mat if isinstance(mat, tuple) else (mat, mat)
+    below, above = rows or _cw_rows(plan, mat, transpose)
 
-    def ratios(m):
-        rows = [[] for _ in x]
-        for _, i, j in plan[1]:
-            row, col = (j, i) if transpose else (i, j)
-            rows[row].append((m[i][j], col))
-        return rows, [mpmath.fdot((a, x[j]) for a, j in row) / y for row, y in zip(rows, x)]
+    def ratios(rs):
+        return [mpmath.fdot((a, x[j]) for a, j in row) / y for row, y in zip(rs, x)]
 
-    rows, low = ratios(below)
+    low = ratios(below)
     widen = mpmath.ldexp(3, 1 - mpmath.mp.prec)
-    high = max(low if above is below else ratios(above)[1]) * (1 + widen)
-    block = {i for i, r in enumerate(low) if r * (1 + widen) < lo}
-    while any(j not in block for i in block for _, j in rows[i]):
-        block = {i for i in block if all(j in block for _, j in rows[i])}
+    high = max(low if above is below else ratios(above)) * (1 + widen)
+    # r (1 + widen) < lo exactly when r < lo / (1 + widen), rounded toward 0
+    cut = mpmath.fdiv(lo, 1 + widen, rounding="d")
+    block = {i for i, r in enumerate(low) if r < cut}
+    while any(j not in block for i in block for _, j in below[i]):
+        block = {i for i in block if all(j in block for _, j in below[i])}
     if 0 < len(block) < len(x):
         low = [
             mpmath.fdot((a, x[j]) for a, j in row if j not in block) / y
-            for i, (row, y) in enumerate(zip(rows, x)) if i not in block
+            for i, (row, y) in enumerate(zip(below, x)) if i not in block
         ]
     return min(low) * (1 - widen), high
 
@@ -891,10 +902,10 @@ def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
     once a step no longer halves high/low - 1 below hi/lo - 1, the rounding
     floor.  Above it low may stall for a step at a state that reads the rest
     through a tiny entry; high/low - 1, unlike high - low, falls as it climbs."""
-    x, spread = [mpmath.mpf(1)] * len(plan[2]), mpmath.inf
+    x, spread, rows = [mpmath.mpf(1)] * len(plan[2]), mpmath.inf, _cw_rows(plan, mat, transpose)
     for _ in range(_MAX_STEPS):
         x = _solve(plan, lu, x, transpose)
-        bounds = _collatz_wielandt(plan, mat, x, transpose, lo)
+        bounds = _collatz_wielandt(plan, mat, x, transpose, lo, rows)
         if bounds is None:
             return None
         low, high = bounds

@@ -241,6 +241,30 @@ def test_a_near_tie_of_critical_cycles_is_refused_once_per_analysis(monkeypatch)
     assert not an.exact_floor
 
 
+def test_the_floor_runs_one_exact_cycle_mean_and_the_near_tie_guard_one_more(monkeypatch):
+    # zero on the 5-words plus a 2-decimal coboundary g(x) - g(y): every
+    # edge is critical, and the rounded coboundary leaves cycles whose
+    # exact means differ; the floor needs the largest, the guard the least
+    exact_runs, howard = [], asymptotics.howard_cycle_mean
+
+    def recorded(n, edges):
+        if isinstance(edges[0][2], Fraction):
+            exact_runs.append(n)
+        return howard(n, edges)
+
+    monkeypatch.setattr(asymptotics, "howard_cycle_mean", recorded)
+    rng = random.Random(1)
+    g = {w: round(rng.uniform(-1.0, 1.0), 2) for w in itertools.product((0, 1), repeat=4)}
+    table = {w: g[w[:-1]] - g[w[1:]] for w in itertools.product((0, 1), repeat=5)}
+    an = Analysis(LocallyConstantPotential(full_shift(1), 4, table))
+    assert len(an.decomposition.critical_pairs) == 32
+    m = an.floor[0]
+    assert exact_runs == [16]
+    with pytest.raises(PerronError, match="critical cycles of A - m tie to float rounding"):
+        estimate_gamma(an, (2.0,))
+    assert exact_runs == [16, 16] and an.floor[0] == m and not an.exact_floor
+
+
 def test_an_analysis_is_freed_as_soon_as_it_is_dropped():
     # its Perron pairs keep their deferred vectors, and with them the
     # factors of each solve: no reference cycle may hold them until the

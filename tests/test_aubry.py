@@ -242,6 +242,7 @@ def test_best_paths_are_freed_with_the_graph():
     g = word_graph(pot)
     decompose_aubry(g)
     mane_potential(g, 0, 1)
+    assert "_successors" in vars(g)  # the successor lists go with it
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -547,3 +548,46 @@ def test_policy_iteration_runs_only_when_an_edge_weighs_above_zero(monkeypatch):
     with pytest.raises(PositiveCycleError):
         decompose_aubry(word_graph(random_potential(8, -1.0, 3.0)))
     assert len(calls) == 1
+
+
+def test_a_graph_builds_its_successor_lists_once(monkeypatch):
+    built, build = [], aubry.WordGraph._successors.func
+    monkeypatch.setattr(aubry.WordGraph._successors, "func", lambda g: built.append(g.n) or build(g))
+    g = word_graph(seeded_potential(3)[0])
+    decompose_aubry(g)
+    assert built == [g.n]
+    for s in reversed(range(g.n)):
+        mane_potential(g, s, 0)
+    assert built == [g.n]
+
+
+def shuffled(n, seed):
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_read_in_any_order_match_the_dense_closure_of_a_minus_m(seed):
+    # + 0.25 on every word makes m = 0.25, so the graph read is A - m; the
+    # coboundary leaves it a nonzero potential, and all sums stay dyadic
+    pot, _ = seeded_potential(seed)
+    an = Analysis(LocallyConstantPotential(pot.sft, pot.depth, {w: a + 0.25 for w, a in pot.values.items()}))
+    g = an.graph
+    assert g.edges == pot.edges and any(g.potential)
+    best = floyd_warshall(g)
+    for order in (reversed(range(g.n)), shuffled(g.n, seed)):
+        fresh = aubry.WordGraph(g.nodes, g.edges)
+        assert {s: fresh.paths_from(s) for s in order} == dict(enumerate(best))
+
+
+def test_rows_of_a_reducible_shift_read_in_any_order_match_the_dense_closure():
+    trans = ((True, True, True), (False, True, True), (False, False, True))
+    table = {"000": -0.5, "001": 0.75, "002": -3.25, "011": -1.5, "012": 1.25, "022": -3.5,
+             "111": 0.0, "112": -0.25, "122": -1.0, "222": -2.0}
+    pot = LocallyConstantPotential.from_table(Sft(3, trans), table)
+    best = floyd_warshall(word_graph(pot))
+    for order in (range(len(pot.states)), reversed(range(len(pot.states)))):
+        g = word_graph(pot)
+        assert any(g.potential)
+        assert {s: g.paths_from(s) for s in order} == dict(enumerate(best))

@@ -14,6 +14,7 @@ from zerotemp import (
     PerronError,
     PositiveCycleError,
     decompose_aubry,
+    enumerate_words,
     word_graph,
     equilibrium_cylinder_mass,
     Sft,
@@ -58,6 +59,27 @@ def test_table_validation_names_the_first_bad_key(sft, keys, message):
     with pytest.raises(ValueError) as info:
         LocallyConstantPotential(sft, 1, dict.fromkeys(keys, 0.0))
     assert str(info.value) == message
+
+
+NO_00 = Sft(2, ((False, True), (True, True)))
+
+
+@pytest.mark.parametrize("sft", [full_shift(1), GOLDEN, NO_00, full_shift(2)], ids=["FULL2", "GOLDEN", "NO_00", "FULL3"])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_edges_match_the_word_by_word_reference(sft, depth):
+    rng = random.Random(depth)
+    words = enumerate_words(sft, depth + 1)
+    pot = LocallyConstantPotential(sft, depth, {w: -rng.uniform(0.0, 4.0) for w in words})
+    # one edge u -> u[1:] + s for each admissible (k+1)-word u.s, weighted
+    # A(u.s), or A(u) at depth 0, in the order of u, then s
+    index = {w: i for i, w in enumerate(pot.states)}
+    reference = tuple(
+        (index[u], index[u[1:] + (s,)], pot.value(u + (s,)))
+        for u in pot.states
+        for s in range(sft.alphabet_size)
+        if sft.allows(u[-1], s)
+    )
+    assert pot.edges == reference
 
 
 def test_golden_mean_table_excludes_forbidden():
@@ -331,8 +353,8 @@ def test_the_left_vector_certifies_while_its_smallest_entries_converge(monkeypat
     transposed = []
     bound = spectral._collatz_wielandt
 
-    def recorded(plan, mat, x, transpose=False, lo=0):
-        bounds = bound(plan, mat, x, transpose, lo)
+    def recorded(plan, mat, x, transpose=False, lo=0, rows=None):
+        bounds = bound(plan, mat, x, transpose, lo, rows)
         if transpose:
             transposed.append(bounds)
         return bounds
