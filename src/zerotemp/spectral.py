@@ -3,7 +3,7 @@
 The operator L_A(psi)(x) = sum_{sigma(z)=x} e^{A(z)} psi(z) acts on functions
 of k-word cylinders when A depends on k+1 coordinates.  All spectral data is
 produced in log-domain form; perron forms the matrix in mpmath from the
-table's floats, and every solve runs in mpmath or in plain floats.
+table's floats, and every solve runs in fixed-point ints, mpmath or floats.
 
 At large inverse temperature the leading eigenvalues cluster within a
 factor 1 + O(e^{beta*gamma}) of the max-plus floor e^{beta*m + h} (m the
@@ -11,17 +11,20 @@ maximum cycle mean, h the largest entropy of a critical component), so
 fixed-precision iteration cannot separate them.  perron() solves for the
 dominant pair only, on a tropically scaled matrix S whose precision
 follows the excess, not the spread of the matrix: it brackets the root by
-the M-matrix test in fixed-point ints, narrows it by regula falsi, and
-certifies it in mpmath by the Collatz-Wielandt bounds of its Perron vectors.
-Only the Aubry states C need the digits of the excess: the states N outside
-them are split off at about R + G digits, and the bracket and the vectors
-are certified on the Schur complement onto C (_schur_block).
+the M-matrix test in fixed-point ints, narrows it by regula falsi on exact
+int determinants, and certifies it by the Collatz-Wielandt bounds, in exact
+ints, of a fixed-point Perron vector over an int enclosure of S.  Only the
+Aubry states C need the digits of the excess: the states N outside them are
+split off at about R + G digits, and the bracket is certified on the Schur
+complement onto C (_schur_block).  nu is solved and certified in mpmath on
+first read, as its entries fall below any fixed-point grid.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
 elimination plan per pattern, in a fill-reducing order, serves both: each
-perron probe is one numeric pass of it over mu*I - S, one in mpf gives the
-factors the solves reuse, and each Newton step is one over x*I - adj.
+perron probe is one numeric pass of it over mu*I - S in ints, one more
+gives the factors of the certificate, one in mpf those of the vectors, and
+each Newton step is one over x*I - adj.
 """
 
 from __future__ import annotations
@@ -191,13 +194,15 @@ class PerronData:
 
     H is the eigenfunction (right eigenvector, H(0^k) = 1) and nu the
     eigenmeasure (left eigenvector, total mass 1); mass_k holds the
-    equilibrium-measure masses of the k-word cylinders, all three solved on
-    first read by ``vectors``, which is then dropped.  ``bracket`` (lo, hi),
+    equilibrium-measure masses of the k-word cylinders, all three solved in
+    mpmath on first read by ``vectors`` (nu certified by its mpf
+    Collatz-Wielandt bounds), which is then dropped.  ``bracket`` (lo, hi),
     at ``dps`` digits, holds the root of the exactly formed matrix, as the
-    Collatz-Wielandt bounds of H_S certify (of H_C on the Schur complement
-    onto C, when N is split off); ``dps_n`` is the precision of the rows and
-    columns of N, ``dps`` when the whole matrix is solved; ``escalations``
-    counts the solves repeated at a higher precision when they could not.
+    exact-int Collatz-Wielandt bounds of H_S certify (of H_C on the Schur
+    complement onto C, when N is split off); ``dps_n`` is the precision of
+    the rows and columns of N, ``dps`` when the whole matrix is solved;
+    ``escalations`` counts the solves repeated at a higher precision when
+    they could not.
     lambda is hi, or the max-plus floor when the root lies within the
     resolution of it (zero excess); lam is its value for S, at dps: lambda
     = lam e^{beta*m}.  The reports read lam's excess over the floor at 113
@@ -385,7 +390,8 @@ def _fixed_test(plan, a, mu, bits, phase=None):
     """(passes, det) of _shifted_lu in fixed point: ints a and mu stand for
     a * 2^-bits and mu * 2^-bits, from the state ``phase`` that _fixed_phase
     left after the steps of N (with none, N is empty), so that only C's
-    steps run here; det returns as one mpf."""
+    steps run here; det returns exactly, as the pair (m, e) of _fixed_steps
+    for m * 2^e, of 2*bits bits."""
     nn, passes, det, exp, val = phase or _fixed_phase(plan, a, 0, 0, bits)
     if det is None:
         return False, None
@@ -393,7 +399,19 @@ def _fixed_test(plan, a, mu, bits, phase=None):
     for k, _, _ in steps:
         val[k] += mu
     passes_c, det, exp = _fixed_steps(steps, val, bits, plan[2][-1][0], det, exp)
-    return passes and passes_c, None if det is None else mpmath.mpf((det, exp))
+    return passes and passes_c, None if det is None else (det, exp)
+
+
+def _fixed_solve(forward, backward, val, bits, x) -> list:
+    """(mu I - a)^-1 x, in place on the ints x, on the factors val that
+    _fixed_steps left: forward holds (k, [(i, slot ik), ...]) by step and
+    backward (k, [(j, slot kj), ...]) by step reversed, cut to the rows solved."""
+    for k, updates in forward:
+        for i, ik in updates:
+            x[i] -= val[ik] * x[k] >> bits
+    for k, cols in backward:
+        x[k] = ((x[k] << bits) - sum(val[kj] * x[j] for j, kj in cols)) // val[k]
+    return x
 
 
 def _solve(plan, lu, b, transpose=False, skip=()) -> list:
@@ -521,6 +539,30 @@ def _beta_m(beta, m):
     return mpmath.mp.make_mpf(q)
 
 
+def _shifted(m, e) -> int:
+    """m * 2^e floored, for ints m and e."""
+    return m << e if e >= 0 else m >> -e
+
+
+def _units(x, bits) -> int:
+    """x * 2^bits floored, x an mpf >= 0, by a shift of its mantissa."""
+    return _shifted(x.man, x.exp + bits)
+
+
+def _exact(man, exp):
+    """man * 2^exp as an mpf, exactly: not rounded to the working precision."""
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
+
+
+def _ends(x, prec) -> tuple:
+    """(low, high, exp), low * 2^exp <= X <= high * 2^exp, X the exact value
+    that the mpf x > 0 rounds to prec bits, within 2^(1 - prec) of it."""
+    pad = max(prec - x.man.bit_length(), 0)  # mpmath strips trailing zeros
+    man = x.man << pad
+    d = (man >> (prec - 1)) + 1
+    return man - d, man + d, x.exp - pad
+
+
 def _scaled_matrix(edges, beta, m, w, rest=(), rest_dps=None) -> list:
     """S[v][u] = exp(beta*a - beta*m + w[u] - w[v]) over the word-graph edges
     (u, v, a), w mpf, at the working precision, or at rest_dps digits in a
@@ -555,11 +597,13 @@ def _scaled_matrix(edges, beta, m, w, rest=(), rest_dps=None) -> list:
 
 
 def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None):
-    """Bracket (lo, hi, lambda) of the Perron root of mat by the M-matrix
-    test, each probe a _fixed_test over a, mat floored to ints at 2^-bits;
-    a wrong verdict can only cost the certificate perron checks.  floor is
-    a lower estimate of the root, or None for the larger Collatz-Wielandt
-    lower bound of ones (rows or columns); bits is mp.prec plus what brings
+    """Bracket (lo, hi, lambda, fixed) of the Perron root of mat by the
+    M-matrix test, each probe a _fixed_test over a, mat floored to ints at
+    2^-bits; a wrong verdict can only cost the certificate perron checks.
+    fixed = (lo, hi, bits, a) in those ints: lo and hi become mpf, exactly,
+    only on return.  floor is a lower estimate of the root, or None for the
+    larger exact Collatz-Wielandt lower bound of ones (rows or columns) over
+    the lower ends (_ends) of the entries; bits is mp.prec plus what brings
     the floor to 2^bits units, so that units stay relative to the root.
     The plan's first nn steps eliminate N, whose rows of a
     are at 2^-bits_n (bits_n <= bits): a probe at mu runs them at mu
@@ -570,29 +614,37 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
     (or None).  It brackets log x by steps of ln 2 times 1, 2, 4, ... from
     the guess (or down from the smaller largest row or column sum of a plus
     n + 1 units, as each floored entry falls short by under one), bisects
-    in log x while the ends are more than a factor 2 apart, then runs
-    regula falsi (Anderson-Bjorck) on det(mu*I - a), the product of the
-    pivots (the last pivot alone changes sign in a window as narrow as the
-    excess), until hi - lo <= 10^-R (hi - floor), and without a floor also
-    10^-R |hi - 1|, so that log(hi) holds R digits.  lambda is hi, or the
-    floor when the test passes within floor * 10^-digits of it (zero
-    excess); a floor above the root gives way to None, or with N split
-    off, returns None.
+    in log x (isqrt of the ends cut to about 80 bits) while they are more
+    than a factor 2 apart, then runs regula falsi (Anderson-Bjorck) on
+    det(mu*I - a), the product of the pivots, _fixed_test's exact pair
+    floored to 2^(-4 bits), which keeps 2*bits bits of any det above
+    2^(-2 bits) (the last pivot alone changes sign in a window as narrow
+    as the excess), each step one floor division, until hi - lo <= 10^-R
+    (hi - floor), and without a floor also 10^-R |hi - 1|, so that log(hi)
+    holds R digits.  lambda is hi, or the floor when the test passes within
+    floor * 10^-digits of it (zero excess); a floor above the root gives
+    way to None, or with N split off, returns None.
     """
-    n, ref = len(mat), floor
+    n, prec, ref = len(mat), mpmath.mp.prec, floor
     if floor is None:
-        ref = max(_collatz_wielandt(plan, mat, [mpmath.mpf(1)] * n, t)[0] for t in (False, True))
-    bits = mpmath.mp.prec + max(0, 1 - mpmath.mag(ref or 1))
+        ends = [(i, j, *_ends(mat[i][j], prec)) for _, i, j in plan[1]]
+        low = min((e for *_, e in ends), default=0)
+        rows, cols = [0] * n, [0] * n
+        for i, j, x, _, e in ends:
+            rows[i] += x << (e - low)
+            cols[j] += x << (e - low)
+        ref = _exact(max(min(rows), min(cols)), low)
+    bits = prec + max(0, 1 - mpmath.mag(ref or 1))
     cut = bits - (bits if bits_n is None else bits_n)
     rest = {k for k, _, _ in plan[2][:nn]}
     a, rows, cols = [[0] * n for _ in mat], [0] * n, [0] * n
     for _, i, j in plan[1]:
-        x = int(mpmath.ldexp(mat[i][j], bits))
+        x = _units(mat[i][j], bits)
         a[i][j] = x >> cut if i in rest else x
         rows[i] += x
         cols[j] += x
     top = min(max(rows), max(cols)) + n + 1
-    base = int(mpmath.ldexp(ref, bits))
+    base = _units(ref, bits)
     one = None if floor is not None else 1 << bits
     kept = [None, None]
 
@@ -601,17 +653,22 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
             kept[:] = mu_n, _fixed_phase(plan, a, nn, mu_n, bits - cut)
         return kept[1]
 
-    def test(x):  # the M-matrix test at mu = base + x
+    def test(x):  # the M-matrix test at mu = base + x, det floored to 2^(-4 bits)
         mu = base + x
-        return _fixed_test(plan, a, mu, bits, phase(mu >> cut if nn else 0))
+        passes, det = _fixed_test(plan, a, mu, bits, phase(mu >> cut if nn else 0))
+        return passes, None if det is None else _shifted(det[0], det[1] + 4 * bits)
+
+    def bracket(x_lo, x_hi, lam=None):  # lo and hi as exact mpf, and as ints
+        lo, hi = base + x_lo, base + x_hi
+        hi_mp = _exact(hi, -bits)
+        return _exact(lo, -bits), hi_mp, hi_mp if lam is None else lam, (lo, hi, bits, a)
 
     x_min = max(base // 10**digits, 1)
     x_max = max(2 * (top - base), 2 * x_min)
-    found = _search(test, x_max if guess is None else int(mpmath.ldexp(guess, bits)), x_min, x_max)
+    found = _search(test, x_max if guess is None else _units(guess, bits), x_min, x_max)
     if found is None:  # the test passes at floor + x_min
         if not test(-x_min)[0]:
-            lo, hi, lam = (mpmath.ldexp(base + x, -bits) for x in (-x_min, x_min, 0))
-            return lo, hi, lam if floor is None else floor
+            return bracket(-x_min, x_min, _exact(base, -bits) if floor is None else floor)
         if floor is None:
             raise PerronError(f"no root above the lower Collatz-Wielandt bound; {ITERATION_NOTE}")
         # the floor lies above the root
@@ -623,32 +680,31 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
         if one is not None:
             width = min(width, abs(base + x_hi - one) // 10**_RESOLVED)
         if 2 * x_lo < x_hi:  # bisect in log x
-            x = math.isqrt(x_lo * x_hi)
+            drop = max(x_lo.bit_length() - 80, 0)
+            x = math.isqrt((x_lo >> drop) * (x_hi >> drop)) << drop
         elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
             x = (x_lo + x_hi) // 2
         else:
             # keep half the target width from either end, so that a step that
             # lands next to one end still closes the bracket, and aim a quarter
             # of it low, so that no probe lands within rounding of the root
-            x = x_hi - int(f_hi * (x_hi - x_lo) / (f_hi - f_lo)) - width // 4
+            x = x_hi - f_hi * (x_hi - x_lo) // (f_hi - f_lo) - width // 4
             x = min(max(x, x_lo + width // 2), x_hi - width // 2)
         # resolved, or no point left between the ends
         if x_hi - x_lo <= width or x == x_lo or x == x_hi:
-            lo, hi = (mpmath.ldexp(base + x, -bits) for x in (x_lo, x_hi))
-            return lo, hi, hi
+            return bracket(x_lo, x_hi)
         passes, f = test(x)
         # Anderson-Bjorck: when one end is replaced twice in a row, scale
-        # the value kept at the other end down, so that both ends move
+        # the value kept at the other end by 1 - f/(its last), or 1/2 unless
+        # that is positive, so that both ends move
         if passes:
             if side == 1 and f_lo is not None:
-                scale = 1 - f / f_hi
-                f_lo *= scale if scale > 0 else mpmath.mpf(0.5)
+                f_lo = f_lo * (f_hi - f) // f_hi if (f_hi - f) * f_hi > 0 else f_lo // 2
             x_hi, f_hi = x, f
             side = 1
         else:
             if side == -1 and f is not None and f_lo is not None:
-                scale = 1 - f / f_lo
-                f_hi *= scale if scale > 0 else mpmath.mpf(0.5)
+                f_hi = f_hi * (f_lo - f) // f_lo if (f_lo - f) * f_lo > 0 else f_hi // 2
             x_lo, f_lo = x, f
             side = -1
     raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
@@ -760,12 +816,15 @@ def _ratio_up(num, den):
     return -((-num << s) // den), s
 
 
-def _schur_block(plan, block, aubry, mat, lo, hi, prec_n):
-    """(below, above), matrices over C (``aubry``, in the block plan's
-    order) at the working precision that enclose S_CC + K(mu) entrywise for
-    every mu in [lo, hi], K(mu) = S_CN (mu I - S_NN)^-1 S_NC the part of the
-    Schur complement of mu I - S onto C that runs through N; None unless
-    lo*I - S_NN is certified a nonsingular M-matrix.
+def _schur_block(plan, block, aubry, mat, lo, hi, scale, prec_n):
+    """(below, above, unit), int matrices over C (``aubry``, in the block
+    plan's order) at 2^-unit that enclose S_CC + K(mu) entrywise for every
+    mu in [lo, hi] (ints at 2^-scale, scale >= mp.prec, as _bracket_root
+    returns them), K(mu) = S_CN (mu I - S_NN)^-1 S_NC the part of the Schur
+    complement of mu I - S onto C that runs through N; None unless lo*I -
+    S_NN is certified a nonsingular M-matrix.  unit >= scale is the finest
+    exponent of the ends, so each is exact there and K keeps its relative
+    digits however small, which nu's certificate needs.
 
     Y = (mu0 I - S_NN)^-1 S_NC, mu0 = hi floored, and the vectors below are
     solved in fixed point at 2^-bits, bits = 2 prec_n or mp.prec if less,
@@ -789,11 +848,11 @@ def _schur_block(plan, block, aubry, mat, lo, hi, prec_n):
     rows = [[] for _ in range(n)]  # by row: (j, a_ij, its upper bound), j in N
     for _, i, j in entries:
         if i not in col:
-            a[i][j] = int(mpmath.ldexp(mat[i][j], bits))
+            a[i][j] = _units(mat[i][j], bits)
         if j not in col:
             x = a[i][j]
             rows[i].append((j, x, x + 2 + (x >> (prec_n - 1))))
-    mu0 = int(mpmath.ldexp(hi, bits))
+    mu0 = hi >> (scale - bits)
     _, passes, _, _, val = _fixed_phase(plan, a, nn, mu0, bits)
     if not passes:
         return None
@@ -801,16 +860,10 @@ def _schur_block(plan, block, aubry, mat, lo, hi, prec_n):
     backward = [(k, [(j, kj) for j, kj in cols if j not in col]) for k, _, cols in reversed(steps[:nn])]
 
     def solve(x):  # (mu0 I - S_NN)^-1 x on the factors of N
-        x = list(x)
-        for k, updates in forward:
-            for i, ik in updates:
-                x[i] -= val[ik] * x[k] >> bits
-        for k, cols in backward:
-            x[k] = ((x[k] << bits) - sum(val[kj] * x[j] for j, kj in cols)) // val[k]
-        return x
+        return _fixed_solve(forward, backward, val, bits, list(x))
 
-    lo_units, one = int(mpmath.ldexp(lo, bits)), 1 << bits
-    d_mu = int(mpmath.ldexp(hi - lo, bits)) + 2
+    lo_units, one = lo >> (scale - bits), 1 << bits
+    d_mu = (hi - lo >> (scale - bits)) + 2
 
     def margin(y, v):  # (num, den): the least ((lo I - S_NN) v)_i / y_i in units, or None
         best = None
@@ -850,13 +903,11 @@ def _schur_block(plan, block, aubry, mat, lo, hi, prec_n):
         (f, sf), (g, sg) = _ratio_up(theta[0] * eta[1] * one, theta[1] * eta[0]), _ratio_up(t * zeta[1], one * zeta[0])
         spread.append((y, [x - (-f * vk >> sf) - (-g * zk >> sg) for x, vk, zk in zip(y, v, z)]))
 
-    def term(x, prec, scale):  # (low, high, exponent): mpf x moved out by its rounding, times scale
-        pad = max(prec - x.man.bit_length(), 0)  # mpmath strips trailing zeros
-        man = x.man << pad
-        d = (man >> (prec - 1)) + 1
-        return (man - d) * scale[0], (man + d) * scale[1], x.exp - pad
+    def term(x, prec, by):  # (low, high, exponent): mpf x moved out by its rounding, times by
+        low, high, e = _ends(x, prec)
+        return low * by[0], high * by[1], e
 
-    below, above = [[0] * len(aubry) for _ in aubry], [[0] * len(aubry) for _ in aubry]
+    found = {}  # by entry: (k_low, k_high, base), the ends k * 2^base
     for _, r, c in block[1]:
         i, (y, high), s = aubry[r], spread[c], mat[aubry[r]][aubry[c]]
         terms = [term(mat[i][k], prec_n, (max(y[k] + y[k] - high[k], 0), high[k])) + (-bits,)
@@ -866,8 +917,12 @@ def _schur_block(plan, block, aubry, mat, lo, hi, prec_n):
         base = min((e + shift for _, _, e, shift in terms), default=0)
         k_low = sum(max(x, 0) << (e + shift - base) for x, _, e, shift in terms)
         k_high = sum(x << (e + shift - base) for _, x, e, shift in terms)
-        below[r][c], above[r][c] = mpmath.mpf((k_low, base)), mpmath.mpf((k_high, base))
-    return below, above
+        found[r, c] = k_low, k_high, base
+    unit = max([scale] + [-base for *_, base in found.values()])
+    below, above = [[0] * len(aubry) for _ in aubry], [[0] * len(aubry) for _ in aubry]
+    for (r, c), (k_low, k_high, base) in found.items():
+        below[r][c], above[r][c] = k_low << (base + unit), k_high << (base + unit)
+    return below, above, unit
 
 
 def _off_block(plan, aubry, mat, mu, h_c, nu_c):
@@ -917,6 +972,49 @@ def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
     return None
 
 
+def _fixed_perron(plan, mid, bits, ends, lo, hi):
+    """The right Perron vector, as ints, of every S that the int matrices
+    ends = (L, U) enclose entrywise, all of them, mid, lo and hi ints at
+    2^-bits: inverse iteration in fixed point on the factors of hi*I - mid,
+    from ones, each iterate scaled so that its least entry keeps the bits of
+    hi and lifted to at least 1.  The first iterate x with sum_j L_ij x_j >=
+    lo x_i and sum_j U_ij x_j < hi x_i in every row, in exact ints, is
+    returned: its floored ratios low and high bound low <= rho(S) < high + 1.
+    The rows of the largest set D below lo that read only D are left out of
+    low, as in _collatz_wielandt, since rho(S) >= rho(S_JJ) for any J.  None
+    when hi*I - mid fails the M-matrix test, or once a step no longer halves
+    high/low - 1 below hi/lo - 1, the rounding floor (as _perron_vector)."""
+    size, entries, steps = plan
+    val, rows = [hi] * len(steps) + [0] * (size - len(steps)), [[] for _ in steps]
+    for s, i, j in entries:
+        val[s] -= mid[i][j]
+        rows[i].append((j, ends[0][i][j], ends[1][i][j]))
+    if not _fixed_steps(steps, val, bits, None)[0]:
+        return None
+    forward = [(k, [(i, ik) for i, ik, _ in updates]) for k, updates, _ in steps]
+    backward = [(k, cols) for k, _, cols in reversed(steps)]
+    x, spread, keep = [1] * len(steps), None, max(hi.bit_length(), bits)
+    for _ in range(_MAX_STEPS):
+        drop = min(x).bit_length() - keep
+        x = _fixed_solve(forward, backward, val, bits, [v << -drop for v in x] if drop < 0 else [v >> drop for v in x])
+        x = [max(v, 1) for v in x]
+        low = {i: sum(lij * x[j] for j, lij, _ in row) // x[i] for i, row in enumerate(rows)}
+        high = max(sum(uij * x[j] for j, _, uij in row) // y for row, y in zip(rows, x))
+        block = {i for i, r in low.items() if r < lo}
+        while any(j not in block for i in block for j, _, _ in rows[i]):
+            block = {i for i in block if all(j in block for j, _, _ in rows[i])}
+        if 0 < len(block) < len(x):
+            low = {i: sum(lij * x[j] for j, lij, _ in rows[i] if j not in block) // x[i] for i in low if i not in block}
+        low = min(low.values())
+        if lo <= low and high < hi:
+            return x
+        last, spread = spread, (high - low, low) if low > 0 else None
+        # (high - low) / low below (hi - lo) / lo, and above half the last one
+        if spread and spread[0] * lo < (hi - lo) * low and last and 2 * spread[0] * last[1] > last[0] * low:
+            return None
+    return None
+
+
 def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> PerronData:
     """Dominant eigenvalue, eigenfunction, eigenmeasure and Markov measure
     of the transfer matrix exp(beta*A) on the word graph, with H normalized
@@ -951,17 +1049,23 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
     (mu I - S_NN)^-1 S_NC, whose entries are of the size of the excess, so
     R + G digits of them resolve it.  Probes that agree to dps_n share one
     pass over N (_bracket_root), and the bracket is certified on C alone:
-    _schur_block encloses S_CC + K over it, which also certifies lo >
-    rho(S_NN), and the Collatz-Wielandt bounds of H_C on that enclosure
-    (_perron_vector) lie in it.  As mu > rho(S) exactly when mu > rho(S_NN)
-    and mu > rho(S_CC + K(mu)), and K falls as mu grows, that holds the
-    root of S.  A split that does not certify gives way to the whole matrix
+    _schur_block encloses S_CC + K over it in ints, which also certifies lo
+    > rho(S_NN), and the exact-int Collatz-Wielandt bounds of H_C on that
+    enclosure (_fixed_perron) lie in it.  As mu > rho(S) exactly when mu >
+    rho(S_NN) and mu > rho(S_CC + K(mu)), and K falls as mu grows, that
+    holds the root of S.  The whole matrix is certified alike, on the ints
+    of the probes, enclosed as each entry's rounding allows; where H_S falls
+    by more than G digits along an edge (seen unscaled only), the fixed-point
+    grid cannot resolve its rows, and the mpf bounds (_perron_vector) certify
+    instead.  A split that does not certify gives way to the whole matrix
     at the same precision; when that fails, E doubles and the solve
     restarts, up to _MAX_DPS digits.
 
-    ``vectors`` returns (log_H, log_nu, mass_k): nu_S is solved and
-    certified alike, transposed, on C (or on the whole matrix, when it does
-    not certify on C); H_N and nu_N follow by one solve each over N at
+    ``vectors`` returns (log_H, log_nu, mass_k), in mpf on one factorization
+    of hi I minus the matrix certified (its upper end on C): nu_S is solved
+    and certified, transposed, by _perron_vector on C (or on the whole
+    matrix, when it does not certify on C), and H_S is one solve past the
+    certified iterate; H_N and nu_N follow by one solve each over N at
     dps_n (_off_block); both are unscaled as H = H_S e^{w}, nu = nu_S
     e^{-w}.  It raises PerronError when nu_S does not certify, or when the
     word graph is reducible, where H and nu may vanish or fail to be unique.
@@ -1014,14 +1118,21 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
             if found is None:  # the floor lies above the root: solve the whole matrix
                 gap = None
                 continue
-            lo, hi, lam = found
-            if nn:  # the enclosure of S_CC + K, iterated on its upper end
-                cw = _schur_block(plan, block, states, mat, lo, hi, prec_n)
-                mid = cw and cw[1]
-            else:
-                cw = mid = mat
-            passes, _, lu = _shifted_lu(block, mid, hi) if cw else (False, None, None)
-            h_vec = _perron_vector(block, lu, cw, lo, hi) if passes else None
+            lo, hi, lam, (lo_u, hi_u, bits, a) = found
+            if nn:  # the enclosure of S_CC + K at 2^-unit, iterated on its upper end
+                enclosure = _schur_block(plan, block, states, mat, lo_u, hi_u, bits, prec_n)
+                ends, unit = (enclosure[:2], enclosure[2]) if enclosure else (None, bits)
+                mid = ends and ends[1]
+            else:  # S within [a - d, a + 1 + d] units, d >= a 2^(1 - prec), iterated on a
+                d, mid, unit = [[(x >> (mpmath.mp.prec - 1)) + 1 for x in row] for row in a], a, bits
+                ends = ([[max(x - dx, 0) for x, dx in zip(*rows)] for rows in zip(a, d)],
+                        [[x + 1 + dx for x, dx in zip(*rows)] for rows in zip(a, d)])
+            up = unit - bits
+            h_vec = _fixed_perron(block, mid, unit, ends, lo_u << up, hi_u << up) if ends else None
+            lu = None  # the mpf factors, formed here only where the mpf certificate runs
+            if h_vec is None and not nn:  # H_S falls by more than G digits along an edge
+                passes, _, lu = _shifted_lu(plan, mat, hi)
+                h_vec = _perron_vector(plan, lu, mat, lo, hi) if passes else None
         if h_vec is not None:
             break
         if nn:  # the split did not certify: the whole matrix, at this precision
@@ -1037,12 +1148,14 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
         ratio = lam / base
     with mpmath.workprec(113):  # log(ratio) reads its excess over 1 off the whole mantissa
         log_lambda = float(shift + mpmath.log(base) + mpmath.log(ratio))
+    cw = tuple([[_exact(x, -unit) for x in row] for row in end] for end in ends) if nn else mat
 
     def vectors():
         if not pot.irreducible:
             raise PerronError("the transfer matrix is reducible: H and nu need not be positive or unique")
-        with mpmath.workdps(dps):
-            nu_vec = _perron_vector(block, lu, cw, lo, hi, transpose=True)
+        with mpmath.workdps(dps):  # the mpf factors, for nu: of hi*I - S, or of its upper end on C
+            factors = lu or _shifted_lu(block, cw[1] if nn else mat, hi)[2]
+            nu_vec = _perron_vector(block, factors, cw, lo, hi, transpose=True)
         if nu_vec is None and nn:  # nu_C does not certify on C: the whole matrix
             return perron(pot, beta, floor[:4] + ((),)).vectors()  # not root: it would tie its Analysis in a cycle
         if nu_vec is None:
@@ -1050,7 +1163,8 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
         with mpmath.workdps(dps):
             # a certified iterate can still be 10^-R off, relative (H_S lies
             # near the start of ones), and both are read to R + G digits
-            h_s, nu_s = _solve(block, lu, h_vec), _solve(block, lu, nu_vec, transpose=True)
+            h_s = _solve(block, factors, h_vec if lu else [_exact(x, -unit) for x in h_vec])
+            nu_s = _solve(block, factors, nu_vec, transpose=True)
         if nn:
             with mpmath.workdps(dps_n):
                 h_s, nu_s = _off_block(plan, states, mat, hi, h_s, nu_s)

@@ -364,22 +364,42 @@ def record_perron_vectors(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name, beta", [
+def record_fixed_perron(monkeypatch) -> list:
+    """Each _fixed_perron call, as (plan, bits, ends, lo, hi, vector)."""
+    calls = []
+    original = spectral._fixed_perron
+
+    def recorded(plan, mid, bits, ends, lo, hi):
+        x = original(plan, mid, bits, ends, lo, hi)
+        calls.append((plan, bits, ends, lo, hi, x))
+        return x
+
+    monkeypatch.setattr(spectral, "_fixed_perron", recorded)
+    return calls
+
+
+VECTOR_TABLES = [
     ("n2", 512.0), ("n4", 512.0), ("golden5", 256.0), ("golden8", 32.0), ("two zero blocks", 512.0),
     *((name, 64.0) for name in DECIMAL_TABLES),
-])
+]
+
+
+@pytest.mark.parametrize("name, beta", VECTOR_TABLES)
 def test_both_perron_vectors_certify_the_reference_root(monkeypatch, name, beta):
-    calls = record_perron_vectors(monkeypatch)
+    # the right vector is the fixed-point iterate that certified the root,
+    # the left one the mpf iterate that certified nu on the first read
+    fixed, calls = record_fixed_perron(monkeypatch), record_perron_vectors(monkeypatch)
     an = Analysis(_potential(name))
     p = an.perron(beta)
+    assert calls == []  # the root stage ran no mpf vector
     assert len(p.log_nu) == len(p.words)  # the left vector is solved on this read
-    (dps, plan, mat, lo, hi, right, h_vec), (*_, left, nu_vec) = calls[-2:]
-    assert (right, left) == (False, True)
+    (*_, bits, _, _, _, h_ints), [(dps, plan, mat, lo, hi, left, nu_vec)] = fixed[-1], calls
+    assert left
     with mpmath.workdps(3 * dps):
         root = reference_perron(an.pot, beta, dps=3 * dps)["lambda"]
         root *= mpmath.exp(-_beta_m(beta, an.floor[0]))  # the root of S
     with mpmath.workdps(dps):
-        for x, transpose in ((h_vec, False), (nu_vec, True)):
+        for x, transpose in (([spectral._exact(v, -bits) for v in h_ints], False), (nu_vec, True)):
             low, high = _collatz_wielandt(plan, mat, x, transpose)
             assert lo <= low <= root <= high < hi
             # any positive x bounds the root, if not as tightly
@@ -456,6 +476,36 @@ def test_vectors_are_solved_on_first_read_only(monkeypatch):
         assert len(p.log_H) == len(p.log_nu) == len(p.mass_k)
         assert p.vectors is None  # dropped with the factors it held
     assert left_solves() == len(grid)
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("golden5", (32.0, 64.0, 128.0, 256.0)),
+    ("n4", (64.0, 128.0, 256.0, 512.0)),
+])
+def test_the_root_stage_runs_no_mpf_factorization_or_vector(monkeypatch, name, grid):
+    # the rate reads the roots alone, certified in ints; the first read of
+    # log_H factors hi*I minus the matrix certified once in mpf, at dps, and
+    # certifies nu once (on a split N is factored once more, at dps_n)
+    factored, vectors, bounds = [], [], []
+    factor, iterate, bound = spectral._shifted_lu, spectral._perron_vector, spectral._collatz_wielandt
+    monkeypatch.setattr(spectral, "_shifted_lu", lambda plan, a, mu: (
+        isinstance(mu, mpmath.mpf) and factored.append((len(plan[2]), mpmath.mp.dps))) or factor(plan, a, mu))
+    monkeypatch.setattr(spectral, "_perron_vector", lambda *args, transpose=False: (
+        vectors.append(transpose)) or iterate(*args, transpose=transpose))
+    monkeypatch.setattr(spectral, "_collatz_wielandt", lambda *args: bounds.append(args) or bound(*args))
+    an = Analysis(table_potential(name))
+    estimate_gamma(an, grid)
+    assert (factored, vectors, bounds) == ([], [], [])
+    splits = 0
+    for beta in grid:
+        p, n = an.perron(beta), len(an.pot.states)
+        c = len(an.floor[4]) if p.dps_n < p.dps else n
+        del factored[:], vectors[:]
+        assert p.log_H[p.words.index((0,) * len(p.words[0]))] == 0.0
+        assert factored == [(c, p.dps)] + ([(n - c, p.dps_n)] if c < n else [])
+        assert vectors == [True]
+        splits += c < n
+    assert splits  # the grid reaches the split
 
 
 # (log_H, log_nu, mass_k) as the solve gave them before it was deferred,
@@ -558,6 +608,68 @@ def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, flo
     assert {fixed for fixed, _ in verdicts} == {True, False}
     assert [fixed for fixed, _ in verdicts] == [mp for _, mp in verdicts]
     assert p.escalations == (1 if floor == "half the rate" else 0)
+
+
+def _exact_bounds(plan, ends, x, rows):
+    """(low, high) as Fractions: the least ratio sum_j L_ij x_j / x_i of
+    the block on ``rows``, a lower bound of its root and so of the whole
+    one, and the largest sum_j U_ij x_j / x_i over all rows."""
+    def ratio(end, i, cols):
+        return Fraction(sum(end[i][j] * x[j] for _, r, j in plan[1] if r == i and j in cols), x[i])
+
+    everything = range(len(x))
+    return min(ratio(ends[0], i, rows) for i in rows), max(ratio(ends[1], i, everything) for i in everything)
+
+
+@pytest.mark.parametrize("pot, beta, floor, vanishing", [
+    *((_potential(name), beta, "analysis", ()) for name, beta in VECTOR_TABLES),
+    (_reducible_potential(), 32.0, "analysis", (2,)),  # H_S vanishes on state 2
+    (table_potential("golden5"), 32.0, "unscaled", ()),
+])
+def test_the_fixed_point_certificate_holds_the_reference_root(monkeypatch, pot, beta, floor, vanishing):
+    # the exact int Collatz-Wielandt bounds of the iterate that certified
+    # the root lie in [lo, hi) and hold the root of S, as the enclosure
+    # holds S; the mpf bounds of the same vector agree with them to rounding
+    calls, formed, form = record_fixed_perron(monkeypatch), [], spectral._scaled_matrix
+    monkeypatch.setattr(spectral, "_scaled_matrix",
+                        lambda *args: formed.append((args[3], form(*args))) or formed[-1][1])
+    p = perron(pot, beta, FLOORS[floor](*Analysis(pot).floor))
+    plan, bits, ends, lo, hi, x = calls[-1]
+    assert x is not None  # no mpf certificate took over
+    (w, mat), n = formed[-1], len(x)
+    rows = [i for i in range(n) if i not in vanishing]
+    low, high = _exact_bounds(plan, ends, x, rows)
+    assert lo <= low and high < hi
+    with mpmath.workdps(3 * p.dps):
+        root = reference_perron(pot, beta, dps=3 * p.dps)["lambda"] * mpmath.exp(-_beta_m(beta, p.m))
+        units = mpmath.ldexp(root, bits)
+        assert mpmath.mpf(low.numerator) / low.denominator <= units <= mpmath.mpf(high.numerator) / high.denominator
+        if len(plan[2]) == len(pot.states):  # the whole matrix: its enclosure holds S, formed from the exponents
+            for u, v, a in pot.edges:
+                q = Fraction(beta) * (Fraction(a) - p.m)
+                s = mpmath.ldexp(mpmath.exp(mpmath.mpf(q.numerator) / q.denominator + w[u] - w[v]), bits)
+                assert ends[0][v][u] <= s <= ends[1][v][u], (v, u)
+            cw = mat
+        else:
+            cw = tuple([[spectral._exact(e, -bits) for e in row] for row in end] for end in ends)
+    with mpmath.workdps(p.dps):
+        lo_mp = spectral._exact(lo, -bits)
+        mpf_low, mpf_high = _collatz_wielandt(plan, cw, [spectral._exact(v, -bits) for v in x], False, lo_mp)
+        # each ratio moves by 3 ulp in mpf, and between mat and the
+        # enclosure by at most the width of its row, weighted by x / x_i
+        slack = 3 + max(mpmath.mpf(sum((ends[1][i][j] - ends[0][i][j]) * x[j] for _, i, j in plan[1] if i == r)) / x[r]
+                        for r in range(n))
+        for mpf_end, exact in ((mpf_low, low), (mpf_high, high)):
+            assert abs(mpmath.ldexp(mpf_end, bits) - mpmath.mpf(exact.numerator) / exact.denominator) <= \
+                slack + units * mpmath.ldexp(8, -mpmath.mp.prec)
+
+
+def test_a_ratio_on_the_upper_end_does_not_certify():
+    # S = [[m]] exactly: its Perron root m lies in [lo, hi) only if m < hi
+    plan, m, bits = _elimination_plan([[True]]), 3 << 60, 64
+    ends = ([[m]], [[m]])
+    assert spectral._fixed_perron(plan, [[m - 1]], bits, ends, m - 5, m + 1) is not None
+    assert spectral._fixed_perron(plan, [[m - 1]], bits, ends, m - 5, m) is None
 
 
 GOLDEN_1001 = {

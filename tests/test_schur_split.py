@@ -5,13 +5,14 @@ both vectors are certified on the Schur complement onto C."""
 import itertools
 import json
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zerotemp import LocallyConstantPotential, PerronError, Sft, perron, spectral
+from zerotemp import LocallyConstantPotential, PerronError, Sft, full_shift, perron, spectral
 from zerotemp.asymptotics import Analysis
 from zerotemp.cli import EXIT_NUMERICAL, main
 
@@ -126,22 +127,43 @@ def test_the_schur_block_encloses_the_exact_complement_at_both_ends(name, beta, 
     # K moves across it by far more than the rounding of the solve over N
     pot = table_potential(name)
     an, p, plan, block, aubry, mat, prec_n, w = _schur_inputs(pot, beta)
-    with mpmath.workdps(p.dps):
+    with mpmath.workdps(p.dps):  # the bracket as ints at 2^-bits, as _bracket_root gives it
+        bits = mpmath.mp.prec
         shift = mpmath.exp(-spectral._beta_m(beta, an.floor[0]))
         lo, hi = (x * shift for x in p.bracket)
         if widen:
             lo = hi * (1 - mpmath.mpf(10) ** -widen)
-        below, above = spectral._schur_block(plan, block, aubry, mat, lo, hi, prec_n)
+        lo, hi = int(mpmath.floor(mpmath.ldexp(lo, bits))), int(mpmath.ceil(mpmath.ldexp(hi, bits)))
+        below, above, unit = spectral._schur_block(plan, block, aubry, mat, lo, hi, bits, prec_n)
     for mu in (lo, hi):
-        exact = _exact_block(pot, an, beta, aubry, w, mu, 3 * p.dps)
+        exact = _exact_block(pot, an, beta, aubry, w, spectral._exact(mu, -bits), 3 * p.dps)
         with mpmath.workdps(3 * p.dps):
             for _, r, c in block[1]:
-                assert below[r][c] <= exact[r][c] <= above[r][c], (r, c, mu == lo)
+                assert below[r][c] <= mpmath.ldexp(exact[r][c], unit) <= above[r][c], (r, c, mu == lo)
     if not widen:  # and tightly, at the bracket perron found: to dps_n digits of K, or 10^-dps
         with mpmath.workdps(p.dps):
             for _, r, c in block[1]:
                 assert above[r][c] - below[r][c] <= above[r][c] * mpmath.mpf(10) ** (10 - p.dps_n) + \
-                    mpmath.mpf(10) ** (2 - p.dps)
+                    mpmath.ldexp(mpmath.mpf(10) ** (2 - p.dps), unit)
+
+
+def test_nu_certifies_on_c_where_k_spans_hundreds_of_orders(monkeypatch):
+    # 128 states at beta 256: the excess is near 1e-3000, and the entries of
+    # K, and of nu_C, span hundreds of orders of magnitude, so nu_C
+    # certifies on the enclosure only while K keeps its relative digits;
+    # otherwise the vectors are solved again on the whole matrix
+    calls = []
+    iterate = spectral._perron_vector
+    monkeypatch.setattr(spectral, "_perron_vector", lambda plan, lu, mat, lo, hi, transpose=False: (
+        calls.append((len(plan[2]), transpose))) or iterate(plan, lu, mat, lo, hi, transpose))
+    rng = random.Random(7)  # as the benchmark's random_table draws it: 2 decimals, one entry pinned at -4
+    table = {w: 0.0 if len(set(w)) == 1 else -round(rng.uniform(1.0, 4.0), 2)
+             for w in itertools.product((0, 1), repeat=8)}
+    table[rng.choice([w for w in table if len(set(w)) > 1])] = -4.0
+    p = Analysis(LocallyConstantPotential(full_shift(1), 7, table)).perron(256.0)
+    assert p.dps_n < p.dps and p.escalations == 0
+    assert len(p.log_nu) == 128 and abs(sum(p.mass_k) - 1) < 1e-12
+    assert calls == [(2, True)]
 
 
 def test_a_failed_split_falls_back_to_the_whole_matrix(monkeypatch):

@@ -611,8 +611,8 @@ def test_planned_elimination_against_dense_references(data):
         assert passes == fixed_passes == (mu > rho)
         a = mpmath.matrix([[(mu if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)])
         scale = (abs(mu) + max(sum(row) for row in mat)) ** n
-        if fixed_det is not None:
-            assert abs(fixed_det - mpmath.det(a)) <= mpmath.mpf(10) ** -40 * scale
+        if fixed_det is not None:  # an exact pair (m, e) for m * 2^e
+            assert abs(mpmath.mpf(fixed_det) - mpmath.det(a)) <= mpmath.mpf(10) ** -40 * scale
         if det is None:  # a leading block is singular, so mu <= rho
             assert mu < rho
             return
