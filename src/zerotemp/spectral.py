@@ -11,20 +11,20 @@ maximum cycle mean, h the largest entropy of a critical component), so
 fixed-precision iteration cannot separate them.  perron() solves for the
 dominant pair only, on a tropically scaled matrix S whose precision
 follows the excess, not the spread of the matrix: it brackets the root by
-the M-matrix test in fixed-point ints, narrows it by regula falsi on exact
-int determinants, and certifies it by the Collatz-Wielandt bounds, in exact
-ints, of a fixed-point Perron vector over an int enclosure of S.  Only the
-Aubry states C need the digits of the excess: the states N outside them are
-split off at about R + G digits, and the bracket is certified on the Schur
-complement onto C (_schur_block).  nu is solved and certified in mpmath on
-first read, as its entries fall below any fixed-point grid.
+the M-matrix test and regula falsi in fixed-point ints, and certifies it by
+exact-int Collatz-Wielandt bounds of a fixed-point Perron vector over an
+int enclosure of S (in mpmath when S is not scaled by a subaction).  Only
+the Aubry states C need the digits of the excess: the states N outside
+them are split off at about R + G digits, and the bracket is certified on
+the Schur complement onto C (_schur_block).  The vectors are solved in
+mpmath on first read, and nu certified there, as its entries fall below
+any fixed-point grid.
 
 The floor's root e^h of a critical adjacency comes from Newton's method on
 det(x*I - adj), in floats and then at doubling precision.  One sparse
 elimination plan per pattern, in a fill-reducing order, serves both: each
-perron probe is one numeric pass of it over mu*I - S in ints, one more
-gives the factors of the certificate, one in mpf those of the vectors, and
-each Newton step is one over x*I - adj.
+perron probe, and the certificate's factors, are one numeric pass of it in
+ints, the vectors' factors one in mpf, and each Newton step one over x*I - adj.
 """
 
 from __future__ import annotations
@@ -198,11 +198,11 @@ class PerronData:
     mpmath on first read by ``vectors`` (nu certified by its mpf
     Collatz-Wielandt bounds), which is then dropped.  ``bracket`` (lo, hi),
     at ``dps`` digits, holds the root of the exactly formed matrix, as the
-    exact-int Collatz-Wielandt bounds of H_S certify (of H_C on the Schur
-    complement onto C, when N is split off); ``dps_n`` is the precision of
-    the rows and columns of N, ``dps`` when the whole matrix is solved;
-    ``escalations`` counts the solves repeated at a higher precision when
-    they could not.
+    Collatz-Wielandt bounds of H_S certify, in exact ints (in mpf without a
+    subaction; of H_C on the Schur complement onto C, when N is split off);
+    ``dps_n`` is the precision of the rows and columns of N, ``dps`` when
+    the whole matrix is solved; ``escalations`` counts the solves repeated
+    at a higher precision when they could not.
     lambda is hi, or the max-plus floor when the root lies within the
     resolution of it (zero excess); lam is its value for S, at dps: lambda
     = lam e^{beta*m}.  The reports read lam's excess over the floor at 113
@@ -402,14 +402,13 @@ def _fixed_test(plan, a, mu, bits, phase=None):
     return passes and passes_c, None if det is None else (det, exp)
 
 
-def _fixed_solve(forward, backward, val, bits, x) -> list:
+def _fixed_solve(steps, val, bits, x) -> list:
     """(mu I - a)^-1 x, in place on the ints x, on the factors val that
-    _fixed_steps left: forward holds (k, [(i, slot ik), ...]) by step and
-    backward (k, [(j, slot kj), ...]) by step reversed, cut to the rows solved."""
-    for k, updates in forward:
-        for i, ik in updates:
+    _fixed_steps left over the given steps."""
+    for k, updates, _ in steps:
+        for i, ik, _ in updates:
             x[i] -= val[ik] * x[k] >> bits
-    for k, cols in backward:
+    for k, _, cols in reversed(steps):
         x[k] = ((x[k] << bits) - sum(val[kj] * x[j] for j, kj in cols)) // val[k]
     return x
 
@@ -554,13 +553,18 @@ def _exact(man, exp):
     return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
 
 
+def _around(x, prec, up=0) -> tuple:
+    """(max(x - d, 0), x + up + d), d = (x >> (prec - 1)) + 1: ints that
+    hold every X >= 0 within 2^(1 - prec) X of a value in [x, x + up]."""
+    d = (x >> (prec - 1)) + 1
+    return max(x - d, 0), x + up + d
+
+
 def _ends(x, prec) -> tuple:
     """(low, high, exp), low * 2^exp <= X <= high * 2^exp, X the exact value
     that the mpf x > 0 rounds to prec bits, within 2^(1 - prec) of it."""
     pad = max(prec - x.man.bit_length(), 0)  # mpmath strips trailing zeros
-    man = x.man << pad
-    d = (man >> (prec - 1)) + 1
-    return man - d, man + d, x.exp - pad
+    return *_around(x.man << pad, prec), x.exp - pad
 
 
 def _scaled_matrix(edges, beta, m, w, rest=(), rest_dps=None) -> list:
@@ -600,15 +604,14 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
     """Bracket (lo, hi, lambda, fixed) of the Perron root of mat by the
     M-matrix test, each probe a _fixed_test over a, mat floored to ints at
     2^-bits; a wrong verdict can only cost the certificate perron checks.
-    fixed = (lo, hi, bits, a) in those ints: lo and hi become mpf, exactly,
-    only on return.  floor is a lower estimate of the root, or None for the
-    larger exact Collatz-Wielandt lower bound of ones (rows or columns) over
-    the lower ends (_ends) of the entries; bits is mp.prec plus what brings
-    the floor to 2^bits units, so that units stay relative to the root.
-    The plan's first nn steps eliminate N, whose rows of a
-    are at 2^-bits_n (bits_n <= bits): a probe at mu runs them at mu
-    floored to 2^-bits_n, so probes that agree to bits_n share one pass of
-    them, and only C's steps run again.
+    fixed = (lo, hi, bits, a), lo and hi as those ints.  floor is a lower
+    estimate of the root, or None for the larger exact Collatz-Wielandt
+    lower bound of ones (rows or columns) over the lower ends (_ends) of the
+    entries; bits is mp.prec plus what brings the floor to 2^bits units, so
+    that units stay relative to the root.  The plan's first nn steps
+    eliminate N, whose rows of a are at 2^-bits_n (bits_n <= bits): a probe
+    at mu runs them at mu floored to 2^-bits_n, so probes that agree to
+    bits_n share one pass of them.
 
     The search works on x = (mu - floor) 2^bits, guess one of root - floor
     (or None).  It brackets log x by steps of ln 2 times 1, 2, 4, ... from
@@ -616,14 +619,14 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
     n + 1 units, as each floored entry falls short by under one), bisects
     in log x (isqrt of the ends cut to about 80 bits) while they are more
     than a factor 2 apart, then runs regula falsi (Anderson-Bjorck) on
-    det(mu*I - a), the product of the pivots, _fixed_test's exact pair
-    floored to 2^(-4 bits), which keeps 2*bits bits of any det above
-    2^(-2 bits) (the last pivot alone changes sign in a window as narrow
-    as the excess), each step one floor division, until hi - lo <= 10^-R
-    (hi - floor), and without a floor also 10^-R |hi - 1|, so that log(hi)
-    holds R digits.  lambda is hi, or the floor when the test passes within
-    floor * 10^-digits of it (zero excess); a floor above the root gives
-    way to None, or with N split off, returns None.
+    det(mu*I - a), the product of the pivots (the last pivot alone changes
+    sign in a window as narrow as the excess), each step one floor division
+    of _fixed_test's exact pairs (m, e) floored to one grid below the larger
+    det, until hi - lo <= 10^-R (hi - floor), and without a floor also
+    10^-R |hi - 1|, so that log(hi) holds R digits.  lambda is hi, or the
+    floor when the test passes within floor * 10^-digits of it (zero
+    excess); a floor above the root gives way to None, or with N split
+    off, returns None.
     """
     n, prec, ref = len(mat), mpmath.mp.prec, floor
     if floor is None:
@@ -653,10 +656,22 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
             kept[:] = mu_n, _fixed_phase(plan, a, nn, mu_n, bits - cut)
         return kept[1]
 
-    def test(x):  # the M-matrix test at mu = base + x, det floored to 2^(-4 bits)
+    def test(x):  # the M-matrix test at mu = base + x
         mu = base + x
-        passes, det = _fixed_test(plan, a, mu, bits, phase(mu >> cut if nn else 0))
-        return passes, None if det is None else _shifted(det[0], det[1] + 4 * bits)
+        return _fixed_test(plan, a, mu, bits, phase(mu >> cut if nn else 0))
+
+    def aligned(p, q):  # the dets p and q, pairs (m, e), as ints on one grid keep bits below the larger
+        g = max(p[0].bit_length() + p[1], q[0].bit_length() + q[1]) - keep
+        return _shifted(p[0], p[1] - g), _shifted(q[0], q[1] - g)
+
+    def damped(det, last, f):  # det times 1 - f/last, or 1/2 unless that is positive, to about 2*bits bits
+        den, num = aligned(last, f)
+        if (den - num) * den <= 0:
+            return det[0], det[1] - 1
+        s = 2 * bits + den.bit_length() - (den - num).bit_length()
+        m = det[0] * (_shifted(den - num, s) // den)
+        drop = max(m.bit_length() - 2 * bits, 0)
+        return m >> drop, det[1] - s + drop
 
     def bracket(x_lo, x_hi, lam=None):  # lo and hi as exact mpf, and as ints
         lo, hi = base + x_lo, base + x_hi
@@ -674,7 +689,9 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
         # the floor lies above the root
         return None if nn else _bracket_root(plan, mat, None, None, digits)
     x_lo, f_lo, x_hi, f_hi = found
-    side = 0
+    # a det of 2*bits bits that the grid cuts is so far below the larger
+    # one that it moves no step by a unit
+    side, keep = 0, 2 * bits + x_hi.bit_length() + 64
     for _ in range(_MAX_PROBES):
         width = x_hi // 10**_RESOLVED
         if one is not None:
@@ -682,31 +699,29 @@ def _bracket_root(plan, mat, floor, guess, digits: int, nn: int = 0, bits_n=None
         if 2 * x_lo < x_hi:  # bisect in log x
             drop = max(x_lo.bit_length() - 80, 0)
             x = math.isqrt((x_lo >> drop) * (x_hi >> drop)) << drop
-        elif f_lo is None or f_lo > 0:  # an even count of eigenvalues above lo
+        elif f_lo is None or f_lo[0] > 0:  # an even count of eigenvalues above lo
             x = (x_lo + x_hi) // 2
         else:
             # keep half the target width from either end, so that a step that
             # lands next to one end still closes the bracket, and aim a quarter
             # of it low, so that no probe lands within rounding of the root
-            x = x_hi - f_hi * (x_hi - x_lo) // (f_hi - f_lo) - width // 4
+            d_hi, d_lo = aligned(f_hi, f_lo)
+            x = x_hi - d_hi * (x_hi - x_lo) // (d_hi - d_lo) - width // 4
             x = min(max(x, x_lo + width // 2), x_hi - width // 2)
         # resolved, or no point left between the ends
         if x_hi - x_lo <= width or x == x_lo or x == x_hi:
             return bracket(x_lo, x_hi)
         passes, f = test(x)
-        # Anderson-Bjorck: when one end is replaced twice in a row, scale
-        # the value kept at the other end by 1 - f/(its last), or 1/2 unless
-        # that is positive, so that both ends move
+        # Anderson-Bjorck: when one end is replaced twice in a row, damp the
+        # value kept at the other end, so that both ends move
         if passes:
             if side == 1 and f_lo is not None:
-                f_lo = f_lo * (f_hi - f) // f_hi if (f_hi - f) * f_hi > 0 else f_lo // 2
-            x_hi, f_hi = x, f
-            side = 1
+                f_lo = damped(f_lo, f_hi, f)
+            x_hi, f_hi, side = x, f, 1
         else:
             if side == -1 and f is not None and f_lo is not None:
-                f_hi = f_hi * (f_lo - f) // f_lo if (f_lo - f) * f_lo > 0 else f_hi // 2
-            x_lo, f_lo = x, f
-            side = -1
+                f_hi = damped(f_hi, f_lo, f)
+            x_lo, f_lo, side = x, f, -1
     raise PerronError(f"bracket not narrowed in {_MAX_PROBES} probes; {ITERATION_NOTE}")
 
 
@@ -750,41 +765,59 @@ def _cw_rows(plan, mat, transpose=False) -> tuple:
     return rows[0], rows[-1]
 
 
-def _collatz_wielandt(plan, mat, x, transpose=False, lo=0, rows=None):
-    """(low, high) with low <= rho(S) <= high, S the exactly formed matrix
-    that mat rounds (_scaled_matrix), from a mat-vec over the plan's pattern
-    at the working precision with a positive x (None for any other x): for
-    nonnegative S, min (Sx)_i/x_i <= rho(S) <= max (Sx)_i/x_i (S^T x with
-    ``transpose``).  Entries and ratios each lie within u = 2^(1-prec) of
-    exact, as fdot and the division round once each, so the ends move out
-    by 3u, which also covers their own rounding.  mat may also be a pair
-    (below, above) of matrices that enclose S entrywise: low then reads the
-    first and high the second.  The rows of the largest set D whose ratios
-    so widened lie below lo, and which read only D, are left out of low:
-    then rho(S_DD) < lo, the Perron vector vanishes on D, and low comes from
-    the other rows J, as rho(S) >= rho(S_JJ).  ``rows`` is _cw_rows(plan,
-    mat, transpose), passed by callers that bound many x on one matrix."""
-    if not all(v > 0 for v in x):
-        return None
-    below, above = rows or _cw_rows(plan, mat, transpose)
-
-    def ratios(rs):
-        return [mpmath.fdot((a, x[j]) for a, j in row) / y for row, y in zip(rs, x)]
-
-    low = ratios(below)
-    widen = mpmath.ldexp(3, 1 - mpmath.mp.prec)
-    high = max(low if above is below else ratios(above)) * (1 + widen)
-    # r (1 + widen) < lo exactly when r < lo / (1 + widen), rounded toward 0
-    cut = mpmath.fdiv(lo, 1 + widen, rounding="d")
-    block = {i for i, r in enumerate(low) if r < cut}
+def _cw_bounds(below, above, x, lo, ratio) -> tuple:
+    """(low, high), min_i (Lx)_i/x_i <= rho(S) <= max_i (Ux)_i/x_i for x > 0
+    and every S between L and U, given by their rows (below, above) of
+    _cw_rows; ratio(row, y) is a row's dot with x over y, in the caller's
+    arithmetic.  The rows of the largest set D whose ratios lie below lo,
+    and which read only D, are left out of low: then rho(S_DD) < lo, the
+    Perron vector vanishes on D, and rho(S) >= rho(S_JJ) for the rest J."""
+    low = [ratio(row, y) for row, y in zip(below, x)]
+    high = max(low if above is below else [ratio(row, y) for row, y in zip(above, x)])
+    block = {i for i, r in enumerate(low) if r < lo}
     while any(j not in block for i in block for _, j in below[i]):
         block = {i for i in block if all(j in block for _, j in below[i])}
     if 0 < len(block) < len(x):
-        low = [
-            mpmath.fdot((a, x[j]) for a, j in row if j not in block) / y
-            for i, (row, y) in enumerate(zip(below, x)) if i not in block
-        ]
-    return min(low) * (1 - widen), high
+        low = [ratio([(a, j) for a, j in row if j not in block], y)
+               for i, (row, y) in enumerate(zip(below, x)) if i not in block]
+    return min(low), high
+
+
+def _collatz_wielandt(plan, mat, x, transpose=False, lo=0, rows=None):
+    """(low, high) with low <= rho(S) <= high, S the exactly formed matrix
+    that mat rounds (_scaled_matrix), or that the pair mat = (below, above)
+    encloses, by _cw_bounds in mpf for x > 0 (None for any other x), of S^T
+    with ``transpose``.  Entries and ratios each lie within u = 2^(1-prec)
+    of exact, as fdot and the division round once each, so the ends, and lo
+    for D, move out by 3u, which also covers their own rounding."""
+    if not all(v > 0 for v in x):
+        return None
+    widen = mpmath.ldexp(3, 1 - mpmath.mp.prec)
+    # r (1 + widen) < lo exactly when r < lo / (1 + widen), rounded toward 0
+    low, high = _cw_bounds(*(rows or _cw_rows(plan, mat, transpose)), x, mpmath.fdiv(lo, 1 + widen, rounding="d"),
+                           lambda row, y: mpmath.fdot((a, x[j]) for a, j in row) / y)
+    return low * (1 - widen), high * (1 + widen)
+
+
+def _iterate(solve, bounds, x, lo, hi):
+    """The first iterate x = solve(x) whose bounds(x) = (low, high) lie in
+    [lo, hi), in mpf or ints alike; None when bounds(x) is None, or once a
+    step no longer halves high/low - 1 below hi/lo - 1, the rounding floor
+    (low may stall for a step where a state reads the rest through a tiny
+    entry; high/low - 1, unlike high - low, falls as it climbs)."""
+    spread = None  # (high - low, low), compared by cross products
+    for _ in range(_MAX_STEPS):
+        x = solve(x)
+        found = bounds(x)
+        if found is None:
+            return None
+        low, high = found
+        if lo <= low and high < hi:
+            return x
+        last, spread = spread, (high - low, low) if low > 0 else None
+        if spread and last and spread[0] * lo < (hi - lo) * low and 2 * spread[0] * last[1] > last[0] * low:
+            return None
+    return None
 
 
 def _gap_digits(plan, nn, edges, beta, m, v, root):
@@ -851,16 +884,14 @@ def _schur_block(plan, block, aubry, mat, lo, hi, scale, prec_n):
             a[i][j] = _units(mat[i][j], bits)
         if j not in col:
             x = a[i][j]
-            rows[i].append((j, x, x + 2 + (x >> (prec_n - 1))))
+            rows[i].append((j, x, _around(x, prec_n, 1)[1]))
     mu0 = hi >> (scale - bits)
     _, passes, _, _, val = _fixed_phase(plan, a, nn, mu0, bits)
     if not passes:
         return None
-    forward = [(k, [(i, ik) for i, ik, _ in updates if i not in col]) for k, updates, _ in steps[:nn]]
-    backward = [(k, [(j, kj) for j, kj in cols if j not in col]) for k, _, cols in reversed(steps[:nn])]
 
-    def solve(x):  # (mu0 I - S_NN)^-1 x on the factors of N
-        return _fixed_solve(forward, backward, val, bits, list(x))
+    def solve(x):  # (mu0 I - S_NN)^-1 x on the factors of N; a is 0 on C's rows, and so is x
+        return _fixed_solve(steps[:nn], val, bits, list(x))
 
     lo_units, one = lo >> (scale - bits), 1 << bits
     d_mu = (hi - lo >> (scale - bits)) + 2
@@ -951,68 +982,34 @@ def _off_block(plan, aubry, mat, mu, h_c, nu_c):
 
 def _perron_vector(plan, lu, mat, lo, hi, transpose=False):
     """The right (left with ``transpose``) Perron vector of mat, unnormalized,
-    by inverse iteration on the factors lu of hi*I - mat, whose inverse is
-    nonnegative, so iterates of a positive start stay positive.  The first
-    iterate whose Collatz-Wielandt bounds lie in [lo, hi) is returned; None
-    once a step no longer halves high/low - 1 below hi/lo - 1, the rounding
-    floor.  Above it low may stall for a step at a state that reads the rest
-    through a tiny entry; high/low - 1, unlike high - low, falls as it climbs."""
-    x, spread, rows = [mpmath.mpf(1)] * len(plan[2]), mpmath.inf, _cw_rows(plan, mat, transpose)
-    for _ in range(_MAX_STEPS):
-        x = _solve(plan, lu, x, transpose)
-        bounds = _collatz_wielandt(plan, mat, x, transpose, lo, rows)
-        if bounds is None:
-            return None
-        low, high = bounds
-        if lo <= low and high < hi:
-            return x
-        last, spread = spread, high / low - 1 if low else mpmath.inf
-        if spread < hi / lo - 1 and not spread <= last / 2:
-            return None
-    return None
+    by _iterate in mpf on the factors lu of hi*I - mat, whose inverse is
+    nonnegative, so iterates of a positive start stay positive."""
+    rows = _cw_rows(plan, mat, transpose)
+    return _iterate(lambda x: _solve(plan, lu, x, transpose),
+                    lambda x: _collatz_wielandt(plan, mat, x, transpose, lo, rows), [mpmath.mpf(1)] * len(plan[2]), lo, hi)
 
 
 def _fixed_perron(plan, mid, bits, ends, lo, hi):
     """The right Perron vector, as ints, of every S that the int matrices
-    ends = (L, U) enclose entrywise, all of them, mid, lo and hi ints at
-    2^-bits: inverse iteration in fixed point on the factors of hi*I - mid,
-    from ones, each iterate scaled so that its least entry keeps the bits of
-    hi and lifted to at least 1.  The first iterate x with sum_j L_ij x_j >=
-    lo x_i and sum_j U_ij x_j < hi x_i in every row, in exact ints, is
-    returned: its floored ratios low and high bound low <= rho(S) < high + 1.
-    The rows of the largest set D below lo that read only D are left out of
-    low, as in _collatz_wielandt, since rho(S) >= rho(S_JJ) for any J.  None
-    when hi*I - mid fails the M-matrix test, or once a step no longer halves
-    high/low - 1 below hi/lo - 1, the rounding floor (as _perron_vector)."""
+    ends = (L, U) enclose, all of them, mid, lo and hi at 2^-bits: _iterate
+    in fixed point on the factors of hi*I - mid, each iterate scaled so its
+    least entry keeps the bits of hi and lifted to at least 1, bounded by
+    _cw_bounds in exact ints, whose floored ratios bound low <= rho(S) <
+    high + 1.  None when hi*I - mid fails the M-matrix test."""
     size, entries, steps = plan
-    val, rows = [hi] * len(steps) + [0] * (size - len(steps)), [[] for _ in steps]
+    val = [hi] * len(steps) + [0] * (size - len(steps))
     for s, i, j in entries:
         val[s] -= mid[i][j]
-        rows[i].append((j, ends[0][i][j], ends[1][i][j]))
     if not _fixed_steps(steps, val, bits, None)[0]:
         return None
-    forward = [(k, [(i, ik) for i, ik, _ in updates]) for k, updates, _ in steps]
-    backward = [(k, cols) for k, _, cols in reversed(steps)]
-    x, spread, keep = [1] * len(steps), None, max(hi.bit_length(), bits)
-    for _ in range(_MAX_STEPS):
-        drop = min(x).bit_length() - keep
-        x = _fixed_solve(forward, backward, val, bits, [v << -drop for v in x] if drop < 0 else [v >> drop for v in x])
-        x = [max(v, 1) for v in x]
-        low = {i: sum(lij * x[j] for j, lij, _ in row) // x[i] for i, row in enumerate(rows)}
-        high = max(sum(uij * x[j] for j, _, uij in row) // y for row, y in zip(rows, x))
-        block = {i for i, r in low.items() if r < lo}
-        while any(j not in block for i in block for j, _, _ in rows[i]):
-            block = {i for i in block if all(j in block for j, _, _ in rows[i])}
-        if 0 < len(block) < len(x):
-            low = {i: sum(lij * x[j] for j, lij, _ in rows[i] if j not in block) // x[i] for i in low if i not in block}
-        low = min(low.values())
-        if lo <= low and high < hi:
-            return x
-        last, spread = spread, (high - low, low) if low > 0 else None
-        # (high - low) / low below (hi - lo) / lo, and above half the last one
-        if spread and spread[0] * lo < (hi - lo) * low and last and 2 * spread[0] * last[1] > last[0] * low:
-            return None
-    return None
+    rows, keep = _cw_rows(plan, ends), max(hi.bit_length(), bits)
+
+    def solve(x):
+        x = _fixed_solve(steps, val, bits, [_shifted(v, keep - min(x).bit_length()) for v in x])
+        return [max(v, 1) for v in x]
+
+    return _iterate(solve, lambda x: _cw_bounds(*rows, x, lo, lambda row, y: sum(a * x[j] for a, j in row) // y),
+                    [1] * len(steps), lo, hi)
 
 
 def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> PerronData:
@@ -1053,22 +1050,21 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
     > rho(S_NN), and the exact-int Collatz-Wielandt bounds of H_C on that
     enclosure (_fixed_perron) lie in it.  As mu > rho(S) exactly when mu >
     rho(S_NN) and mu > rho(S_CC + K(mu)), and K falls as mu grows, that
-    holds the root of S.  The whole matrix is certified alike, on the ints
-    of the probes, enclosed as each entry's rounding allows; where H_S falls
-    by more than G digits along an edge (seen unscaled only), the fixed-point
-    grid cannot resolve its rows, and the mpf bounds (_perron_vector) certify
-    instead.  A split that does not certify gives way to the whole matrix
-    at the same precision; when that fails, E doubles and the solve
-    restarts, up to _MAX_DPS digits.
+    holds the root of S.  The whole matrix is certified alike, on the
+    probes' ints, each entry enclosed as its rounding allows, but in mpf
+    (_perron_vector) without a finite V: H_S may then fall along an edge by
+    more than G digits, past the fixed-point grid.  A split that does not
+    certify gives way to the whole matrix at the same precision; when that
+    fails, E doubles and the solve restarts, up to _MAX_DPS digits.
 
     ``vectors`` returns (log_H, log_nu, mass_k), in mpf on one factorization
-    of hi I minus the matrix certified (its upper end on C): nu_S is solved
-    and certified, transposed, by _perron_vector on C (or on the whole
-    matrix, when it does not certify on C), and H_S is one solve past the
-    certified iterate; H_N and nu_N follow by one solve each over N at
-    dps_n (_off_block); both are unscaled as H = H_S e^{w}, nu = nu_S
-    e^{-w}.  It raises PerronError when nu_S does not certify, or when the
-    word graph is reducible, where H and nu may vanish or fail to be unique.
+    of hi I minus the matrix certified (the upper end of the enclosure on
+    C): nu_S is certified there by _perron_vector (or on the whole matrix,
+    when not on C), H_S is one solve past the certified iterate, H_N and
+    nu_N follow by one solve each over N at dps_n (_off_block), and H =
+    H_S e^{w}, nu = nu_S e^{-w}.  It raises PerronError when nu_S does not
+    certify, or when the word graph is reducible, where H and nu may vanish
+    or fail to be unique.
     """
     zero = tuple([0] * pot.word_length)
     if zero not in pot.states:
@@ -1119,20 +1115,20 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
                 gap = None
                 continue
             lo, hi, lam, (lo_u, hi_u, bits, a) = found
-            if nn:  # the enclosure of S_CC + K at 2^-unit, iterated on its upper end
-                enclosure = _schur_block(plan, block, states, mat, lo_u, hi_u, bits, prec_n)
-                ends, unit = (enclosure[:2], enclosure[2]) if enclosure else (None, bits)
-                mid = ends and ends[1]
-            else:  # S within [a - d, a + 1 + d] units, d >= a 2^(1 - prec), iterated on a
-                d, mid, unit = [[(x >> (mpmath.mp.prec - 1)) + 1 for x in row] for row in a], a, bits
-                ends = ([[max(x - dx, 0) for x, dx in zip(*rows)] for rows in zip(a, d)],
-                        [[x + 1 + dx for x, dx in zip(*rows)] for rows in zip(a, d)])
-            up = unit - bits
-            h_vec = _fixed_perron(block, mid, unit, ends, lo_u << up, hi_u << up) if ends else None
-            lu = None  # the mpf factors, formed here only where the mpf certificate runs
-            if h_vec is None and not nn:  # H_S falls by more than G digits along an edge
+            h_vec = lu = ends = None  # lu: the mpf factors of hi*I - S, formed here unscaled only
+            if nn:  # (below, above, unit): S_CC + K enclosed in ints at 2^-unit
+                ends = _schur_block(plan, block, states, mat, lo_u, hi_u, bits, prec_n)
+            elif scaled:  # each entry of S within _around(a, prec, 1) units
+                ends = [[0] * n for _ in a], [[0] * n for _ in a], bits
+                for _, i, j in plan[1]:
+                    ends[0][i][j], ends[1][i][j] = _around(a[i][j], mpmath.mp.prec, 1)
+            else:  # H_S may fall by more than G digits along an edge, past the grid of a
                 passes, _, lu = _shifted_lu(plan, mat, hi)
                 h_vec = _perron_vector(plan, lu, mat, lo, hi) if passes else None
+            if ends:  # iterated on the split's upper end, on the probes' ints when whole
+                below, above, unit = ends
+                up = unit - bits
+                h_vec = _fixed_perron(block, above if nn else a, unit, (below, above), lo_u << up, hi_u << up)
         if h_vec is not None:
             break
         if nn:  # the split did not certify: the whole matrix, at this precision
@@ -1148,12 +1144,12 @@ def perron(pot: LocallyConstantPotential, beta: float, floor, root=None) -> Perr
         ratio = lam / base
     with mpmath.workprec(113):  # log(ratio) reads its excess over 1 off the whole mantissa
         log_lambda = float(shift + mpmath.log(base) + mpmath.log(ratio))
-    cw = tuple([[_exact(x, -unit) for x in row] for row in end] for end in ends) if nn else mat
 
     def vectors():
         if not pot.irreducible:
             raise PerronError("the transfer matrix is reducible: H and nu need not be positive or unique")
         with mpmath.workdps(dps):  # the mpf factors, for nu: of hi*I - S, or of its upper end on C
+            cw = tuple([[_exact(x, -unit) for x in row] for row in end] for end in (below, above)) if nn else mat
             factors = lu or _shifted_lu(block, cw[1] if nn else mat, hi)[2]
             nu_vec = _perron_vector(block, factors, cw, lo, hi, transpose=True)
         if nu_vec is None and nn:  # nu_C does not certify on C: the whole matrix

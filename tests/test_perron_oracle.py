@@ -610,35 +610,41 @@ def test_every_fixed_point_probe_has_the_mpf_verdict(monkeypatch, pot, beta, flo
     assert p.escalations == (1 if floor == "half the rate" else 0)
 
 
-def _exact_bounds(plan, ends, x, rows):
-    """(low, high) as Fractions: the least ratio sum_j L_ij x_j / x_i of
-    the block on ``rows``, a lower bound of its root and so of the whole
-    one, and the largest sum_j U_ij x_j / x_i over all rows."""
-    def ratio(end, i, cols):
-        return Fraction(sum(end[i][j] * x[j] for _, r, j in plan[1] if r == i and j in cols), x[i])
+@pytest.mark.parametrize("k, beta", [(6, 512.0), (8, 256.0)])
+def test_tied_components_keep_the_digits_of_a_tiny_determinant(k, beta):
+    # k fixed points of weight 0 joined by edges of weight -1: rho(S) =
+    # 1 + (k - 1) e^{-beta}, and det(mu I - S), near (mu - rho) (mu - 1)^(k-1),
+    # falls hundreds of digits below any fixed grid near the root, so
+    # regula falsi reads each det to its own leading bits
+    table = {(i, j): 0.0 if i == j else -1.0 for i in range(k) for j in range(k)}
+    p = Analysis(LocallyConstantPotential(full_shift(k - 1), 1, table)).perron(beta)
+    assert p.escalations == 0
+    with mpmath.workdps(p.dps):
+        assert p.bracket[0] <= 1 + (k - 1) * mpmath.exp(-beta) < p.bracket[1]
 
-    everything = range(len(x))
-    return min(ratio(ends[0], i, rows) for i in rows), max(ratio(ends[1], i, everything) for i in everything)
+
+def _exact_bounds(plan, ends, x):
+    """(low, high) as Fractions: the least ratio sum_j L_ij x_j / x_i and
+    the largest sum_j U_ij x_j / x_i."""
+    def ratio(end, i):
+        return Fraction(sum(end[i][j] * x[j] for _, r, j in plan[1] if r == i), x[i])
+
+    return min(ratio(ends[0], i) for i in range(len(x))), max(ratio(ends[1], i) for i in range(len(x)))
 
 
-@pytest.mark.parametrize("pot, beta, floor, vanishing", [
-    *((_potential(name), beta, "analysis", ()) for name, beta in VECTOR_TABLES),
-    (_reducible_potential(), 32.0, "analysis", (2,)),  # H_S vanishes on state 2
-    (table_potential("golden5"), 32.0, "unscaled", ()),
-])
-def test_the_fixed_point_certificate_holds_the_reference_root(monkeypatch, pot, beta, floor, vanishing):
+@pytest.mark.parametrize("pot, beta", [(_potential(name), beta) for name, beta in VECTOR_TABLES])
+def test_the_fixed_point_certificate_holds_the_reference_root(monkeypatch, pot, beta):
     # the exact int Collatz-Wielandt bounds of the iterate that certified
     # the root lie in [lo, hi) and hold the root of S, as the enclosure
     # holds S; the mpf bounds of the same vector agree with them to rounding
     calls, formed, form = record_fixed_perron(monkeypatch), [], spectral._scaled_matrix
     monkeypatch.setattr(spectral, "_scaled_matrix",
                         lambda *args: formed.append((args[3], form(*args))) or formed[-1][1])
-    p = perron(pot, beta, FLOORS[floor](*Analysis(pot).floor))
-    plan, bits, ends, lo, hi, x = calls[-1]
-    assert x is not None  # no mpf certificate took over
+    p = Analysis(pot).perron(beta)
+    [(plan, bits, ends, lo, hi, x)] = calls  # certified at once, in ints
+    assert x is not None
     (w, mat), n = formed[-1], len(x)
-    rows = [i for i in range(n) if i not in vanishing]
-    low, high = _exact_bounds(plan, ends, x, rows)
+    low, high = _exact_bounds(plan, ends, x)
     assert lo <= low and high < hi
     with mpmath.workdps(3 * p.dps):
         root = reference_perron(pot, beta, dps=3 * p.dps)["lambda"] * mpmath.exp(-_beta_m(beta, p.m))
@@ -662,6 +668,32 @@ def test_the_fixed_point_certificate_holds_the_reference_root(monkeypatch, pot, 
         for mpf_end, exact in ((mpf_low, low), (mpf_high, high)):
             assert abs(mpmath.ldexp(mpf_end, bits) - mpmath.mpf(exact.numerator) / exact.denominator) <= \
                 slack + units * mpmath.ldexp(8, -mpmath.mp.prec)
+
+
+@pytest.mark.parametrize("pot, beta, floor", [
+    (_reducible_potential(), 32.0, "analysis"),  # V is -inf on state 2, where H_S vanishes
+    (table_potential("golden5"), 32.0, "unscaled"),
+    (table_potential("n4"), 256.0, "no subaction"),
+    (table_potential("golden8"), 16.0, "none"),
+])
+def test_an_unscaled_root_is_certified_in_mpf(monkeypatch, pot, beta, floor):
+    # without a finite subaction H_S may fall along an edge by more than the
+    # guard digits, past the grid of the probes' ints: the root stage
+    # certifies in mpf, on factors that the vectors then reuse
+    fixed, calls = record_fixed_perron(monkeypatch), record_perron_vectors(monkeypatch)
+    factored, factor = [], spectral._shifted_lu
+    monkeypatch.setattr(spectral, "_shifted_lu", lambda plan, a, mu: factored.append(mu) or factor(plan, a, mu))
+    p = perron(pot, beta, FLOORS[floor](*Analysis(pot).floor))
+    [(dps, plan, mat, lo, hi, transpose, x)] = calls
+    assert fixed == [] and not transpose and dps == p.dps
+    with mpmath.workdps(dps):
+        low, high = _collatz_wielandt(plan, mat, x, False, lo)
+        assert lo <= low and high < hi
+    if pot.irreducible:
+        root_stage = len(factored)
+        assert len(p.log_nu) == len(pot.states)
+        assert [call[5] for call in calls] == [False, True]
+        assert len(factored) == root_stage  # no factorization past the root stage's
 
 
 def test_a_ratio_on_the_upper_end_does_not_certify():
